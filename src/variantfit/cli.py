@@ -23,6 +23,8 @@ from .estimate import fit
 from .crude import crude_gammas
 from .forecast import forecast as forecast_band
 from .inference import (
+    AdvantageEstimate,
+    advantage_interval,
     fisher_information,
     hac_sandwich,
     interval_for_gamma,
@@ -250,8 +252,6 @@ def cmd_infer_r(args) -> int:
     elif args.gamma_gen is not None:
         digest = {"gamma_gen": args.gamma_gen}
         point = Advantage(args.gamma_gen, args.gen_days)
-        from .inference import AdvantageEstimate
-
         lo, hi = (args.gamma_ci if args.gamma_ci else (args.gamma_gen, args.gamma_gen))
         gamma_est = AdvantageEstimate(
             gamma=point, ci_low=lo, ci_high=hi, level=args.level
@@ -357,22 +357,21 @@ def cmd_multi(args) -> int:
         digest = {"path": args.file, "sha256": hashlib.sha256(fh.read()).hexdigest()}
     bandwidth = None if args.fisher else args.hac
     params, variance = fit_multi(series, bandwidth=bandwidth)
-    from .inference import normal_quantile
-
-    z = normal_quantile(args.level)
     scale = args.gen_days / series.period_days
-    import math
-
     variants = []
-    for j, (beta, name) in enumerate(zip(params.betas, series.variant_names[1:])):
-        se = math.sqrt(max(variance.matrix[2 * j + 1, 2 * j + 1], 0.0))
+    for j, (beta, gamma, name) in enumerate(
+        zip(params.betas, params.gammas, series.variant_names[1:])
+    ):
+        point, low, high = advantage_interval(
+            beta, variance.matrix[2 * j + 1, 2 * j + 1], scale, args.level
+        )
         variants.append(
             {
                 "variant": name,
-                "gamma_per_period": math.exp(beta),
-                "gamma_per_generation": math.exp(scale * beta),
-                "ci_low_per_generation": math.exp(scale * (beta - z * se)),
-                "ci_high_per_generation": math.exp(scale * (beta + z * se)),
+                "gamma_per_period": gamma,
+                "gamma_per_generation": point,
+                "ci_low_per_generation": low,
+                "ci_high_per_generation": high,
             }
         )
     report = _report_header(

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import CountViolation, DuplicatePeriod, EmptySeries, ParseError
+import numpy as np
+
+from .errors import CountViolation, DuplicatePeriod, EmptySeries, InvalidValue, ParseError
 
 CSV_HEADER = ["t", "label", "sequenced", "variant_count", "total_cases", "tested"]
 
@@ -71,13 +74,13 @@ class SurveillanceSeries:
         if len(self.records) < 2:
             raise EmptySeries(f"need at least 2 records, got {len(self.records)}")
         if self.period_days <= 0:
-            raise ValueError(f"period_days must be positive, got {self.period_days}")
+            raise InvalidValue(f"period_days must be positive, got {self.period_days}")
         t_seen = [r.t_index for r in self.records]
         for a, b in zip(t_seen, t_seen[1:]):
             if a == b:
                 raise DuplicatePeriod(f"repeated t_index {a}")
             if a > b:
-                raise ValueError("records not sorted by t_index")
+                raise InvalidValue("records not sorted by t_index")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -85,6 +88,21 @@ class SurveillanceSeries:
     @property
     def t_values(self) -> list[int]:
         return [r.t_index for r in self.records]
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only model arrays, built once: t_index (T,) and counts (T, 2).
+
+        The count columns are (N - X, X), incumbent first, so the two-variant
+        model is the m = 2 case of the multinomial model.
+        """
+        t = np.array([r.t_index for r in self.records], dtype=float)
+        counts = np.array(
+            [(r.sequenced - r.variant_count, r.variant_count) for r in self.records],
+            dtype=float,
+        )
+        t.flags.writeable = counts.flags.writeable = False
+        return t, counts
 
 
 def validate_series(

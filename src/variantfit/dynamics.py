@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryOdds, NonPositivePeriod
+from .errors import BoundaryOdds, InvalidValue, NonPositivePeriod
 
 GENERATION_DAYS = 4.7  # default generation period in days
 
@@ -26,7 +26,7 @@ class Proportion:
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"proportion must lie in [0,1], got {self.value}")
+            raise InvalidValue(f"proportion must lie in [0,1], got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class Advantage:
 
     def __post_init__(self):
         if self.value <= 0:
-            raise ValueError(f"advantage must be positive, got {self.value}")
+            raise InvalidValue(f"advantage must be positive, got {self.value}")
         if self.period_days <= 0:
             raise NonPositivePeriod(f"period_days must be positive, got {self.period_days}")
 
@@ -52,7 +52,7 @@ class ModelParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("parameters must be finite")
+            raise InvalidValue("parameters must be finite")
 
     @property
     def gamma(self) -> float:
@@ -67,11 +67,7 @@ def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:
 
 def lambda_at(params: ModelParams, t: float) -> Proportion:
     """Closed-form proportion at time t."""
-    eta = params.alpha + params.beta * t
-    if eta >= 0:
-        return Proportion(1.0 / (1.0 + math.exp(-eta)))
-    e = math.exp(eta)
-    return Proportion(e / (1.0 + e))
+    return from_log_odds(params.alpha + params.beta * t)
 
 
 def odds(lam: Proportion) -> float:

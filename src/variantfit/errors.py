@@ -5,6 +5,11 @@ class VariantFitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValue(VariantFitError, ValueError):
+    """A value lies outside its valid range, such as a proportion above 1,
+    a confidence level outside (0, 1) or a negative count."""
+
+
 class EmptySeries(VariantFitError):
     """Fewer than two observation records."""
 

@@ -1,12 +1,21 @@
-"""Maximum likelihood estimation of the two-variant logistic model.
+"""Maximum likelihood estimation of the variant-share logistic model.
 
-The log-likelihood (up to the binomial-coefficient constant) is
+With m variants, counts c_tj of variant j in period t, n_t = sum_j c_tj,
+and linear predictors eta_tj = a_j + b_j * t (a_1 = b_1 = 0 for the
+numeraire), the log-likelihood (up to the multinomial-coefficient
+constant) is
+
+    ll(theta) = sum_t sum_j c_tj * log softmax(eta_t)_j,
+    theta = (a_2, b_2, a_3, b_3, ...),
+
+which is globally concave in theta. A damped Newton iteration with
+analytic gradient and Hessian therefore converges from any start.
+
+The two-variant model is the m = 2 case, with counts (N_t - X_t, X_t)
+and theta = (alpha, beta):
 
     ll(a, b) = sum_t X_t * log(lam_t) + (N_t - X_t) * log(1 - lam_t),
-    lam_t = expit(a + b * t),
-
-which is globally concave in (a, b). A damped Newton iteration with
-analytic gradient and Hessian therefore converges from any start.
+    lam_t = expit(a + b * t).
 
 Sign convention: score() returns the gradient of the log-likelihood,
 d ll / d(a, b) = sum_t (X_t - N_t * lam_t) * (1, t); this is checked
@@ -18,15 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .data import SurveillanceSeries
 from .dynamics import ModelParams
 from .errors import MaxIterations, Separation, Singular
 
-DEFAULT_TOLERANCE = 1e-8  # max-abs score at the optimum
-DEFAULT_STEP_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERATIONS = 100
+# Newton decrement g' inv(-H) g at which the fit stops. It is twice the
+# log-likelihood gain a full Newton step predicts, so unlike an absolute
+# score bound it does not grow with the counts or the length of the series.
+DECREMENT_TOLERANCE = 1e-20
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,6 @@ class FitResult:
     params: ModelParams
     log_likelihood: float
     iterations: int
-    converged: bool
     fitted: tuple[tuple[int, float], ...]  # (t_index, fitted lambda)
     score_norm: float
     series: SurveillanceSeries = field(repr=False)
@@ -45,108 +54,130 @@ class FitResult:
         return self.params.gamma
 
 
-def _arrays(series: SurveillanceSeries):
-    t = np.array([r.t_index for r in series.records], dtype=float)
-    n = np.array([r.sequenced for r in series.records], dtype=float)
-    x = np.array([r.variant_count for r in series.records], dtype=float)
-    return t, n, x
+def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
+    # Rows: periods; columns: variants (column 0 is the numeraire).
+    eta = np.zeros((len(t), m))
+    eta[:, 1:] = theta[0::2] + t[:, None] * theta[1::2]
+    eta -= eta.max(axis=1, keepdims=True)
+    return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
 
 
-def log_likelihood(series: SurveillanceSeries, params: ModelParams) -> float:
-    t, n, x = _arrays(series)
-    lam = expit(params.alpha + params.beta * t)
-    return float(np.sum(xlogy(x, lam) + xlogy(n - x, 1.0 - lam)))
+def model_log_likelihood(theta: np.ndarray, t: np.ndarray, counts: np.ndarray) -> float:
+    """Log-likelihood at theta of the (T,) periods and (T, m) counts."""
+    return float(np.sum(counts * _log_softmax(theta, t, counts.shape[1])))
 
 
-def score(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    """Gradient of the log-likelihood with respect to (alpha, beta)."""
-    t, n, x = _arrays(series)
-    resid = x - n * expit(params.alpha + params.beta * t)
-    return np.array([resid.sum(), (resid * t).sum()])
+def model_derivatives(
+    theta: np.ndarray, t: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period scores (T, 2(m-1)) and the Hessian at theta, from one softmax.
+
+    Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
+    """
+    m = counts.shape[1]
+    p = np.exp(_log_softmax(theta, t, m))[:, 1:]
+    n = counts.sum(axis=1)
+    x = np.column_stack([np.ones_like(t), t])
+    resid = counts[:, 1:] - n[:, None] * p
+    scores = (resid[:, :, None] * x[:, None, :]).reshape(len(t), -1)
+    # -H = sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t')
+    w = n[:, None, None] * (p[:, :, None] * np.eye(m - 1) - p[:, :, None] * p[:, None, :])
+    info = np.einsum("tjk,tab->jakb", w, x[:, :, None] * x[:, None, :])
+    return scores, -info.reshape(2 * (m - 1), 2 * (m - 1))
 
 
-def per_period_scores(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    """Per-record gradient contributions; rows are (t_index order) x (alpha, beta)."""
-    t, n, x = _arrays(series)
-    resid = x - n * expit(params.alpha + params.beta * t)
-    return np.column_stack([resid, resid * t])
+def _check_identified(counts: np.ndarray) -> None:
+    n = counts.sum(axis=1)
+    if np.count_nonzero(n) < 2:
+        raise Singular("need at least 2 periods with positive counts")
+    for j, col in enumerate(counts.T, start=1):
+        if not col.any() or np.array_equal(col, n):
+            raise Separation(
+                f"variant {j} of {counts.shape[1]} is observed never or in every case; "
+                "the MLE does not exist"
+            )
 
 
-def hessian(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    t, n, x = _arrays(series)
-    lam = expit(params.alpha + params.beta * t)
-    w = n * lam * (1.0 - lam)
-    return -np.array([[w.sum(), (w * t).sum()], [(w * t).sum(), (w * t * t).sum()]])
-
-
-def _initial_params(series: SurveillanceSeries) -> ModelParams:
-    # Least squares on Haldane-Anscombe corrected empirical log-odds.
-    t, n, x = _arrays(series)
-    keep = n > 0
-    y = np.log((x[keep] + 0.5) / (n[keep] - x[keep] + 0.5))
+def _initial_theta(t: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # Least squares on Haldane-Anscombe corrected log ratios against the numeraire.
+    keep = counts.sum(axis=1) > 0
+    c = counts[keep] + 0.5
     design = np.column_stack([np.ones(keep.sum()), t[keep]])
-    (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return ModelParams(alpha=float(a), beta=float(b))
+    coef, *_ = np.linalg.lstsq(design, np.log(c[:, 1:] / c[:, :1]), rcond=None)
+    return coef.T.ravel()
 
 
-def fit(
-    series: SurveillanceSeries,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    initial: ModelParams | None = None,
-) -> FitResult:
-    """Damped Newton maximization; step-halves whenever the likelihood drops."""
-    t, n, x = _arrays(series)
-    informative = n > 0
-    if len(np.unique(t[informative])) < 2:
-        raise Singular("need at least 2 periods with positive sequenced counts")
-    if np.all(x[informative] == 0) or np.all(x[informative] == n[informative]):
-        raise Separation("all counts at a boundary; the MLE does not exist")
+def newton(t: np.ndarray, counts: np.ndarray):
+    """Damped Newton maximization; step-halves whenever the likelihood drops.
 
-    params = initial if initial is not None else _initial_params(series)
-    theta = np.array([params.alpha, params.beta])
-    ll = log_likelihood(series, ModelParams(*theta))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        g = score(series, ModelParams(*theta))
-        h = hessian(series, ModelParams(*theta))
+    Stops once the Newton decrement is at most DECREMENT_TOLERANCE. Returns
+    (theta, log-likelihood, steps taken, per-period scores, Hessian), the
+    last two at theta.
+    """
+    _check_identified(counts)
+    theta = _initial_theta(t, counts)
+    ll = model_log_likelihood(theta, t, counts)
+    for iterations in range(MAX_ITERATIONS):
+        scores, h = model_derivatives(theta, t, counts)
+        g = scores.sum(axis=0)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             raise Singular("singular Hessian during Newton iteration") from None
+        if g @ step <= DECREMENT_TOLERANCE:
+            return theta, ll, iterations, scores, h
         # Slack scales with |ll| so float-resolution noise never blocks a step.
         slack = 1e-12 * (1.0 + abs(ll))
         scale = 1.0
-        while scale > 1e-12:
+        while True:
             candidate = theta + scale * step
-            ll_new = log_likelihood(series, ModelParams(*candidate))
-            if ll_new >= ll - slack:
+            ll_new = model_log_likelihood(candidate, t, counts)
+            if ll_new >= ll - slack or scale <= 1e-12:
                 break
             scale *= 0.5
-        theta = theta + scale * step
-        ll = log_likelihood(series, ModelParams(*theta))
-        g = score(series, ModelParams(*theta))
-        if np.max(np.abs(g)) <= tolerance and np.max(np.abs(scale * step)) <= DEFAULT_STEP_TOLERANCE:
-            converged = True
-            break
-        if np.max(np.abs(g)) <= tolerance and iterations > 1:
-            converged = True
-            break
-    if not converged:
-        raise MaxIterations(f"no convergence in {max_iterations} iterations")
+        theta, ll = candidate, ll_new
+    raise MaxIterations(f"no convergence in {MAX_ITERATIONS} iterations")
 
-    params = ModelParams(alpha=float(theta[0]), beta=float(theta[1]))
-    lam_hat = expit(params.alpha + params.beta * t)
-    fitted = tuple(
-        (r.t_index, float(l)) for r, l in zip(series.records, lam_hat)
-    )
+
+def _theta(params: ModelParams) -> np.ndarray:
+    return np.array([params.alpha, params.beta])
+
+
+def log_likelihood(series: SurveillanceSeries, params: ModelParams) -> float:
+    return model_log_likelihood(_theta(params), *series.columns)
+
+
+def scores_and_hessian(
+    series: SurveillanceSeries, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period scores and the Hessian with respect to (alpha, beta)."""
+    return model_derivatives(_theta(params), *series.columns)
+
+
+def per_period_scores(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
+    """Per-record gradient contributions; rows are (t_index order) x (alpha, beta)."""
+    return scores_and_hessian(series, params)[0]
+
+
+def score(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
+    """Gradient of the log-likelihood with respect to (alpha, beta)."""
+    return per_period_scores(series, params).sum(axis=0)
+
+
+def hessian(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
+    return scores_and_hessian(series, params)[1]
+
+
+def fit(series: SurveillanceSeries) -> FitResult:
+    """Maximum likelihood fit of the two-variant model by damped Newton."""
+    t, counts = series.columns
+    theta, ll, iterations, scores, _ = newton(t, counts)
+    lam_hat = np.exp(_log_softmax(theta, t, 2)[:, 1])
     return FitResult(
-        params=params,
-        log_likelihood=float(ll),
+        params=ModelParams(alpha=float(theta[0]), beta=float(theta[1])),
+        log_likelihood=ll,
         iterations=iterations,
-        converged=True,
-        fitted=fitted,
-        score_norm=float(np.max(np.abs(score(series, params)))),
+        fitted=tuple(zip(series.t_values, lam_hat.tolist())),
+        score_norm=float(np.max(np.abs(scores.sum(axis=0)))),
         series=series,
     )

@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .dynamics import from_log_odds
 from .errors import NegativeC
 from .estimate import FitResult
 from .inference import VarianceEstimate
-
-
-def _expit(eta: float) -> float:
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    e = math.exp(eta)
-    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,9 @@ def forecast(
         eta = alpha + beta * t
         v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
         half = c * math.sqrt(max(v, 0.0))
-        points.append(_expit(eta))
-        lowers.append(_expit(eta - half))
-        uppers.append(_expit(eta + half))
+        points.append(from_log_odds(eta).value)
+        lowers.append(from_log_odds(eta - half).value)
+        uppers.append(from_log_odds(eta + half).value)
     return ForecastBand(
         t_values=tuple(float(t) for t in horizons),
         point=tuple(points),

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import SurveillanceSeries
 from .dynamics import Advantage
-from .errors import BandwidthTooLarge, PeriodMismatch, Singular
-from .estimate import FitResult, hessian, per_period_scores
+from .errors import BandwidthTooLarge, InvalidValue, PeriodMismatch, Singular
+from .estimate import FitResult, scores_and_hessian
 
 DEFAULT_BANDWIDTH = 4
 DEFAULT_LEVEL = 0.95
@@ -39,14 +39,9 @@ class VarianceEstimate:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.shape[0] != m.shape[1]:
-            raise ValueError("covariance matrix must be square")
+            raise InvalidValue("covariance matrix must be square")
         if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-
-    @property
-    def sigma_beta(self) -> float:
-        """Standard error of the per-period log advantage."""
-        return math.sqrt(max(self.matrix[1, 1], 0.0))
+            raise InvalidValue("covariance matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -60,9 +55,9 @@ class AdvantageEstimate:
 
     def __post_init__(self):
         if not 0 < self.level < 1:
-            raise ValueError(f"level must lie in (0,1), got {self.level}")
+            raise InvalidValue(f"level must lie in (0,1), got {self.level}")
         if not self.ci_low <= self.gamma.value <= self.ci_high:
-            raise ValueError("interval must contain the point estimate")
+            raise InvalidValue("interval must contain the point estimate")
 
 
 def parzen_kernel(x: float) -> float:
@@ -75,20 +70,10 @@ def parzen_kernel(x: float) -> float:
     return 0.0
 
 
-def _information(series: SurveillanceSeries, fit: FitResult) -> np.ndarray:
-    return -hessian(series, fit.params)
-
-
 def _invert(info: np.ndarray) -> np.ndarray:
     if abs(np.linalg.det(info)) < 1e-300 or np.linalg.cond(info) > 1e14:
         raise Singular("information matrix is singular")
     return np.linalg.inv(info)
-
-
-def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
-    """Model-based variance, inverse of the observed information."""
-    cov = _invert(_information(series, fit))
-    return VarianceEstimate(kind="fisher", matrix=cov, fit=fit)
 
 
 def kernel_weighted_outer(
@@ -96,49 +81,86 @@ def kernel_weighted_outer(
 ) -> np.ndarray:
     """Parzen-weighted sum of score outer products across all lag pairs.
 
-    `scores` has one row per period; lags are t_index differences. The
-    kernel argument is lag / (bandwidth + 1), so lags 1..bandwidth carry
-    weight and bandwidth 0 reduces to the plain sum of outer products.
+    `scores` has one row per period; lags are t_index differences, and
+    `t_values` are distinct integers in increasing order. The kernel
+    argument is lag / (bandwidth + 1), so lags 1..bandwidth carry weight
+    and bandwidth 0 reduces to the plain sum of outer products. Only those
+    lags are visited: O(T * bandwidth).
     """
+    t = np.asarray(t_values)
     j = scores.T @ scores
-    if bandwidth == 0:
-        return j
-    n = len(t_values)
-    for a in range(n):
-        for b in range(a + 1, n):
-            lag = t_values[b] - t_values[a]
-            w = parzen_kernel(lag / (bandwidth + 1))
-            if w == 0.0:
-                continue
-            cross = np.outer(scores[a], scores[b])
-            j = j + w * (cross + cross.T)
+    for lag in range(1, bandwidth + 1):
+        later = np.searchsorted(t, t + lag)
+        paired = later < len(t)
+        paired[paired] = t[later[paired]] == t[paired] + lag
+        cross = scores[paired].T @ scores[later[paired]]
+        j = j + parzen_kernel(lag / (bandwidth + 1)) * (cross + cross.T)
     return j
+
+
+def sandwich(
+    info: np.ndarray,
+    scores: np.ndarray,
+    t_values: np.ndarray,
+    bandwidth: int | None,
+    fit: FitResult | None = None,
+) -> VarianceEstimate:
+    """Fisher variance inv(I) when bandwidth is None, else the HAC sandwich
+    inv(I) J_K inv(I) from the per-period scores at the optimum."""
+    if bandwidth is not None:
+        if bandwidth < 0:
+            raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
+        if bandwidth >= len(t_values):
+            raise BandwidthTooLarge(
+                f"bandwidth {bandwidth} must be smaller than the series length {len(t_values)}"
+            )
+    info_inv = _invert(info)
+    if bandwidth is None:
+        kind, cov = "fisher", info_inv
+    else:
+        kind = f"sandwich({bandwidth})"
+        cov = info_inv @ kernel_weighted_outer(t_values, scores, bandwidth) @ info_inv
+    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), fit=fit)
+
+
+def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
+    """Model-based variance, inverse of the observed information."""
+    scores, h = scores_and_hessian(series, fit.params)
+    return sandwich(-h, scores, series.columns[0], None, fit)
 
 
 def hac_sandwich(
     series: SurveillanceSeries, fit: FitResult, bandwidth: int = DEFAULT_BANDWIDTH
 ) -> VarianceEstimate:
     """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
-    if bandwidth < 0:
-        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    if bandwidth >= len(series):
-        raise BandwidthTooLarge(
-            f"bandwidth {bandwidth} must be smaller than the series length {len(series)}"
-        )
-    info_inv = _invert(_information(series, fit))
-    scores = per_period_scores(series, fit.params)
-    t_values = np.array(series.t_values, dtype=float)
-    j_k = kernel_weighted_outer(t_values, scores, bandwidth)
-    cov = info_inv @ j_k @ info_inv
-    cov = 0.5 * (cov + cov.T)
-    return VarianceEstimate(kind=f"sandwich({bandwidth})", matrix=cov, fit=fit)
+    scores, h = scores_and_hessian(series, fit.params)
+    return sandwich(-h, scores, series.columns[0], bandwidth, fit)
 
 
 def normal_quantile(level: float) -> float:
     """Two-sided z value; pinned to the conventional 1.96 at the 95% level."""
+    if not 0 < level < 1:
+        raise InvalidValue(f"level must lie in (0,1), got {level}")
     if abs(level - 0.95) < 1e-12:
         return 1.96
-    return float(norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
+def advantage_interval(
+    beta: float, variance: float, scale: float, level: float
+) -> tuple[float, float, float]:
+    """exp(scale * beta) and its interval exp(scale * (beta -+ z * se)).
+
+    `beta` is a per-period log advantage with the given variance, and
+    `scale` converts periods to the target time unit.
+    """
+    z = normal_quantile(level)
+    se = math.sqrt(max(variance, 0.0))
+    return (
+        math.exp(scale * beta),
+        math.exp(scale * (beta - z * se)),
+        math.exp(scale * (beta + z * se)),
+    )
 
 
 def interval_for_gamma(
@@ -154,14 +176,13 @@ def interval_for_gamma(
     period_days = fit.series.period_days
     if target_days is None:
         target_days = period_days
-    z = normal_quantile(level)
-    scale = target_days / period_days
-    beta = fit.params.beta
-    se = variance.sigma_beta
+    point, low, high = advantage_interval(
+        fit.params.beta, variance.matrix[1, 1], target_days / period_days, level
+    )
     return AdvantageEstimate(
-        gamma=Advantage(value=math.exp(scale * beta), period_days=target_days),
-        ci_low=math.exp(scale * (beta - z * se)),
-        ci_high=math.exp(scale * (beta + z * se)),
+        gamma=Advantage(value=point, period_days=target_days),
+        ci_low=low,
+        ci_high=high,
         level=level,
     )
 

@@ -15,21 +15,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import ObservationRecord, SurveillanceSeries, validate_series
-from .errors import (
-    DuplicatePeriod,
-    EmptySeries,
-    InvalidIndex,
-    MaxIterations,
-    ParseError,
-    Separation,
-    Singular,
-)
-from .inference import VarianceEstimate, kernel_weighted_outer
+from .errors import DuplicatePeriod, EmptySeries, InvalidIndex, InvalidValue, ParseError
+from .estimate import model_derivatives, model_log_likelihood, newton
+from .inference import VarianceEstimate, sandwich
 
 
 @dataclass(frozen=True)
@@ -45,20 +39,22 @@ class MultiSeries:
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[0] != len(self.t_values):
-            raise ValueError("counts must be (T, m) with one row per period")
+            raise InvalidValue("counts must be (T, m) with one row per period")
         if counts.shape[1] != len(self.variant_names):
-            raise ValueError("one variant name per column required")
+            raise InvalidValue("one variant name per column required")
         if counts.shape[1] < 2:
-            raise ValueError("need at least 2 variants")
+            raise InvalidValue("need at least 2 variants")
         if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
+            raise InvalidValue("counts must be non-negative")
         if len(self.t_values) < 2:
             raise EmptySeries("need at least 2 periods")
+        if self.period_days <= 0:
+            raise InvalidValue(f"period_days must be positive, got {self.period_days}")
         for a, b in zip(self.t_values, self.t_values[1:]):
             if a == b:
                 raise DuplicatePeriod(f"repeated t_index {a}")
             if a > b:
-                raise ValueError("periods not sorted by t_index")
+                raise InvalidValue("periods not sorted by t_index")
 
     @property
     def n_variants(self) -> int:
@@ -67,6 +63,14 @@ class MultiSeries:
     @property
     def totals(self) -> np.ndarray:
         return self.counts.sum(axis=1)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only model arrays, built once: t_index (T,) and counts (T, m)."""
+        t = np.array(self.t_values, dtype=float)
+        counts = np.array(self.counts, dtype=float)
+        t.flags.writeable = counts.flags.writeable = False
+        return t, counts
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class MultiParams:
 
     def __post_init__(self):
         if len(self.alphas) != len(self.betas):
-            raise ValueError("alphas and betas must have equal length")
+            raise InvalidValue("alphas and betas must have equal length")
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -92,137 +96,38 @@ def step_lambda_multi(
     lam = np.asarray(lambdas, dtype=float)
     g = np.concatenate([[1.0], np.asarray(gammas, dtype=float)])
     if len(g) != len(lam):
-        raise ValueError("need one gamma per non-numeraire variant")
+        raise InvalidValue("need one gamma per non-numeraire variant")
     if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
-        raise ValueError("lambdas must be a probability simplex vector")
+        raise InvalidValue("lambdas must be a probability simplex vector")
     weighted = g * lam
     return weighted / weighted.sum()
 
 
-def _proportions(params: MultiParams, t: np.ndarray) -> np.ndarray:
-    # Rows: periods; columns: variants (column 0 is the numeraire).
-    eta = np.zeros((len(t), 1 + len(params.alphas)))
-    for j, (a, b) in enumerate(zip(params.alphas, params.betas), start=1):
-        eta[:, j] = a + b * t
-    eta -= eta.max(axis=1, keepdims=True)
-    w = np.exp(eta)
-    return w / w.sum(axis=1, keepdims=True)
+def _theta(params: MultiParams) -> np.ndarray:
+    return np.array([v for pair in zip(params.alphas, params.betas) for v in pair], dtype=float)
 
 
 def multi_log_likelihood(series: MultiSeries, params: MultiParams) -> float:
-    t = np.asarray(series.t_values, dtype=float)
-    lam = _proportions(params, t)
-    with np.errstate(divide="ignore"):
-        logl = np.where(series.counts > 0, series.counts * np.log(lam), 0.0)
-    return float(logl.sum())
+    return model_log_likelihood(_theta(params), *series.columns)
 
 
 def multi_score_per_period(series: MultiSeries, params: MultiParams) -> np.ndarray:
     """Per-period gradients; columns ordered (a_2, b_2, a_3, b_3, ...)."""
-    t = np.asarray(series.t_values, dtype=float)
-    lam = _proportions(params, t)
-    n = series.totals.astype(float)
-    m = series.n_variants
-    out = np.zeros((len(t), 2 * (m - 1)))
-    for j in range(1, m):
-        resid = series.counts[:, j] - n * lam[:, j]
-        out[:, 2 * (j - 1)] = resid
-        out[:, 2 * (j - 1) + 1] = resid * t
-    return out
+    return model_derivatives(_theta(params), *series.columns)[0]
 
 
 def multi_hessian(series: MultiSeries, params: MultiParams) -> np.ndarray:
-    t = np.asarray(series.t_values, dtype=float)
-    lam = _proportions(params, t)
-    n = series.totals.astype(float)
-    m = series.n_variants
-    dim = 2 * (m - 1)
-    h = np.zeros((dim, dim))
-    for idx in range(len(t)):
-        tt = np.array([[1.0, t[idx]], [t[idx], t[idx] ** 2]])
-        p = lam[idx, 1:]
-        w = -n[idx] * (np.diag(p) - np.outer(p, p))
-        h += np.kron(w, tt)
-    return h
-
-
-def _initial_multi(series: MultiSeries) -> MultiParams:
-    t = np.asarray(series.t_values, dtype=float)
-    design = np.column_stack([np.ones(len(t)), t])
-    ref = series.counts[:, 0].astype(float)
-    alphas, betas = [], []
-    for j in range(1, series.n_variants):
-        y = np.log((series.counts[:, j] + 0.5) / (ref + 0.5))
-        (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-        alphas.append(float(a))
-        betas.append(float(b))
-    return MultiParams(alphas=tuple(alphas), betas=tuple(betas))
+    return model_derivatives(_theta(params), *series.columns)[1]
 
 
 def fit_multi(
-    series: MultiSeries,
-    tolerance: float = 1e-8,
-    max_iterations: int = 200,
-    bandwidth: Optional[int] = None,
-    initial: Optional[MultiParams] = None,
+    series: MultiSeries, bandwidth: Optional[int] = None
 ) -> tuple[MultiParams, VarianceEstimate]:
     """Damped Newton fit; variance is Fisher or, given a bandwidth, HAC sandwich."""
-    totals = series.totals
-    if np.count_nonzero(totals > 0) < 2:
-        raise Singular("need at least 2 periods with positive counts")
-    for j in range(series.n_variants):
-        col = series.counts[:, j]
-        if col.sum() == 0 or np.all(col == totals):
-            raise Separation(f"variant {j + 1} observed never or always; MLE diverges")
-
-    params = initial if initial is not None else _initial_multi(series)
-    theta = np.array(
-        [v for pair in zip(params.alphas, params.betas) for v in pair], dtype=float
-    )
-
-    def unpack(vec: np.ndarray) -> MultiParams:
-        return MultiParams(alphas=tuple(vec[0::2]), betas=tuple(vec[1::2]))
-
-    ll = multi_log_likelihood(series, unpack(theta))
-    converged = False
-    for _ in range(max_iterations):
-        g = multi_score_per_period(series, unpack(theta)).sum(axis=0)
-        h = multi_hessian(series, unpack(theta))
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            raise Singular("singular Hessian during Newton iteration") from None
-        slack = 1e-12 * (1.0 + abs(ll))
-        scale = 1.0
-        while scale > 1e-12:
-            if multi_log_likelihood(series, unpack(theta + scale * step)) >= ll - slack:
-                break
-            scale *= 0.5
-        theta = theta + scale * step
-        ll = multi_log_likelihood(series, unpack(theta))
-        g = multi_score_per_period(series, unpack(theta)).sum(axis=0)
-        if np.max(np.abs(g)) <= tolerance:
-            converged = True
-            break
-    if not converged:
-        raise MaxIterations(f"no convergence in {max_iterations} iterations")
-
-    params = unpack(theta)
-    info = -multi_hessian(series, params)
-    info_inv = np.linalg.inv(info)
-    if bandwidth is None:
-        cov = info_inv
-        kind = "fisher"
-    else:
-        scores = multi_score_per_period(series, params)
-        j_k = kernel_weighted_outer(
-            np.asarray(series.t_values, dtype=float), scores, bandwidth
-        )
-        cov = info_inv @ j_k @ info_inv
-        kind = f"sandwich({bandwidth})"
-    cov = 0.5 * (cov + cov.T)
-    variance = VarianceEstimate(kind=kind, matrix=cov, fit=None)
-    return params, variance
+    t, counts = series.columns
+    theta, _, _, scores, h = newton(t, counts)
+    params = MultiParams(alphas=tuple(theta[0::2].tolist()), betas=tuple(theta[1::2].tolist()))
+    return params, sandwich(-h, scores, t, bandwidth)
 
 
 def marginalize(series: MultiSeries, keep: tuple[int, int]) -> SurveillanceSeries:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import variantfit
 from variantfit.cli import main
 
 
@@ -191,3 +196,53 @@ def test_separation_reported_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", str(path))
     assert code == 1
     assert "Separation" in err
+
+
+def assert_one_invalid_value_line(code, out, err):
+    """Exit 1 with one `error:` line on stderr and no traceback."""
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidValue: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "alpha", "--level", "1.5"),
+        ("infer-r", "--R", "1.0", "--lambda", "1.5", "--gamma-gen", "2.0"),
+    ],
+    ids=["estimate-level-1.5", "infer-r-lambda-1.5"],
+)
+def test_out_of_range_value_is_one_error_line(capsys, argv):
+    assert_one_invalid_value_line(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "command, text, extra",
+    [
+        ("estimate", "t,label,sequenced,variant_count,total_cases,tested\n"
+         "1,w1,100,10,,\n2,w2,100,30,,\n3,w3,100,60,,\n", ["--period-days", "0"]),
+        ("multi", "t,label,count_a,count_b\n1,w1,10,5\n2,w2,5,6\n", ["--period-days", "0"]),
+        ("multi", "t,label,count_a,count_b\n1,w1,10,-5\n2,w2,5,6\n", []),
+    ],
+    ids=["estimate-period-days-0", "multi-period-days-0", "multi-negative-count"],
+)
+def test_out_of_range_input_is_one_error_line(tmp_path, capsys, command, text, extra):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    argv = [str(path)] if command == "estimate" else ["--file", str(path)]
+    assert_one_invalid_value_line(*run(capsys, command, *argv, *extra))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(variantfit.__file__).resolve().parents[1])
+    probe = "import sys, variantfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"

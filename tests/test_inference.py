@@ -14,6 +14,7 @@ from variantfit.inference import (
     fisher_information,
     hac_sandwich,
     interval_for_gamma,
+    kernel_weighted_outer,
     parzen_kernel,
 )
 
@@ -51,6 +52,31 @@ def test_parzen_kernel_shape():
     ks = [parzen_kernel(x) for x in xs]
     assert all(a >= b for a, b in zip(ks, ks[1:]))
     assert parzen_kernel(0.5) == pytest.approx(0.25)
+
+
+def all_pairs_kernel_sum(t_values, scores, bandwidth):
+    """Reference: the Parzen-weighted sum over every pair of periods, O(T^2)."""
+    j = scores.T @ scores
+    if bandwidth == 0:
+        return j
+    n = len(t_values)
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = parzen_kernel((t_values[b] - t_values[a]) / (bandwidth + 1))
+            if w == 0.0:
+                continue
+            cross = np.outer(scores[a], scores[b])
+            j = j + w * (cross + cross.T)
+    return j
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 4, 7])
+def test_banded_kernel_sum_matches_all_pairs(bandwidth):
+    t = np.array([1, 2, 3, 5, 6, 9, 10, 11, 12, 15, 16, 20, 27, 28], dtype=float)
+    scores = np.random.default_rng(5).normal(size=(len(t), 4))
+    want = all_pairs_kernel_sum(t, scores, bandwidth)
+    got = kernel_weighted_outer(t, scores, bandwidth)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", ["alpha", "delta"])

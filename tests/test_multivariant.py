@@ -19,6 +19,7 @@ from variantfit.multivariant import (
     step_lambda_multi,
     to_multi_csv_string,
 )
+from variantfit.simulate import SimConfig, simulate
 
 
 def _three_variant_series(n=10**6, t_max=12):
@@ -215,3 +216,25 @@ def test_csv_rejects_bad_header_and_values():
     bad = "t,label,count_a,count_b\n1,w1,10,x\n2,w2,5,6\n"
     with pytest.raises(ParseError):
         read_multi_csv(io.StringIO(bad))
+
+
+def test_ten_variant_long_series_converges():
+    # Nine faster variants take over from a numeraire that starts at 91%.
+    # At the optimum the score is at float resolution, which is above any
+    # fixed absolute bound at this scale.
+    gammas = tuple(1.01 + 0.01 * k for k in range(9))
+    config = SimConfig(
+        gammas=gammas,
+        initial_proportions=(0.91,) + (0.01,) * 9,
+        sequenced=(3000,) * 500,
+        seed=7,
+    )
+    series = simulate(config)
+    params, variance = fit_multi(series)
+    g = multi_score_per_period(series, params).sum(axis=0)
+    n = series.totals.astype(float)
+    t = np.asarray(series.t_values, dtype=float)
+    assert np.all(np.abs(g[0::2]) <= 1e-12 * n.sum())
+    assert np.all(np.abs(g[1::2]) <= 1e-12 * (n * t).sum())
+    assert params.gammas == pytest.approx(gammas, rel=1e-3)
+    assert variance.kind == "fisher"
