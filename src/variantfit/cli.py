@@ -11,18 +11,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Optional
 
 from . import __version__
-from .data import load_csv, write_csv
+from .data import load_csv, validate_series, write_csv
 from .datasets import BUNDLED_NAMES, load_bundled
 from .dynamics import GENERATION_DAYS, Advantage, Proportion
-from .errors import VariantFitError, WindowOutOfRange
+from .errors import UsageError, VariantFitError, WindowOutOfRange
 from .estimate import fit
-from .crude import crude_gammas
+from .crude import crude_gammas, crude_mean
 from .forecast import forecast as forecast_band
 from .inference import (
+    DEFAULT_BANDWIDTH,
     AdvantageEstimate,
     advantage_interval,
     fisher_information,
@@ -32,7 +34,6 @@ from .inference import (
 from .multivariant import load_multi_csv, fit_multi, write_multi_csv
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
 from .simulate import SimConfig, simulate
-from . import data as data_module
 
 
 def _round10(value):
@@ -54,22 +55,19 @@ def _emit(report: dict, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
+def _file_digest(path: str) -> dict:
+    with open(path, "rb") as fh:
+        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+
+
 def _load_input(source: str, period_days: float):
     if source.lower() in BUNDLED_NAMES:
-        series = load_bundled(source)
-        digest = {"dataset": source.lower()}
-    else:
-        series = load_csv(source, period_days=period_days)
-        with open(source, "rb") as fh:
-            digest = {
-                "path": source,
-                "sha256": hashlib.sha256(fh.read()).hexdigest(),
-            }
-    return series, digest
+        return load_bundled(source), {"dataset": source.lower()}
+    return load_csv(source, period_days=period_days), _file_digest(source)
 
 
 def _variance(series, result, args):
-    if getattr(args, "fisher", False):
+    if args.fisher:
         return fisher_information(series, result)
     return hac_sandwich(series, result, args.hac)
 
@@ -146,7 +144,7 @@ def cmd_estimate(args) -> int:
 def cmd_crude(args) -> int:
     series, digest = _load_input(args.input, args.period_days)
     measures = crude_gammas(series, level=args.level)
-    mean = sum(m.value for m in measures) / len(measures)
+    mean = crude_mean(measures)
     report = _report_header(
         "crude", digest, {"period_days": series.period_days, "level": args.level}
     )
@@ -181,11 +179,12 @@ def cmd_forecast(args) -> int:
         records = [r for r in records if r.t_index >= args.train_from]
     if len(records) < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
-    train = data_module.validate_series(records, period_days=series.period_days)
+    train = validate_series(records, period_days=series.period_days)
     result = fit(train)
     variance = _variance(train, result, args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
-    bands = {c: forecast_band(result, variance, horizons, c) for c in args.c}
+    cs = args.c or [2.0]
+    bands = {c: forecast_band(result, variance, horizons, c) for c in cs}
     report = _report_header(
         "forecast",
         digest,
@@ -193,7 +192,7 @@ def cmd_forecast(args) -> int:
             "train_from": args.train_from,
             "train_through": train_through,
             "horizons": args.horizons,
-            "c": list(args.c),
+            "c": cs,
             "variance": variance.kind,
         },
     )
@@ -228,13 +227,25 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """The parser's type for every float option: a finite number."""
     try:
-        start, stop, step = (float(v) for v in spec.split(":"))
+        value = float(text)
     except ValueError:
-        raise VariantFitError(f"bad --contour grid {spec!r}; expected start:stop:step") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _grid(spec: str) -> list[float]:
+    """The parser's type for --contour: start:stop:step, clamped to [0, 1]."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {spec!r}")
+    start, stop, step = (_finite_float(v) for v in parts)
     if step <= 0:
-        raise VariantFitError("grid step must be positive")
+        raise argparse.ArgumentTypeError("grid step must be positive")
     values = []
     v = start
     while v <= stop + 1e-12:
@@ -245,19 +256,19 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_infer_r(args) -> int:
     if args.from_fit is not None:
+        if args.gamma_ci is not None:
+            raise UsageError("argument --gamma-ci: not allowed with argument --from-fit")
         series, digest = _load_input(args.from_fit, args.period_days)
         result = fit(series)
         variance = _variance(series, result, args)
         gamma_est = interval_for_gamma(variance, result, args.gen_days, args.level)
-    elif args.gamma_gen is not None:
+    else:
         digest = {"gamma_gen": args.gamma_gen}
         point = Advantage(args.gamma_gen, args.gen_days)
         lo, hi = (args.gamma_ci if args.gamma_ci else (args.gamma_gen, args.gamma_gen))
         gamma_est = AdvantageEstimate(
             gamma=point, ci_low=lo, ci_high=hi, level=args.level
         )
-    else:
-        raise VariantFitError("provide --gamma-gen or --from-fit")
 
     report = _report_header(
         "infer-r",
@@ -284,7 +295,7 @@ def cmd_infer_r(args) -> int:
             f"R_incumbent = {inference.R_incumbent:.6g}"
         )
     if args.contour is not None:
-        grid = [Proportion(v) for v in _parse_grid(args.contour)]
+        grid = [Proportion(v) for v in args.contour]
         rows = stability_region(gamma_est, grid)
         csv_text = stability_region_csv(rows)
         if args.out:
@@ -298,7 +309,7 @@ def cmd_infer_r(args) -> int:
             for lam, thr, lo, hi in rows
         ]
     if "inference" not in report and "contour" not in report:
-        raise VariantFitError("nothing to do: pass --R/--lambda and/or --contour")
+        raise UsageError("nothing to do: pass --R/--lambda and/or --contour")
     _emit(report, args.json, lines)
     return 0
 
@@ -324,9 +335,12 @@ def cmd_adjusted_r(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    lam0 = list(args.lambda0)
+    if len(lam0) == len(args.gamma):
+        lam0 = [1.0 - sum(lam0)] + lam0
     config = SimConfig(
         gammas=tuple(args.gamma),
-        initial_proportions=_initial_simplex(args),
+        initial_proportions=tuple(lam0),
         sequenced=tuple([args.n] * args.t),
         seed=args.seed,
         period_days=args.period_days,
@@ -344,19 +358,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _initial_simplex(args) -> tuple[float, ...]:
-    lam0 = list(args.lambda0)
-    if len(lam0) == len(args.gamma):
-        lam0 = [1.0 - sum(lam0)] + lam0
-    return tuple(lam0)
-
-
 def cmd_multi(args) -> int:
     series = load_multi_csv(args.file, period_days=args.period_days)
-    with open(args.file, "rb") as fh:
-        digest = {"path": args.file, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-    bandwidth = None if args.fisher else args.hac
-    params, variance = fit_multi(series, bandwidth=bandwidth)
+    digest = _file_digest(args.file)
+    params, variance = fit_multi(series, bandwidth=None if args.fisher else args.hac)
     scale = args.gen_days / series.period_days
     variants = []
     for j, (beta, gamma, name) in enumerate(
@@ -402,39 +407,49 @@ def cmd_multi(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--period-days", type=float, default=7.0,
-                        help="calendar days per t_index unit for CSV input (default 7)")
-    parser.add_argument("--gen-days", type=float, default=GENERATION_DAYS,
-                        help="generation period in days (default 4.7)")
-    parser.add_argument("--level", type=float, default=0.95,
-                        help="confidence level (default 0.95)")
-    parser.add_argument("--hac", type=int, default=4, metavar="K",
-                        help="Parzen HAC bandwidth (default 4)")
-    parser.add_argument("--fisher", action="store_true",
-                        help="use the Fisher (non-robust) variance instead of HAC")
-    parser.add_argument("--json", action="store_true", help="emit a JSON run report")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so they leave through main's one error line."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="variantfit",
         description="Estimate the growth advantage of an emerging virus variant.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="fit the two-variant model and report intervals")
+    common, level, gen, variance = (_Parser(add_help=False) for _ in range(4))
+    common.add_argument("--period-days", type=_finite_float, default=7.0,
+                        help="calendar days per t_index unit for CSV input (default 7)")
+    common.add_argument("--json", action="store_true", help="emit a JSON run report")
+    level.add_argument("--level", type=_finite_float, default=0.95,
+                       help="confidence level (default 0.95)")
+    gen.add_argument("--gen-days", type=_finite_float, default=GENERATION_DAYS,
+                     help="generation period in days (default 4.7)")
+    choice = variance.add_mutually_exclusive_group()
+    # A string default is converted only when --hac is absent, so an explicit
+    # "--hac 4" counts as given and conflicts with --fisher.
+    choice.add_argument("--hac", type=int, default=str(DEFAULT_BANDWIDTH), metavar="K",
+                        help=f"Parzen HAC bandwidth (default {DEFAULT_BANDWIDTH})")
+    choice.add_argument("--fisher", action="store_true",
+                        help="use the Fisher (non-robust) variance instead of HAC")
+
+    p = sub.add_parser("estimate", parents=[common, level, gen, variance],
+                       help="fit the two-variant model and report intervals")
     p.add_argument("input", help=f"bundled dataset ({', '.join(BUNDLED_NAMES)}) or CSV path")
-    _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("crude", help="model-free per-period advantage measures")
+    p = sub.add_parser("crude", parents=[common, level],
+                       help="model-free per-period advantage measures")
     p.add_argument("input")
-    _add_common(p)
     p.set_defaults(func=cmd_crude)
 
-    p = sub.add_parser("forecast", help="forecast the variant proportion with bands")
+    p = sub.add_parser("forecast", parents=[common, variance],
+                       help="forecast the variant proportion with bands")
     p.add_argument("input")
     p.add_argument("--train-from", type=int, default=None,
                    help="first t_index of the training window")
@@ -442,70 +457,64 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last t_index of the training window (default: last record)")
     p.add_argument("--horizons", type=int, default=10,
                    help="number of periods to forecast ahead (default 10)")
-    p.add_argument("--c", type=float, action="append", default=None,
+    p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="band half-width in standard deviations; repeatable (default 2)")
-    _add_common(p)
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("infer-r", help="variant reproduction number / stability contour")
-    p.add_argument("--R", type=float, default=None, help="aggregate reproduction number")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p = sub.add_parser("infer-r", parents=[common, level, gen, variance],
+                       help="variant reproduction number / stability contour")
+    p.add_argument("--R", type=_finite_float, default=None, help="aggregate reproduction number")
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                    help="current variant proportion")
-    p.add_argument("--gamma-gen", type=float, default=None,
-                   help="per-generation advantage")
-    p.add_argument("--gamma-ci", type=float, nargs=2, default=None,
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gamma-gen", type=_finite_float, default=None,
+                        help="per-generation advantage")
+    source.add_argument("--from-fit", default=None,
+                        help="dataset or CSV to estimate the advantage from")
+    p.add_argument("--gamma-ci", type=_finite_float, nargs=2, default=None,
                    metavar=("LO", "HI"), help="CI endpoints for --gamma-gen")
-    p.add_argument("--from-fit", default=None,
-                   help="dataset or CSV to estimate the advantage from")
-    p.add_argument("--contour", default=None, metavar="START:STOP:STEP",
+    p.add_argument("--contour", type=_grid, default=None, metavar="START:STOP:STEP",
                    help="lambda grid for the stability-region CSV")
     p.add_argument("--out", default=None, help="write the contour CSV here")
-    _add_common(p)
     p.set_defaults(func=cmd_infer_r)
 
-    p = sub.add_parser("adjusted-r", help="test-intensity-adjusted aggregate R")
-    p.add_argument("--cases", type=float, required=True)
-    p.add_argument("--cases-prev", type=float, required=True)
-    p.add_argument("--tested", type=float, required=True)
-    p.add_argument("--tested-prev", type=float, required=True)
-    p.add_argument("--exponent", type=float, default=0.7,
+    p = sub.add_parser("adjusted-r", parents=[common, gen],
+                       help="test-intensity-adjusted aggregate R")
+    p.add_argument("--cases", type=_finite_float, required=True)
+    p.add_argument("--cases-prev", type=_finite_float, required=True)
+    p.add_argument("--tested", type=_finite_float, required=True)
+    p.add_argument("--tested-prev", type=_finite_float, required=True)
+    p.add_argument("--exponent", type=_finite_float, default=0.7,
                    help="testing-intensity exponent (default 0.7)")
-    _add_common(p)
     p.set_defaults(func=cmd_adjusted_r)
 
     p = sub.add_parser("simulate", help="generate a synthetic series as CSV")
-    p.add_argument("--gamma", type=float, action="append", required=True,
+    p.add_argument("--gamma", type=_finite_float, action="append", required=True,
                    help="per-period advantage; repeat for extra variants")
-    p.add_argument("--lambda0", type=float, action="append", required=True,
+    p.add_argument("--lambda0", type=_finite_float, action="append", required=True,
                    help="initial proportion of each non-numeraire variant")
     p.add_argument("--n", type=int, required=True, help="sequenced count per period")
     p.add_argument("--t", type=int, required=True, help="number of periods")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replication", type=int, default=0)
-    p.add_argument("--period-days", type=float, default=7.0)
+    p.add_argument("--period-days", type=_finite_float, default=7.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("multi", help="fit the m-variant multinomial model")
+    p = sub.add_parser("multi", parents=[common, level, gen, variance],
+                       help="fit the m-variant multinomial model")
     p.add_argument("--file", required=True, help="multi-variant CSV (t,label,count_*)")
-    _add_common(p)
     p.set_defaults(func=cmd_multi)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "c", "absent") is None:
-        args.c = [2.0]
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except VariantFitError as exc:
+    except (VariantFitError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
         return 1
 
 

@@ -57,9 +57,13 @@ def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeM
     return out
 
 
-def mean_crude_gamma(series: SurveillanceSeries, level: float = 0.95) -> float:
-    measures = crude_gammas(series, level=level)
+def crude_mean(measures: list[CrudeMeasure]) -> float:
+    """Arithmetic mean of the per-period measures' values."""
     return sum(m.value for m in measures) / len(measures)
+
+
+def mean_crude_gamma(series: SurveillanceSeries) -> float:
+    return crude_mean(crude_gammas(series))
 
 
 def proportion_intervals(

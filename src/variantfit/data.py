@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,19 @@ class ObservationRecord:
         return self.variant_count / self.sequenced
 
 
+def check_periods(t_values: Sequence[int], period_days: float) -> None:
+    """Require at least 2 periods, period_days > 0 and distinct, increasing t."""
+    if len(t_values) < 2:
+        raise EmptySeries(f"need at least 2 periods, got {len(t_values)}")
+    if not period_days > 0:
+        raise InvalidValue(f"period_days must be positive, got {period_days}")
+    for a, b in zip(t_values, t_values[1:]):
+        if a == b:
+            raise DuplicatePeriod(f"repeated t_index {a}")
+        if a > b:
+            raise InvalidValue("periods not sorted by t_index")
+
+
 @dataclass(frozen=True)
 class SurveillanceSeries:
     """Ordered, validated sequence of observation records.
@@ -71,16 +84,7 @@ class SurveillanceSeries:
     period_days: float = 7.0
 
     def __post_init__(self):
-        if len(self.records) < 2:
-            raise EmptySeries(f"need at least 2 records, got {len(self.records)}")
-        if self.period_days <= 0:
-            raise InvalidValue(f"period_days must be positive, got {self.period_days}")
-        t_seen = [r.t_index for r in self.records]
-        for a, b in zip(t_seen, t_seen[1:]):
-            if a == b:
-                raise DuplicatePeriod(f"repeated t_index {a}")
-            if a > b:
-                raise InvalidValue("records not sorted by t_index")
+        check_periods([r.t_index for r in self.records], self.period_days)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -129,28 +133,42 @@ def load_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
         return read_csv(fh, period_days=period_days)
 
 
-def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
+def csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """Yield the stripped header as row 1, then each non-blank row with its number.
+
+    ParseError on an empty file, a row whose length differs from the header's,
+    text that is not UTF-8 and malformed CSV.
+    """
     reader = csv.reader(fh)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file, expected a header row") from None
-    if [h.strip() for h in header] != CSV_HEADER:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file, expected a header row")
+        yield 1, [h.strip() for h in header]
+        for row_num, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+            yield row_num, row
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
+
+
+def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
+    rows = csv_rows(fh)
+    _, header = next(rows)
+    if header != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {CSV_HEADER!r}")
     records = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(f"row {row_num}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        try:
-            t_index = int(row[0])
-        except ValueError:
-            raise ParseError(f"row {row_num}: bad t value {row[0]!r}") from None
+    for row_num, row in rows:
+        t_index = _parse_optional_int(row[0], row_num, "t")
         sequenced = _parse_optional_int(row[2], row_num, "sequenced")
         variant_count = _parse_optional_int(row[3], row_num, "variant_count")
-        if sequenced is None or variant_count is None:
-            raise ParseError(f"row {row_num}: sequenced and variant_count are required")
+        if None in (t_index, sequenced, variant_count):
+            raise ParseError(f"row {row_num}: t, sequenced and variant_count are required")
         if sequenced < 0 or variant_count < 0:
             raise ParseError(f"row {row_num}: negative count")
         records.append(

@@ -5,6 +5,11 @@ class VariantFitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(VariantFitError):
+    """A command line the parser rejects: an unknown or conflicting option,
+    a missing argument or a malformed option value."""
+
+
 class InvalidValue(VariantFitError, ValueError):
     """A value lies outside its valid range, such as a proportion above 1,
     a confidence level outside (0, 1) or a negative count."""
@@ -39,11 +44,12 @@ class NonPositivePeriod(VariantFitError):
 
 
 class Separation(VariantFitError):
-    """All counts are 0 or all equal the totals; the MLE diverges."""
+    """A variant is never observed, or the variants' observed periods split
+    into groups that overlap in at most one period; the MLE diverges."""
 
 
 class Singular(VariantFitError):
-    """Fewer than two informative periods; parameters not identified."""
+    """Too few informative periods for the parameters or their variance."""
 
 
 class MaxIterations(VariantFitError):

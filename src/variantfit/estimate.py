@@ -86,16 +86,40 @@ def model_derivatives(
     return scores, -info.reshape(2 * (m - 1), 2 * (m - 1))
 
 
-def _check_identified(counts: np.ndarray) -> None:
-    n = counts.sum(axis=1)
-    if np.count_nonzero(n) < 2:
+def _check_identified(t: np.ndarray, counts: np.ndarray) -> None:
+    """Raise unless the MLE exists: Singular with fewer than 2 periods with
+    counts, Separation when a variant is never observed or the variants'
+    observed t-ranges do not chain together.
+
+    With one covariate, a direction along which the likelihood never falls
+    gives each variant a line a_j + b_j t that is highest over its observed
+    range [first_j, last_j]. Two variants whose ranges overlap in more than
+    one point (first_j < last_k and first_k < last_j) must then share a line,
+    so the MLE exists exactly when that overlap relation links all variants
+    (Albert & Anderson 1984). For m = 2 it is the overlap of the two ranges.
+    O(T m + m^2).
+    """
+    if np.count_nonzero(counts.sum(axis=1)) < 2:
         raise Singular("need at least 2 periods with positive counts")
-    for j, col in enumerate(counts.T, start=1):
-        if not col.any() or np.array_equal(col, n):
-            raise Separation(
-                f"variant {j} of {counts.shape[1]} is observed never or in every case; "
-                "the MLE does not exist"
-            )
+    m = counts.shape[1]
+    seen = counts > 0
+    unseen = np.flatnonzero(~seen.any(axis=0))
+    if unseen.size:
+        raise Separation(f"variant {unseen[0] + 1} of {m} is never observed; the MLE does not exist")
+    first = t[seen.argmax(axis=0)]
+    last = t[len(t) - 1 - seen[::-1].argmax(axis=0)]
+    overlap = (first[:, None] < last[None, :]) & (first[None, :] < last[:, None])
+    linked, frontier = {0}, [0]
+    while frontier:
+        new = set(np.flatnonzero(overlap[frontier.pop()]).tolist()) - linked
+        linked |= new
+        frontier += new
+    if len(linked) < m:
+        group = ", ".join(str(j + 1) for j in sorted(linked))
+        raise Separation(
+            f"the observed periods of variants ({group}) and of the other variants "
+            "overlap in at most one period; the MLE does not exist"
+        )
 
 
 def _initial_theta(t: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -114,7 +138,7 @@ def newton(t: np.ndarray, counts: np.ndarray):
     (theta, log-likelihood, steps taken, per-period scores, Hessian), the
     last two at theta.
     """
-    _check_identified(counts)
+    _check_identified(t, counts)
     theta = _initial_theta(t, counts)
     ll = model_log_likelihood(theta, t, counts)
     for iterations in range(MAX_ITERATIONS):

@@ -101,18 +101,30 @@ def kernel_weighted_outer(
 def sandwich(
     info: np.ndarray,
     scores: np.ndarray,
-    t_values: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray],
     bandwidth: int | None,
     fit: FitResult | None = None,
 ) -> VarianceEstimate:
     """Fisher variance inv(I) when bandwidth is None, else the HAC sandwich
-    inv(I) J_K inv(I) from the per-period scores at the optimum."""
+    inv(I) J_K inv(I) from the per-period scores at the optimum.
+
+    `columns` are the fit's (t, counts) arrays. At the optimum the scores sum
+    to zero, so J_K has rank below the number of periods with counts; the
+    sandwich needs more such periods than parameters.
+    """
+    t_values, counts = columns
     if bandwidth is not None:
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
         if bandwidth >= len(t_values):
             raise BandwidthTooLarge(
                 f"bandwidth {bandwidth} must be smaller than the series length {len(t_values)}"
+            )
+        informative = np.count_nonzero(counts.sum(axis=1))
+        if informative <= len(info):
+            raise Singular(
+                f"{informative} periods with counts cannot identify a sandwich variance "
+                f"for {len(info)} parameters"
             )
     info_inv = _invert(info)
     if bandwidth is None:
@@ -126,7 +138,7 @@ def sandwich(
 def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
     """Model-based variance, inverse of the observed information."""
     scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns[0], None, fit)
+    return sandwich(-h, scores, series.columns, None, fit)
 
 
 def hac_sandwich(
@@ -134,7 +146,7 @@ def hac_sandwich(
 ) -> VarianceEstimate:
     """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
     scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns[0], bandwidth, fit)
+    return sandwich(-h, scores, series.columns, bandwidth, fit)
 
 
 def normal_quantile(level: float) -> float:

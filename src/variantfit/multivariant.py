@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import ObservationRecord, SurveillanceSeries, validate_series
-from .errors import DuplicatePeriod, EmptySeries, InvalidIndex, InvalidValue, ParseError
+from .data import ObservationRecord, SurveillanceSeries, check_periods, csv_rows, validate_series
+from .errors import InvalidIndex, InvalidValue, ParseError
 from .estimate import model_derivatives, model_log_likelihood, newton
 from .inference import VarianceEstimate, sandwich
 
@@ -46,15 +46,7 @@ class MultiSeries:
             raise InvalidValue("need at least 2 variants")
         if np.any(counts < 0):
             raise InvalidValue("counts must be non-negative")
-        if len(self.t_values) < 2:
-            raise EmptySeries("need at least 2 periods")
-        if self.period_days <= 0:
-            raise InvalidValue(f"period_days must be positive, got {self.period_days}")
-        for a, b in zip(self.t_values, self.t_values[1:]):
-            if a == b:
-                raise DuplicatePeriod(f"repeated t_index {a}")
-            if a > b:
-                raise InvalidValue("periods not sorted by t_index")
+        check_periods(self.t_values, self.period_days)
 
     @property
     def n_variants(self) -> int:
@@ -127,7 +119,7 @@ def fit_multi(
     t, counts = series.columns
     theta, _, _, scores, h = newton(t, counts)
     params = MultiParams(alphas=tuple(theta[0::2].tolist()), betas=tuple(theta[1::2].tolist()))
-    return params, sandwich(-h, scores, t, bandwidth)
+    return params, sandwich(-h, scores, series.columns, bandwidth)
 
 
 def marginalize(series: MultiSeries, keep: tuple[int, int]) -> SurveillanceSeries:
@@ -154,12 +146,8 @@ def marginalize(series: MultiSeries, keep: tuple[int, int]) -> SurveillanceSerie
 
 def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
     """Schema: `t,label,count_<name1>,count_<name2>,...` with a header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file, expected a header row") from None
-    header = [h.strip() for h in header]
+    rows = csv_rows(fh)
+    _, header = next(rows)
     if len(header) < 4 or header[0] != "t" or header[1] != "label":
         raise ParseError(f"bad header {header!r}; expected t,label,count_*,...")
     names = []
@@ -167,15 +155,11 @@ def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
         if not col.startswith("count_"):
             raise ParseError(f"bad count column {col!r}; expected count_<variant>")
         names.append(col[len("count_"):])
-    t_values, labels, rows = [], [], []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+    t_values, labels, counts = [], [], []
+    for row_num, row in rows:
         try:
             t_values.append(int(row[0]))
-            rows.append([int(cell) for cell in row[2:]])
+            counts.append([int(cell) for cell in row[2:]])
         except ValueError:
             raise ParseError(f"row {row_num}: malformed integer") from None
         labels.append(row[1].strip())
@@ -183,7 +167,7 @@ def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
     return MultiSeries(
         t_values=tuple(t_values[i] for i in order),
         labels=tuple(labels[i] for i in order),
-        counts=np.array(rows, dtype=int)[order],
+        counts=np.array(counts, dtype=int)[order],
         variant_names=tuple(names),
         period_days=period_days,
     )

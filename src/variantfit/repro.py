@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dynamics import GENERATION_DAYS, Advantage, Proportion
-from .errors import NonPositiveCount, NonPositiveR
+from .errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 from .inference import AdvantageEstimate
 
 TEST_INTENSITY_EXPONENT = 0.7  # surveillance-practice adjustment for testing volume
@@ -61,6 +61,8 @@ def adjusted_R(
     ]:
         if v <= 0:
             raise NonPositiveCount(f"{name} must be positive, got {v}")
+    if period_days <= 0:
+        raise NonPositivePeriod(f"period_days must be positive, got {period_days}")
     log_ratio = math.log(cases_t / cases_prev) - exponent * math.log(tested_t / tested_prev)
     return math.exp((gen_days / period_days) * log_ratio)
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .data import ObservationRecord, SurveillanceSeries, validate_series
-from .errors import InvalidConfig
+from .errors import InvalidConfig, VariantFitError
 from .estimate import fit
 from .inference import hac_sandwich, fisher_information, interval_for_gamma
 from .multivariant import MultiSeries, step_lambda_multi
@@ -42,8 +42,13 @@ class SimConfig:
             raise InvalidConfig("sequenced counts must be non-negative")
         if len(self.sequenced) == 0:
             raise InvalidConfig("empty sequencing schedule")
-        if self.growth is not None and len(self.growth) != len(self.sequenced):
-            raise InvalidConfig("growth schedule must match the sequencing schedule")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        if self.growth is not None:
+            if len(self.gammas) != 1:
+                raise InvalidConfig("a growth schedule needs exactly two variants")
+            if len(self.growth) != len(self.sequenced):
+                raise InvalidConfig("growth schedule must match the sequencing schedule")
 
     @property
     def n_variants(self) -> int:
@@ -64,6 +69,8 @@ def simulate(
     config: SimConfig, replication: int = 0
 ) -> Union[SurveillanceSeries, MultiSeries]:
     """Draw one synthetic series; the RNG stream is keyed by (seed, replication)."""
+    if replication < 0:
+        raise InvalidConfig(f"replication must be non-negative, got {replication}")
     rng = np.random.default_rng([config.seed, replication])
     path = expected_path(config)
     T = len(config.sequenced)
@@ -145,7 +152,7 @@ def recovery_report(
                 if bandwidth is None
                 else hac_sandwich(series, result, bandwidth)
             )
-        except Exception:
+        except VariantFitError:
             failed += 1
             continue
         est = interval_for_gamma(variance, result, config.period_days, level)

@@ -1,13 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import variantfit
-from variantfit.cli import main
+from variantfit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -246,3 +252,302 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "[]"
+
+
+TWO_VARIANT_HEADER = "t,label,sequenced,variant_count,total_cases,tested\n"
+ERROR_LINE = re.compile(r"error: ([A-Za-z_][A-Za-z0-9_]*): \S.*")
+
+
+def assert_one_error_line(code, out, err, kind=None):
+    """Exit 1, nothing on stdout and exactly one `error: <Type>: message` line."""
+    assert code == 1, (code, out, err)
+    assert out == ""
+    match = ERROR_LINE.fullmatch(err.rstrip("\n"))
+    assert match and err.count("\n") == 1, err
+    if kind is not None:
+        assert match.group(1) == kind, err
+
+
+def two_variant_csv(tmp_path, pairs):
+    path = tmp_path / "series.csv"
+    rows = "".join(f"{t},w{t},{n},{x},,\n" for t, (n, x) in enumerate(pairs, start=1))
+    path.write_text(TWO_VARIANT_HEADER + rows)
+    return str(path)
+
+
+def test_parser_declares_only_the_options_each_command_reads():
+    common = {"--period-days", "--json"}
+    variance = {"--hac", "--fisher"}
+    expected = {
+        "estimate": common | variance | {"--level", "--gen-days"},
+        "crude": common | {"--level"},
+        "forecast": common | variance | {"--train-from", "--train-through", "--horizons", "--c"},
+        "infer-r": common | variance | {"--level", "--gen-days", "--R", "--lambda", "--gamma-gen",
+                                        "--gamma-ci", "--from-fit", "--contour", "--out"},
+        "adjusted-r": common | {"--gen-days", "--cases", "--cases-prev", "--tested",
+                                "--tested-prev", "--exponent"},
+        "simulate": {"--gamma", "--lambda0", "--n", "--t", "--seed", "--replication",
+                     "--period-days", "--out"},
+        "multi": common | variance | {"--level", "--gen-days", "--file"},
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == expected
+    assert sum(len(v) for v in options.values()) == 53
+
+
+ADJUSTED_R = ("adjusted-r", "--cases", "8", "--cases-prev", "4", "--tested", "6",
+              "--tested-prev", "3")
+R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("crude", "alpha", "--gen-days", "9"), id="crude-gen-days"),
+        pytest.param(("crude", "alpha", "--hac", "2"), id="crude-hac"),
+        pytest.param(("crude", "alpha", "--fisher"), id="crude-fisher"),
+        pytest.param(("forecast", "alpha", "--gen-days", "9"), id="forecast-gen-days"),
+        pytest.param(("forecast", "alpha", "--level", "0.9"), id="forecast-level"),
+        pytest.param(ADJUSTED_R + ("--level", "0.9"), id="adjusted-r-level"),
+        pytest.param(ADJUSTED_R + ("--hac", "2"), id="adjusted-r-hac"),
+        pytest.param(ADJUSTED_R + ("--fisher",), id="adjusted-r-fisher"),
+        pytest.param(("estimate", "alpha", "--fisher", "--hac", "2"), id="fisher-then-hac"),
+        pytest.param(("estimate", "alpha", "--hac", "4", "--fisher"), id="default-hac-then-fisher"),
+        pytest.param(("multi", "--file", "x.csv", "--hac", "4", "--fisher"), id="multi-hac-fisher"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--from-fit", "alpha") + R_LAMBDA,
+                     id="gamma-gen-and-from-fit"),
+        pytest.param(("infer-r",) + R_LAMBDA, id="neither-gamma-gen-nor-from-fit"),
+        pytest.param(("infer-r", "--from-fit", "alpha", "--gamma-ci", "1.8", "2.2") + R_LAMBDA,
+                     id="gamma-ci-with-from-fit"),
+        pytest.param(("estimate", "alpha", "--hac", "abc"), id="hac-abc"),
+        pytest.param(("estimate", "alpha", "--no-such-option"), id="unknown-option"),
+        pytest.param(("estimate",), id="missing-input"),
+        pytest.param(("no-such-command",), id="unknown-command"),
+        pytest.param((), id="no-command"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1"), id="grid-two-parts"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1:0"), id="grid-step-0"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:inf:0.1"), id="grid-inf"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0"), id="nothing-to-do"),
+        pytest.param(("estimate", "alpha", "--gen-days", "inf"), id="gen-days-inf"),
+        pytest.param(("estimate", "alpha", "--level", "nan"), id="level-nan"),
+        pytest.param(("simulate", "--gamma", "inf", "--lambda0", "0.1", "--n", "10", "--t", "3"),
+                     id="simulate-gamma-inf"),
+    ],
+)
+def test_usage_errors_are_one_error_line(capsys, argv):
+    assert_one_error_line(*run(capsys, *argv), kind="UsageError")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("estimate", "--help")])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_overflow_is_one_error_line(capsys):
+    assert_one_error_line(*run(capsys, "estimate", "alpha", "--gen-days", "1e10"),
+                          kind="OverflowError")
+
+
+def test_adjusted_r_zero_period_is_one_error_line(capsys):
+    assert_one_error_line(*run(capsys, *ADJUSTED_R, "--period-days", "0"),
+                          kind="NonPositivePeriod")
+
+
+@pytest.mark.parametrize("option", ["--seed", "--replication"])
+def test_simulate_negative_seed_is_one_error_line(capsys, option):
+    argv = ("simulate", "--gamma", "1.5", "--lambda0", "0.1", "--n", "10", "--t", "3")
+    assert_one_error_line(*run(capsys, *argv, option, "-1"), kind="InvalidConfig")
+
+
+def test_directory_input_is_one_error_line(tmp_path, capsys):
+    assert_one_error_line(*run(capsys, "estimate", str(tmp_path)), kind="IsADirectoryError")
+
+
+@pytest.mark.parametrize("command", ["estimate", "multi"])
+def test_non_utf8_csv_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(TWO_VARIANT_HEADER.encode() + "1,sem\xe2na,10,1,,\n".encode("latin-1"))
+    argv = [str(path)] if command == "estimate" else ["--file", str(path)]
+    assert_one_error_line(*run(capsys, command, *argv), kind="ParseError")
+
+
+@pytest.mark.parametrize(
+    "pairs, extra",
+    [
+        ([(50, 0), (50, 0), (50, 50), (50, 50)], []),
+        ([(5, 0), (5, 0), (5, 5)], ["--fisher"]),
+        ([(50, 0), (50, 10), (50, 50), (50, 50)], []),
+    ],
+    ids=["complete", "complete-fisher", "quasi-complete"],
+)
+def test_separated_csv_is_separation(tmp_path, capsys, pairs, extra):
+    path = two_variant_csv(tmp_path, pairs)
+    assert_one_error_line(*run(capsys, "estimate", path, *extra), kind="Separation")
+
+
+def test_multi_nan_gen_days_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "multi.csv"
+    rows = "".join(f"{t},w{t},{100 - 15 * t},{15 * t}\n" for t in range(1, 7))
+    path.write_text("t,label,count_a,count_b\n" + rows)
+    assert_one_error_line(*run(capsys, "multi", "--file", str(path), "--gen-days", "nan"),
+                          kind="UsageError")
+
+
+def test_multi_separated_variant_is_separation(tmp_path, capsys):
+    path = tmp_path / "multi.csv"
+    path.write_text("t,label,count_a,count_b,count_c\n1,w1,10,5,0\n2,w2,10,6,0\n3,w3,10,7,5\n")
+    assert_one_error_line(*run(capsys, "multi", "--file", str(path), "--fisher"),
+                          kind="Separation")
+
+
+def test_exactly_identified_fit_refuses_the_sandwich(tmp_path, capsys):
+    # Two periods with counts fit two parameters exactly; the HAC "interval"
+    # would have zero width.
+    path = two_variant_csv(tmp_path, [(10, 2), (10, 5), (0, 0)])
+    assert_one_error_line(*run(capsys, "estimate", path, "--hac", "1"), kind="Singular")
+    code, out, _ = run(capsys, "estimate", path, "--fisher")
+    assert code == 0 and "gamma per 7 days: 4.0000" in out
+
+
+# --- the CLI contract for random command lines and CSV text -----------------
+
+
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+def mostly(common, rare):
+    """Draw from `common` about nine times in ten, else from `rare`."""
+    return RARELY.flatmap(lambda rarely: rare if rarely else common)
+
+
+def numbers(low, high):
+    """Option text: mostly a number in [low, high], sometimes an edge case."""
+    edges = st.sampled_from(["0", "-1", "1e10", "1e-10", "1e308", "-1e308", "inf", "-inf",
+                             "nan", "abc", ""])
+    return mostly(st.floats(low, high).map(repr), edges)
+
+
+def integers(low, high):
+    return mostly(st.integers(low, high).map(str), st.sampled_from(["abc", "1.5"]))
+
+
+INPUTS = st.sampled_from(["two.csv", "two.csv", "two.csv", "alpha", "omicron", "multi.csv",
+                          "missing.csv", "."])
+MULTI_INPUTS = st.sampled_from(["multi.csv", "multi.csv", "multi.csv", "two.csv", "."])
+OUTS = st.sampled_from(["out.csv", ".", "missing-dir/out.csv"])
+GRIDS = st.sampled_from(["0:1:0.25", "0.1:0.9:0.1", "0:1:0", "1:0:0.1", "-1:2:0.5", "0:1",
+                         "a:b:c", "0:inf:1", "0:1:nan"])
+COMMON = {"--period-days": numbers(0.5, 14), "--json": None}
+LEVEL = {"--level": numbers(0.5, 0.999)}
+GEN = {"--gen-days": numbers(1, 10)}
+VARIANCE = {"--hac": integers(-1, 8), "--fisher": None}
+SIMULATE = {"--gamma": numbers(0.2, 5), "--lambda0": numbers(0, 0.5), "--n": integers(-1, 50),
+            "--t": integers(-1, 30)}
+# Per command: (groups of which one argument is required, optional arguments).
+# An empty name is the positional input; a value of None marks a flag.
+COMMANDS = {
+    "estimate": ([{"": INPUTS}], {**COMMON, **LEVEL, **GEN, **VARIANCE}),
+    "crude": ([{"": INPUTS}], {**COMMON, **LEVEL}),
+    "forecast": ([{"": INPUTS}], {**COMMON, **VARIANCE, "--train-from": integers(-1, 40),
+                                  "--train-through": integers(-1, 40),
+                                  "--horizons": integers(-1, 30), "--c": numbers(0, 5)}),
+    "infer-r": (
+        [{"--gamma-gen": numbers(0.2, 5), "--from-fit": INPUTS}],
+        {**COMMON, **LEVEL, **GEN, **VARIANCE, "--R": numbers(0.1, 5),
+         "--lambda": numbers(0, 1), "--gamma-ci": st.tuples(numbers(0.2, 5), numbers(0.2, 5)),
+         "--contour": GRIDS, "--out": OUTS},
+    ),
+    "adjusted-r": (
+        [{name: numbers(1, 1e6)} for name in ("--cases", "--cases-prev", "--tested",
+                                              "--tested-prev")],
+        {**COMMON, **GEN, "--exponent": numbers(0, 2)},
+    ),
+    "simulate": (
+        [{name: value} for name, value in SIMULATE.items()],
+        {"--gamma": SIMULATE["--gamma"], "--lambda0": SIMULATE["--lambda0"],
+         "--seed": integers(-1, 99), "--replication": integers(-1, 99),
+         "--period-days": numbers(0.5, 14), "--out": OUTS},
+    ),
+    "multi": ([{"--file": MULTI_INPUTS}], {**COMMON, **LEVEL, **GEN, **VARIANCE}),
+}
+FOREIGN = {"--bogus": None, "--fisher": None, "--level": numbers(0.5, 0.999),
+           "--gen-days": numbers(1, 10), "--file": MULTI_INPUTS, "--from-fit": INPUTS}
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed command lines, some missing a required argument or
+    carrying one that the command does not take."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    values = dict(FOREIGN, **optional)
+    chosen = []
+    for group in required:
+        values.update(group)
+        if not draw(RARELY):
+            chosen.append(draw(st.sampled_from(sorted(group))))
+    chosen += draw(st.lists(st.sampled_from(sorted(optional)), max_size=4))
+    if draw(RARELY):
+        chosen.append(draw(st.sampled_from(sorted(FOREIGN))))
+    argv = [command]
+    for name in chosen:
+        argv += [name] if name else []
+        if values[name] is not None:
+            drawn = draw(values[name])
+            argv += list(drawn) if isinstance(drawn, tuple) else [drawn]
+    return argv
+
+
+def csv_bytes(header, row):
+    """CSV in one schema: rows at distinct t, about one in ten malformed, and
+    sometimes a bad header or bytes that are not UTF-8."""
+    bad_row = st.lists(integers(-3, 60), min_size=1, max_size=7).map(tuple)
+
+    @st.composite
+    def text(draw):
+        lines = [draw(mostly(st.just(header), st.sampled_from([header.replace("t,", "x,"), ""])))]
+        for t in draw(st.lists(st.integers(-2, 40), unique=True, max_size=8)):
+            cells = draw(mostly(row(t), bad_row))
+            lines.append(",".join(cells))
+        data = ("\n".join(lines) + "\n").encode()
+        return data + b"1,\xff,1,1\n" if draw(RARELY) else data
+
+    return text()
+
+
+@st.composite
+def two_variant_row(draw, t):
+    n = draw(st.integers(0, 60))
+    x = draw(st.integers(0, n))
+    total = draw(st.sampled_from(["", str(n), str(n + 5)]))
+    return (str(t), f"w{t}", str(n), str(x), total, "")
+
+
+def multi_row(t):
+    return st.tuples(*[st.integers(0, 60).map(str)] * 3).map(lambda c: (str(t), f"w{t}") + c)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    argv=command_lines(),
+    two=csv_bytes("t,label,sequenced,variant_count,total_cases,tested", two_variant_row),
+    multi=csv_bytes("t,label,count_a,count_b,count_c", multi_row),
+)
+def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, multi):
+    """Exit 0, or exit 1 with empty stdout and exactly one `error:` line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.csv").write_bytes(two)
+    (tmp_path / "multi.csv").write_bytes(multi)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert_one_error_line(code, out.getvalue(), err.getvalue())

@@ -289,3 +289,19 @@ def test_long_daily_series_converges():
     assert abs(g[0]) <= 1e-12 * n.sum()
     assert abs(g[1]) <= 1e-12 * (n * np.abs(t)).sum()
     assert result.params.beta == pytest.approx(beta, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(50, 0), (50, 0), (50, 50), (50, 50)],
+        [(5, 0), (5, 0), (5, 5)],
+        [(50, 0), (50, 10), (50, 50), (50, 50)],
+    ],
+    ids=["complete", "complete-three-periods", "quasi-complete"],
+)
+def test_separated_series_raise_separation(pairs):
+    # The variant's and the incumbent's observed periods overlap in at most
+    # one period, so the likelihood keeps rising as beta grows.
+    with pytest.raises(Separation):
+        fit(series_from_counts(pairs))

@@ -238,3 +238,28 @@ def test_ten_variant_long_series_converges():
     assert np.all(np.abs(g[1::2]) <= 1e-12 * (n * t).sum())
     assert params.gammas == pytest.approx(gammas, rel=1e-3)
     assert variance.kind == "fisher"
+
+
+def test_separation_when_a_variant_appears_after_the_others_vanish():
+    counts = np.array([[10, 5, 0], [10, 6, 0], [10, 7, 5]])
+    series = MultiSeries(
+        t_values=(1, 2, 3), labels=("a", "b", "c"), counts=counts, variant_names=("v1", "v2", "v3")
+    )
+    with pytest.raises(Separation):
+        fit_multi(series)
+
+
+def test_fit_when_one_variant_vanishes_before_another_appears():
+    # Variants 2 and 3 are never seen together, but each overlaps the
+    # numeraire, so the MLE exists although not every pair of ranges overlaps.
+    counts = np.array([[50, 20, 0], [50, 15, 0], [50, 10, 0], [50, 0, 5], [50, 0, 10], [50, 0, 20]])
+    series = MultiSeries(
+        t_values=tuple(range(1, 7)),
+        labels=tuple("abcdef"),
+        counts=counts,
+        variant_names=("v1", "v2", "v3"),
+    )
+    params, variance = fit_multi(series)
+    scores = multi_score_per_period(series, params)
+    assert np.max(np.abs(scores.sum(axis=0))) < 1e-8 * counts.sum()
+    assert np.all(np.isfinite(variance.matrix)) and np.all(np.diag(variance.matrix) > 0)

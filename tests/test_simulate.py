@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,31 @@ def test_more_sequencing_tightens_recovery():
     sparse = recovery_report(_config(sequenced=tuple([500] * 10), seed=23), 60)
     dense = recovery_report(_config(sequenced=tuple([8000] * 10), seed=23), 60)
     assert dense.mean_ci_width < sparse.mean_ci_width
+
+
+def test_growth_schedule_needs_two_variants():
+    with pytest.raises(InvalidConfig):
+        SimConfig(
+            gammas=(1.4, 2.0),
+            initial_proportions=(0.9, 0.07, 0.03),
+            sequenced=(2000,) * 4,
+            growth=(1.0,) * 4,
+        )
+
+
+def test_recovery_report_propagates_programming_errors(monkeypatch):
+    # Only model failures count as failed replications; a bug must surface.
+    def broken_fit(series):
+        raise TypeError("broken fit")
+
+    # The package's `simulate` attribute is the function, so fetch the module.
+    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit", broken_fit)
+    with pytest.raises(TypeError, match="broken fit"):
+        recovery_report(_config(), n_replications=3)
+
+
+def test_negative_seed_or_replication_rejected():
+    with pytest.raises(InvalidConfig):
+        _config(seed=-1)
+    with pytest.raises(InvalidConfig):
+        simulate(_config(), replication=-1)
