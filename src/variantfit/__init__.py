@@ -1,13 +1,6 @@
 """Growth-advantage estimation for emerging virus variants."""
 
-from .data import (
-    ObservationRecord,
-    SurveillanceSeries,
-    load_csv,
-    to_csv_string,
-    validate_series,
-    write_csv,
-)
+from .data import SurveillanceSeries, load_csv, to_csv_string, write_csv
 from .datasets import BUNDLED_NAMES, load_bundled
 from .dynamics import (
     GENERATION_DAYS,
@@ -36,7 +29,6 @@ from .forecast import ForecastBand, forecast
 from .repro import ReproInference, adjusted_R, infer_variant_R, stability_region
 from .multivariant import (
     MultiParams,
-    MultiSeries,
     fit_multi,
     load_multi_csv,
     marginalize,
@@ -56,8 +48,6 @@ __all__ = [
     "GENERATION_DAYS",
     "ModelParams",
     "MultiParams",
-    "MultiSeries",
-    "ObservationRecord",
     "Proportion",
     "RecoveryReport",
     "ReproInference",
@@ -95,6 +85,5 @@ __all__ = [
     "step_lambda",
     "step_lambda_multi",
     "to_csv_string",
-    "validate_series",
     "write_csv",
 ]

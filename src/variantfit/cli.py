@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .data import load_csv, validate_series, write_csv
+from .data import load_csv, write_csv
 from .datasets import BUNDLED_NAMES, load_bundled
 from .dynamics import GENERATION_DAYS, Advantage, Proportion
 from .errors import UsageError, VariantFitError, WindowOutOfRange
@@ -34,6 +34,9 @@ from .inference import (
 from .multivariant import load_multi_csv, fit_multi, write_multi_csv
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
 from .simulate import SimConfig, simulate
+
+# Largest --contour grid; 0:1:1e-4 is the finest grid over [0, 1] it admits.
+MAX_GRID_POINTS = 10_001
 
 
 def _round10(value):
@@ -174,12 +177,13 @@ def cmd_forecast(args) -> int:
         raise WindowOutOfRange(
             f"--train-through {train_through} outside data range [{t_all[0]}, {t_all[-1]}]"
         )
-    records = [r for r in series.records if r.t_index <= train_through]
+    t = series.columns[0]
+    window = t <= train_through
     if args.train_from is not None:
-        records = [r for r in records if r.t_index >= args.train_from]
-    if len(records) < 2:
+        window &= t >= args.train_from
+    if window.sum() < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
-    train = validate_series(records, period_days=series.period_days)
+    train = series.select(periods=window)
     result = fit(train)
     variance = _variance(train, result, args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
@@ -239,16 +243,28 @@ def _finite_float(text: str) -> float:
 
 
 def _grid(spec: str) -> list[float]:
-    """The parser's type for --contour: start:stop:step, clamped to [0, 1]."""
+    """The parser's type for --contour: start:stop:step, clamped to [0, 1].
+
+    The point count is worked out before any point is built, and a grid of
+    more than MAX_GRID_POINTS is refused.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {spec!r}")
     start, stop, step = (_finite_float(v) for v in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    points = max(math.floor((stop + 1e-12 - start) / step) + 1, 0)
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {points} points, at most {MAX_GRID_POINTS} are allowed"
+        )
     values = []
     v = start
-    while v <= stop + 1e-12:
+    # The points are accumulated, so they can differ from start + i * step in
+    # the last bits. The length bound also ends the loop where a step below
+    # v's precision leaves v unchanged.
+    while v <= stop + 1e-12 and len(values) <= points:
         values.append(min(max(v, 0.0), 1.0))
         v += step
     return values
@@ -343,7 +359,6 @@ def cmd_simulate(args) -> int:
         initial_proportions=tuple(lam0),
         sequenced=tuple([args.n] * args.t),
         seed=args.seed,
-        period_days=args.period_days,
     )
     series = simulate(config, replication=args.replication)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
@@ -497,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="number of periods")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replication", type=int, default=0)
-    p.add_argument("--period-days", type=_finite_float, default=7.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 

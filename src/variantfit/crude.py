@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .data import SurveillanceSeries
-from .inference import normal_quantile
+from .inference import advantage_interval, normal_quantile
 
 
 @dataclass(frozen=True)
@@ -25,35 +25,25 @@ class CrudeMeasure:
 
 
 def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeMeasure]:
-    """One measure per adjacent record pair.
+    """One measure per pair of adjacent periods.
 
     Zero cells get the Haldane-Anscombe +0.5 correction on all four cells
     of the affected pair. The CI is a Wald interval on the log odds-ratio
     ratio with variance 1/a + 1/b + 1/c + 1/d, exponentiated.
     """
-    z = normal_quantile(level)
+    t = series.t_values
+    n, x = (column.tolist() for column in series.binomial_counts())
     out = []
-    for prev, cur in zip(series.records, series.records[1:]):
-        cells = [
-            float(cur.variant_count),
-            float(cur.sequenced - cur.variant_count),
-            float(prev.variant_count),
-            float(prev.sequenced - prev.variant_count),
-        ]
+    for i in range(1, len(t)):
+        cells = [float(x[i]), float(n[i] - x[i]), float(x[i - 1]), float(n[i - 1] - x[i - 1])]
         if any(c == 0.0 for c in cells):
             cells = [c + 0.5 for c in cells]
         a, b, c, d = cells
         log_ratio = math.log(a / b) - math.log(c / d)
-        se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
-        dt = cur.t_index - prev.t_index
-        out.append(
-            CrudeMeasure(
-                t_index=cur.t_index,
-                value=math.exp(log_ratio / dt),
-                ci_low=math.exp((log_ratio - z * se) / dt),
-                ci_high=math.exp((log_ratio + z * se) / dt),
-            )
+        value, low, high = advantage_interval(
+            log_ratio, 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d, 1.0 / (t[i] - t[i - 1]), level
         )
+        out.append(CrudeMeasure(t_index=t[i], value=value, ci_low=low, ci_high=high))
     return out
 
 
@@ -72,13 +62,13 @@ def proportion_intervals(
     """Wilson score interval for each period's empirical proportion."""
     z = normal_quantile(level)
     out = []
-    for r in series.records:
-        n = r.sequenced
+    n_all, x_all = (column.tolist() for column in series.binomial_counts())
+    for t, n, x in zip(series.t_values, n_all, x_all):
         if n == 0:
             continue
-        p = r.variant_count / n
+        p = x / n
         denom = 1.0 + z * z / n
         center = (p + z * z / (2 * n)) / denom
         half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-        out.append((r.t_index, p, max(center - half, 0.0), min(center + half, 1.0)))
+        out.append((t, p, max(center - half, 0.0), min(center + half, 1.0)))
     return out

@@ -1,11 +1,12 @@
-"""Surveillance time series: records, validation, CSV input/output."""
+"""Surveillance time series: one columnar count type, validation, CSV input/output."""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -13,50 +14,8 @@ import numpy as np
 from .errors import CountViolation, DuplicatePeriod, EmptySeries, InvalidValue, ParseError
 
 CSV_HEADER = ["t", "label", "sequenced", "variant_count", "total_cases", "tested"]
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One period of sequencing surveillance.
-
-    `t_index` is the model time, data-driven rather than row position, so
-    series with missing periods are representable. `label` is an opaque
-    period name (ISO week, date); no calendar arithmetic is done on it.
-    """
-
-    t_index: int
-    label: str
-    sequenced: int
-    variant_count: int
-    total_cases: Optional[int] = None
-    tested: Optional[int] = None
-
-    def __post_init__(self):
-        if self.sequenced < 0 or self.variant_count < 0:
-            raise CountViolation(
-                f"negative count at t={self.t_index}: "
-                f"sequenced={self.sequenced}, variant_count={self.variant_count}"
-            )
-        if self.variant_count > self.sequenced:
-            raise CountViolation(
-                f"variant_count {self.variant_count} > sequenced "
-                f"{self.sequenced} at t={self.t_index}"
-            )
-        if self.total_cases is not None:
-            if self.total_cases < 0 or self.sequenced > self.total_cases:
-                raise CountViolation(
-                    f"sequenced {self.sequenced} > total_cases "
-                    f"{self.total_cases} at t={self.t_index}"
-                )
-        if self.tested is not None and self.tested < 0:
-            raise CountViolation(f"negative tested count at t={self.t_index}")
-
-    @property
-    def proportion(self) -> float:
-        """Empirical variant proportion X/N (nan for N=0)."""
-        if self.sequenced == 0:
-            return float("nan")
-        return self.variant_count / self.sequenced
+# Variant names of a two-variant series; neither CSV schema for it stores names.
+TWO_VARIANT_NAMES = ("incumbent", "variant")
 
 
 def check_periods(t_values: Sequence[int], period_days: float) -> None:
@@ -72,49 +31,142 @@ def check_periods(t_values: Sequence[int], period_days: float) -> None:
             raise InvalidValue("periods not sorted by t_index")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveillanceSeries:
-    """Ordered, validated sequence of observation records.
+    """Per-period counts of m >= 2 variants, held as columns.
 
-    `period_days` is the calendar length of one unit of t_index
-    (7 for weekly data, 1 for daily). Immutable; safe to share.
+    Row i is period `t_values[i]`, the model time: data-driven rather than
+    row position, so series with missing periods are representable. Column j
+    of `counts` is variant j + 1; column 0 is the numeraire. `labels` are
+    opaque period names (ISO week, date); no calendar arithmetic is done on
+    them. `period_days` is the calendar length of one unit of t (7 for weekly
+    data, 1 for daily). `total_cases` and `tested` hold one int or None per
+    period ("not recorded" when not given).
+
+    The two-variant series is the m = 2 case with columns (N - X, X): N
+    sequenced cases of which X are the variant. `two_variant` builds it and
+    `binomial_counts` reads (N, X) back.
+
+    `counts` is a read-only integer copy of the array passed in, so the
+    series is immutable and safe to share.
     """
 
-    records: tuple[ObservationRecord, ...]
+    t_values: tuple[int, ...]
+    labels: tuple[str, ...]
+    counts: np.ndarray
+    variant_names: tuple[str, ...]
     period_days: float = 7.0
+    total_cases: Optional[tuple[Optional[int], ...]] = None
+    tested: Optional[tuple[Optional[int], ...]] = None
+    # Read-only model arrays, built once: t (T,) and counts (T, m) as floats.
+    columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_periods([r.t_index for r in self.records], self.period_days)
+        check_periods(self.t_values, self.period_days)
+        T = len(self.t_values)
+        counts = np.array(self.counts)
+        if counts.ndim != 2 or counts.shape[0] != T:
+            raise InvalidValue("counts must be (T, m) with one row per period")
+        if counts.shape[1] != len(self.variant_names):
+            raise InvalidValue("one variant name per column required")
+        if counts.shape[1] < 2:
+            raise InvalidValue("need at least 2 variants")
+        if counts.dtype.kind not in "iu":
+            raise InvalidValue(f"counts must be integers, got dtype {counts.dtype}")
+        if np.any(counts < 0):
+            raise InvalidValue("counts must be non-negative")
+        per_period = {"labels": self.labels, "total_cases": self.total_cases, "tested": self.tested}
+        for name, values in per_period.items():
+            if values is not None and len(values) != T:
+                raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
+        t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
+        t = np.array(t_values, dtype=float)
+        model_counts = counts.astype(float)
+        counts.flags.writeable = t.flags.writeable = model_counts.flags.writeable = False
+        set_field = partial(object.__setattr__, self)
+        set_field("t_values", t_values)
+        set_field("labels", tuple(self.labels))
+        set_field("counts", counts)
+        set_field("variant_names", tuple(self.variant_names))
+        set_field("total_cases", tuple(self.total_cases or (None,) * T))
+        set_field("tested", tuple(self.tested or (None,) * T))
+        set_field("columns", (t, model_counts))
+
+    @classmethod
+    def two_variant(cls, rows: Iterable[Sequence], period_days: float = 7.0) -> SurveillanceSeries:
+        """The m = 2 series from rows (t, label, sequenced N, variant_count X,
+        total_cases, tested), sorted by t, with count columns (N - X, X).
+
+        total_cases and tested may be None. Each row is checked as it is read:
+        CountViolation unless 0 <= X <= N <= total_cases and tested >= 0.
+        """
+        checked = []
+        for row in rows:
+            t, _, n, x, cases, tested = row
+            if n < 0 or x < 0:
+                raise CountViolation(f"negative count at t={t}: sequenced={n}, variant_count={x}")
+            if x > n:
+                raise CountViolation(f"variant_count {x} > sequenced {n} at t={t}")
+            if cases is not None and (cases < 0 or n > cases):
+                raise CountViolation(f"sequenced {n} > total_cases {cases} at t={t}")
+            if tested is not None and tested < 0:
+                raise CountViolation(f"negative tested count at t={t}")
+            checked.append(row)
+        checked.sort(key=lambda row: row[0])
+        t, labels, n, x, cases, tested = zip(*checked) if checked else [()] * 6
+        n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
+        return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
+                   cases, tested)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t_values)
+
+    def __eq__(self, other):
+        if not isinstance(other, SurveillanceSeries):
+            return NotImplemented
+        names = ("t_values", "labels", "variant_names", "period_days", "total_cases", "tested")
+        return all(getattr(self, f) == getattr(other, f) for f in names) and np.array_equal(
+            self.counts, other.counts
+        )
 
     @property
-    def t_values(self) -> list[int]:
-        return [r.t_index for r in self.records]
+    def n_variants(self) -> int:
+        return self.counts.shape[1]
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only model arrays, built once: t_index (T,) and counts (T, 2).
+    @property
+    def totals(self) -> np.ndarray:
+        """Cases counted per period, over all variants."""
+        return self.counts.sum(axis=1)
 
-        The count columns are (N - X, X), incumbent first, so the two-variant
-        model is the m = 2 case of the multinomial model.
+    def binomial_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, X) per period: sequenced and variant counts of a two-variant series.
+
+        InvalidValue unless the series has exactly two variants.
         """
-        t = np.array([r.t_index for r in self.records], dtype=float)
-        counts = np.array(
-            [(r.sequenced - r.variant_count, r.variant_count) for r in self.records],
-            dtype=float,
+        if self.n_variants != 2:
+            raise InvalidValue(f"need a two-variant series, got {self.n_variants} variants")
+        return self.totals, self.counts[:, 1]
+
+    def select(self, periods=slice(None), variants=slice(None)) -> SurveillanceSeries:
+        """The series restricted to some periods (rows) and variants (columns).
+
+        Both are numpy indices: a slice, a boolean mask or positions.
+        """
+        rows = np.arange(len(self))[periods].tolist()
+        columns = np.arange(self.n_variants)[variants].tolist()
+
+        def pick(values, index):
+            return tuple(values[i] for i in index)
+
+        return SurveillanceSeries(
+            t_values=pick(self.t_values, rows),
+            labels=pick(self.labels, rows),
+            counts=self.counts[np.ix_(rows, columns)],
+            variant_names=pick(self.variant_names, columns),
+            period_days=self.period_days,
+            total_cases=pick(self.total_cases, rows),
+            tested=pick(self.tested, rows),
         )
-        t.flags.writeable = counts.flags.writeable = False
-        return t, counts
-
-
-def validate_series(
-    raw: Iterable[ObservationRecord], period_days: float = 7.0
-) -> SurveillanceSeries:
-    """Sort records by t_index and build a validated series."""
-    records = tuple(sorted(raw, key=lambda r: r.t_index))
-    return SurveillanceSeries(records=records, period_days=period_days)
 
 
 def _parse_optional_int(text: str, row_num: int, column: str) -> Optional[int]:
@@ -162,42 +214,29 @@ def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     _, header = next(rows)
     if header != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {CSV_HEADER!r}")
-    records = []
-    for row_num, row in rows:
-        t_index = _parse_optional_int(row[0], row_num, "t")
-        sequenced = _parse_optional_int(row[2], row_num, "sequenced")
-        variant_count = _parse_optional_int(row[3], row_num, "variant_count")
-        if None in (t_index, sequenced, variant_count):
-            raise ParseError(f"row {row_num}: t, sequenced and variant_count are required")
-        if sequenced < 0 or variant_count < 0:
-            raise ParseError(f"row {row_num}: negative count")
-        records.append(
-            ObservationRecord(
-                t_index=t_index,
-                label=row[1].strip(),
-                sequenced=sequenced,
-                variant_count=variant_count,
-                total_cases=_parse_optional_int(row[4], row_num, "total_cases"),
-                tested=_parse_optional_int(row[5], row_num, "tested"),
-            )
-        )
-    return validate_series(records, period_days=period_days)
+
+    def parsed():
+        # A generator, so each row is checked before the next one is parsed.
+        for row_num, row in rows:
+            t, n, x = (_parse_optional_int(row[i], row_num, CSV_HEADER[i]) for i in (0, 2, 3))
+            if None in (t, n, x):
+                raise ParseError(f"row {row_num}: t, sequenced and variant_count are required")
+            if n < 0 or x < 0:
+                raise ParseError(f"row {row_num}: negative count")
+            cases, tested = (_parse_optional_int(row[i], row_num, CSV_HEADER[i]) for i in (4, 5))
+            yield t, row[1].strip(), n, x, cases, tested
+
+    return SurveillanceSeries.two_variant(parsed(), period_days=period_days)
 
 
 def write_csv(series: SurveillanceSeries, fh) -> None:
+    n, x = series.binomial_counts()
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in series.records:
-        writer.writerow(
-            [
-                r.t_index,
-                r.label,
-                r.sequenced,
-                r.variant_count,
-                "" if r.total_cases is None else r.total_cases,
-                "" if r.tested is None else r.tested,
-            ]
-        )
+    rows = zip(series.t_values, series.labels, n.tolist(), x.tolist(), series.total_cases,
+               series.tested)
+    for row in rows:
+        writer.writerow(["" if value is None else value for value in row])
 
 
 def to_csv_string(series: SurveillanceSeries) -> str:

@@ -7,7 +7,7 @@ exactly; tested = PCR tests performed, total_cases = positive tests.
 
 from __future__ import annotations
 
-from .data import ObservationRecord, SurveillanceSeries, validate_series
+from .data import SurveillanceSeries
 from .errors import UnknownDataset
 
 # (label, tested, total_cases, sequenced, variant_count); t_index is 1-based row order.
@@ -98,15 +98,7 @@ def load_bundled(name: str) -> SurveillanceSeries:
     if key not in _BUNDLED:
         raise UnknownDataset(f"unknown dataset {name!r}; choose from {BUNDLED_NAMES}")
     rows, period_days = _BUNDLED[key]
-    records = [
-        ObservationRecord(
-            t_index=i,
-            label=label,
-            sequenced=n,
-            variant_count=x,
-            total_cases=cases,
-            tested=tested,
-        )
-        for i, (label, tested, cases, n, x) in enumerate(rows, start=1)
-    ]
-    return validate_series(records, period_days=period_days)
+    return SurveillanceSeries.two_variant(
+        [(i, label, n, x, cases, tested) for i, (label, tested, cases, n, x) in enumerate(rows, 1)],
+        period_days=period_days,
+    )

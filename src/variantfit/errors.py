@@ -16,7 +16,7 @@ class InvalidValue(VariantFitError, ValueError):
 
 
 class EmptySeries(VariantFitError):
-    """Fewer than two observation records."""
+    """Fewer than two periods."""
 
 
 class CountViolation(VariantFitError):

@@ -179,7 +179,7 @@ def scores_and_hessian(
 
 
 def per_period_scores(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    """Per-record gradient contributions; rows are (t_index order) x (alpha, beta)."""
+    """Per-period gradient contributions; rows are (t order) x (alpha, beta)."""
     return scores_and_hessian(series, params)[0]
 
 
@@ -193,7 +193,11 @@ def hessian(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
 
 
 def fit(series: SurveillanceSeries) -> FitResult:
-    """Maximum likelihood fit of the two-variant model by damped Newton."""
+    """Maximum likelihood fit of the two-variant model by damped Newton.
+
+    InvalidValue unless the series has exactly two variants.
+    """
+    series.binomial_counts()  # raises unless m = 2
     t, counts = series.columns
     theta, ll, iterations, scores, _ = newton(t, counts)
     lam_hat = np.exp(_log_softmax(theta, t, 2)[:, 1])

@@ -34,7 +34,6 @@ class VarianceEstimate:
 
     kind: str  # "fisher" or "sandwich(K)"
     matrix: np.ndarray
-    fit: FitResult | None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -103,7 +102,6 @@ def sandwich(
     scores: np.ndarray,
     columns: tuple[np.ndarray, np.ndarray],
     bandwidth: int | None,
-    fit: FitResult | None = None,
 ) -> VarianceEstimate:
     """Fisher variance inv(I) when bandwidth is None, else the HAC sandwich
     inv(I) J_K inv(I) from the per-period scores at the optimum.
@@ -132,13 +130,13 @@ def sandwich(
     else:
         kind = f"sandwich({bandwidth})"
         cov = info_inv @ kernel_weighted_outer(t_values, scores, bandwidth) @ info_inv
-    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), fit=fit)
+    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T))
 
 
 def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
     """Model-based variance, inverse of the observed information."""
     scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns, None, fit)
+    return sandwich(-h, scores, series.columns, None)
 
 
 def hac_sandwich(
@@ -146,7 +144,7 @@ def hac_sandwich(
 ) -> VarianceEstimate:
     """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
     scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns, bandwidth, fit)
+    return sandwich(-h, scores, series.columns, bandwidth)
 
 
 def normal_quantile(level: float) -> float:

@@ -15,54 +15,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import ObservationRecord, SurveillanceSeries, check_periods, csv_rows, validate_series
+from .data import SurveillanceSeries, csv_rows
 from .errors import InvalidIndex, InvalidValue, ParseError
 from .estimate import model_derivatives, model_log_likelihood, newton
 from .inference import VarianceEstimate, sandwich
-
-
-@dataclass(frozen=True)
-class MultiSeries:
-    """Per-period counts for m variants; column j is variant j+1."""
-
-    t_values: tuple[int, ...]
-    labels: tuple[str, ...]
-    counts: np.ndarray  # shape (T, m), non-negative integers
-    variant_names: tuple[str, ...]
-    period_days: float = 7.0
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[0] != len(self.t_values):
-            raise InvalidValue("counts must be (T, m) with one row per period")
-        if counts.shape[1] != len(self.variant_names):
-            raise InvalidValue("one variant name per column required")
-        if counts.shape[1] < 2:
-            raise InvalidValue("need at least 2 variants")
-        if np.any(counts < 0):
-            raise InvalidValue("counts must be non-negative")
-        check_periods(self.t_values, self.period_days)
-
-    @property
-    def n_variants(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only model arrays, built once: t_index (T,) and counts (T, m)."""
-        t = np.array(self.t_values, dtype=float)
-        counts = np.array(self.counts, dtype=float)
-        t.flags.writeable = counts.flags.writeable = False
-        return t, counts
 
 
 @dataclass(frozen=True)
@@ -99,21 +59,21 @@ def _theta(params: MultiParams) -> np.ndarray:
     return np.array([v for pair in zip(params.alphas, params.betas) for v in pair], dtype=float)
 
 
-def multi_log_likelihood(series: MultiSeries, params: MultiParams) -> float:
+def multi_log_likelihood(series: SurveillanceSeries, params: MultiParams) -> float:
     return model_log_likelihood(_theta(params), *series.columns)
 
 
-def multi_score_per_period(series: MultiSeries, params: MultiParams) -> np.ndarray:
+def multi_score_per_period(series: SurveillanceSeries, params: MultiParams) -> np.ndarray:
     """Per-period gradients; columns ordered (a_2, b_2, a_3, b_3, ...)."""
     return model_derivatives(_theta(params), *series.columns)[0]
 
 
-def multi_hessian(series: MultiSeries, params: MultiParams) -> np.ndarray:
+def multi_hessian(series: SurveillanceSeries, params: MultiParams) -> np.ndarray:
     return model_derivatives(_theta(params), *series.columns)[1]
 
 
 def fit_multi(
-    series: MultiSeries, bandwidth: Optional[int] = None
+    series: SurveillanceSeries, bandwidth: Optional[int] = None
 ) -> tuple[MultiParams, VarianceEstimate]:
     """Damped Newton fit; variance is Fisher or, given a bandwidth, HAC sandwich."""
     t, counts = series.columns
@@ -122,7 +82,7 @@ def fit_multi(
     return params, sandwich(-h, scores, series.columns, bandwidth)
 
 
-def marginalize(series: MultiSeries, keep: tuple[int, int]) -> SurveillanceSeries:
+def marginalize(series: SurveillanceSeries, keep: tuple[int, int]) -> SurveillanceSeries:
     """Reduce to the two-variant series for 1-based variant indices (a, b).
 
     Variant b plays the emerging role: X_t = counts of b,
@@ -132,19 +92,10 @@ def marginalize(series: MultiSeries, keep: tuple[int, int]) -> SurveillanceSerie
     m = series.n_variants
     if a == b or not (1 <= a <= m) or not (1 <= b <= m):
         raise InvalidIndex(f"keep indices must be distinct and in 1..{m}, got {keep}")
-    records = [
-        ObservationRecord(
-            t_index=t,
-            label=label,
-            sequenced=int(series.counts[i, a - 1] + series.counts[i, b - 1]),
-            variant_count=int(series.counts[i, b - 1]),
-        )
-        for i, (t, label) in enumerate(zip(series.t_values, series.labels))
-    ]
-    return validate_series(records, period_days=series.period_days)
+    return series.select(variants=[a - 1, b - 1])
 
 
-def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
+def read_multi_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     """Schema: `t,label,count_<name1>,count_<name2>,...` with a header."""
     rows = csv_rows(fh)
     _, header = next(rows)
@@ -164,7 +115,7 @@ def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
             raise ParseError(f"row {row_num}: malformed integer") from None
         labels.append(row[1].strip())
     order = np.argsort(t_values, kind="stable")
-    return MultiSeries(
+    return SurveillanceSeries(
         t_values=tuple(t_values[i] for i in order),
         labels=tuple(labels[i] for i in order),
         counts=np.array(counts, dtype=int)[order],
@@ -173,19 +124,19 @@ def read_multi_csv(fh, period_days: float = 7.0) -> MultiSeries:
     )
 
 
-def load_multi_csv(path: str, period_days: float = 7.0) -> MultiSeries:
+def load_multi_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return read_multi_csv(fh, period_days=period_days)
 
 
-def write_multi_csv(series: MultiSeries, fh) -> None:
+def write_multi_csv(series: SurveillanceSeries, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["t", "label"] + [f"count_{n}" for n in series.variant_names])
     for i, (t, label) in enumerate(zip(series.t_values, series.labels)):
         writer.writerow([t, label] + [int(c) for c in series.counts[i]])
 
 
-def to_multi_csv_string(series: MultiSeries) -> str:
+def to_multi_csv_string(series: SurveillanceSeries) -> str:
     buf = io.StringIO()
     write_multi_csv(series, buf)
     return buf.getvalue()

@@ -9,15 +9,15 @@ generator, so identical (seed, replication) pairs give identical series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .data import ObservationRecord, SurveillanceSeries, validate_series
+from .data import SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
 from .estimate import fit
 from .inference import hac_sandwich, fisher_information, interval_for_gamma
-from .multivariant import MultiSeries, step_lambda_multi
+from .multivariant import step_lambda_multi
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,7 @@ def expected_path(config: SimConfig) -> np.ndarray:
     return np.array(path)
 
 
-def simulate(
-    config: SimConfig, replication: int = 0
-) -> Union[SurveillanceSeries, MultiSeries]:
+def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
     """Draw one synthetic series; the RNG stream is keyed by (seed, replication)."""
     if replication < 0:
         raise InvalidConfig(f"replication must be non-negative, got {replication}")
@@ -85,27 +83,20 @@ def simulate(
             totals.append(int(round(cases.sum())))
 
     if config.n_variants == 2:
-        records = []
+        rows = []
         for i in range(T):
             n = config.sequenced[i]
             x = int(rng.binomial(n, path[i, 1])) if n > 0 else 0
-            records.append(
-                ObservationRecord(
-                    t_index=i + 1,
-                    label=f"t{i + 1}",
-                    sequenced=n,
-                    variant_count=x,
-                    total_cases=None if totals is None else max(totals[i], n),
-                )
-            )
-        return validate_series(records, period_days=config.period_days)
+            cases = None if totals is None else max(totals[i], n)
+            rows.append((i + 1, f"t{i + 1}", n, x, cases, None))
+        return SurveillanceSeries.two_variant(rows, period_days=config.period_days)
 
     counts = np.zeros((T, config.n_variants), dtype=int)
     for i in range(T):
         n = config.sequenced[i]
         if n > 0:
             counts[i] = rng.multinomial(n, path[i])
-    return MultiSeries(
+    return SurveillanceSeries(
         t_values=tuple(range(1, T + 1)),
         labels=tuple(f"t{i}" for i in range(1, T + 1)),
         counts=counts,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from variantfit.crude import mean_crude_gamma
-from variantfit.data import ObservationRecord, validate_series
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage, ModelParams, Proportion
 from variantfit.estimate import fit, hessian, log_likelihood, score
@@ -41,8 +41,14 @@ def _check(failures, ok, message):
 
 
 def _window(series, t_from, t_through):
-    records = [r for r in series.records if t_from <= r.t_index <= t_through]
-    return validate_series(records, period_days=series.period_days)
+    t = np.array(series.t_values)
+    return series.select(periods=(t_from <= t) & (t <= t_through))
+
+
+def _series(n, x, label):
+    """A weekly two-variant series with N = n[t], X = x[t] at t = 1..T."""
+    rows = [(t + 1, f"{label}{t}", int(n[t]), int(x[t]), None, None) for t in range(len(n))]
+    return SurveillanceSeries.two_variant(rows, 7.0)
 
 
 def test_criterion_1_alpha_reproduction(capsys):
@@ -208,14 +214,7 @@ def test_criterion_7_property_suite(capsys):
         T = int(rng.integers(4, 12))
         n = rng.integers(20, 2000, size=T)
         x = rng.integers(1, n)
-        series = validate_series(
-            [
-                ObservationRecord(t_index=t + 1, label=f"p{t}", sequenced=int(n[t]),
-                                  variant_count=int(x[t]))
-                for t in range(T)
-            ],
-            7.0,
-        )
+        series = _series(n, x, "p")
         params = ModelParams(float(rng.normal(0, 1)), float(rng.normal(0, 0.3)))
         theta = np.array([params.alpha, params.beta])
         eps = 1e-6
@@ -247,14 +246,7 @@ def test_criterion_7_property_suite(capsys):
         T = int(r2.integers(3, 7))
         n = r2.integers(50, 800, size=T)
         x = r2.integers(1, n)
-        series = validate_series(
-            [
-                ObservationRecord(t_index=t + 1, label=f"g{t}", sequenced=int(n[t]),
-                                  variant_count=int(x[t]))
-                for t in range(T)
-            ],
-            7.0,
-        )
+        series = _series(n, x, "g")
         result = fit(series)
         lo = np.array([-20.0, -8.0])
         hi = np.array([10.0, 8.0])
@@ -278,23 +270,17 @@ def test_criterion_7_property_suite(capsys):
 
     # (c) invariances: scaling every count, and shifting the time index
     base = load_bundled("alpha")
-    scaled = validate_series(
-        [
-            ObservationRecord(t_index=r.t_index, label=r.label,
-                              sequenced=7 * r.sequenced, variant_count=7 * r.variant_count)
-            for r in base.records
-        ],
-        base.period_days,
+    scaled = SurveillanceSeries(
+        base.t_values, base.labels, 7 * base.counts, base.variant_names, base.period_days
     )
     f_base, f_scaled = fit(base), fit(scaled)
     _check(failures, abs(f_base.params.beta - f_scaled.params.beta) < 1e-10,
            "beta changed under uniform sequencing scale-up")
-    shifted = validate_series(
-        [
-            ObservationRecord(t_index=r.t_index + 5, label=r.label,
-                              sequenced=r.sequenced, variant_count=r.variant_count)
-            for r in base.records
-        ],
+    shifted = SurveillanceSeries(
+        tuple(t + 5 for t in base.t_values),
+        base.labels,
+        base.counts,
+        base.variant_names,
         base.period_days,
     )
     f_shift = fit(shifted)
@@ -305,14 +291,11 @@ def test_criterion_7_property_suite(capsys):
            "alpha did not absorb the time shift")
 
     # (d) two-variant multinomial fit equals the binomial fit
-    from variantfit.multivariant import MultiSeries
-
-    counts = np.array(
-        [[r.sequenced - r.variant_count, r.variant_count] for r in base.records]
-    )
-    pair = MultiSeries(
-        t_values=tuple(r.t_index for r in base.records),
-        labels=tuple(r.label for r in base.records),
+    n, x = base.binomial_counts()
+    counts = np.column_stack([n - x, x])
+    pair = SurveillanceSeries(
+        t_values=base.t_values,
+        labels=base.labels,
         counts=counts,
         variant_names=("incumbent", "variant"),
         period_days=base.period_days,
@@ -335,7 +318,7 @@ def test_criterion_7_property_suite(capsys):
         p = np.exp(etas - etas.max())
         p /= p.sum()
         rows.append(np.round(n_cases * p).astype(int))
-    tri = MultiSeries(
+    tri = SurveillanceSeries(
         t_values=tuple(range(1, 13)),
         labels=tuple(f"p{t}" for t in range(1, 13)),
         counts=np.array(rows),
@@ -371,12 +354,14 @@ def test_criterion_8_forecast_bands(capsys):
     train = _window(series, 5, 8)
     result = fit(train)
     variance = fisher_information(train, result)
-    held_out = [r for r in series.records if 9 <= r.t_index <= 18]
-    band = forecast(result, variance, [r.t_index for r in held_out], c=4.0)
-    for rec, lo, hi in zip(held_out, band.lower, band.upper):
-        share = rec.variant_count / rec.sequenced
+    n, x = series.binomial_counts()
+    held_out = [(t, n_t, x_t) for t, n_t, x_t in zip(series.t_values, n.tolist(), x.tolist())
+                if 9 <= t <= 18]
+    band = forecast(result, variance, [t for t, _, _ in held_out], c=4.0)
+    for (t, n_t, x_t), lo, hi in zip(held_out, band.lower, band.upper):
+        share = x_t / n_t
         _check(failures, lo <= share <= hi,
-               f"t={rec.t_index}: share {share:.4f} outside [{lo:.4f}, {hi:.4f}]")
+               f"t={t}: share {share:.4f} outside [{lo:.4f}, {hi:.4f}]")
 
     windows = [(5, 8), (5, 10), (5, 12), (5, 14)]
     horizons = list(range(15, 19))

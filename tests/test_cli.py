@@ -286,8 +286,7 @@ def test_parser_declares_only_the_options_each_command_reads():
                                         "--gamma-ci", "--from-fit", "--contour", "--out"},
         "adjusted-r": common | {"--gen-days", "--cases", "--cases-prev", "--tested",
                                 "--tested-prev", "--exponent"},
-        "simulate": {"--gamma", "--lambda0", "--n", "--t", "--seed", "--replication",
-                     "--period-days", "--out"},
+        "simulate": {"--gamma", "--lambda0", "--n", "--t", "--seed", "--replication", "--out"},
         "multi": common | variance | {"--level", "--gen-days", "--file"},
     }
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -296,7 +295,7 @@ def test_parser_declares_only_the_options_each_command_reads():
         for name, p in sub.choices.items()
     }
     assert options == expected
-    assert sum(len(v) for v in options.values()) == 53
+    assert sum(len(v) for v in options.values()) == 52
 
 
 ADJUSTED_R = ("adjusted-r", "--cases", "8", "--cases-prev", "4", "--tested", "6",
@@ -331,15 +330,38 @@ R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1"), id="grid-two-parts"),
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1:0"), id="grid-step-0"),
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:inf:0.1"), id="grid-inf"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1:1e-6"), id="grid-too-fine"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1e9:1"), id="grid-too-wide"),
         pytest.param(("infer-r", "--gamma-gen", "2.0"), id="nothing-to-do"),
         pytest.param(("estimate", "alpha", "--gen-days", "inf"), id="gen-days-inf"),
         pytest.param(("estimate", "alpha", "--level", "nan"), id="level-nan"),
         pytest.param(("simulate", "--gamma", "inf", "--lambda0", "0.1", "--n", "10", "--t", "3"),
                      id="simulate-gamma-inf"),
+        pytest.param(("simulate", "--gamma", "1.5", "--lambda0", "0.1", "--n", "10", "--t", "3",
+                      "--period-days", "1"), id="simulate-period-days"),
     ],
 )
 def test_usage_errors_are_one_error_line(capsys, argv):
     assert_one_error_line(*run(capsys, *argv), kind="UsageError")
+
+
+def test_contour_grid_at_the_bound_is_printed(capsys):
+    code, out, err = run(capsys, "infer-r", "--gamma-gen", "2.0", "--contour", "0:1:1e-4")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 10_001
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [("estimate", TWO_VARIANT_HEADER), ("multi", "t,label,count_a,count_b\n")],
+    ids=["two-variant", "multi-variant"],
+)
+def test_header_only_csv_is_empty_series(tmp_path, capsys, command, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header)
+    argv = [str(path)] if command == "estimate" else ["--file", str(path)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out, err) == (1, "", "error: EmptySeries: need at least 2 periods, got 0\n")
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("estimate", "--help")])
@@ -472,8 +494,7 @@ COMMANDS = {
     "simulate": (
         [{name: value} for name, value in SIMULATE.items()],
         {"--gamma": SIMULATE["--gamma"], "--lambda0": SIMULATE["--lambda0"],
-         "--seed": integers(-1, 99), "--replication": integers(-1, 99),
-         "--period-days": numbers(0.5, 14), "--out": OUTS},
+         "--seed": integers(-1, 99), "--replication": integers(-1, 99), "--out": OUTS},
     ),
     "multi": ([{"--file": MULTI_INPUTS}], {**COMMON, **LEVEL, **GEN, **VARIANCE}),
 }

@@ -1,22 +1,38 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from variantfit.crude import crude_gammas, mean_crude_gamma, proportion_intervals
-from variantfit.data import ObservationRecord, validate_series
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
+from variantfit.errors import InvalidValue
 
 
-def _odds(record):
-    return Fraction(record.variant_count, record.sequenced - record.variant_count)
+def _periods(series):
+    """(t, N, X) per period of a two-variant series."""
+    n, x = series.binomial_counts()
+    return list(zip(series.t_values, n.tolist(), x.tolist()))
+
+
+def _series(*pairs):
+    """A two-variant series with one (N, X) pair per period, at t = 1, 2, ..."""
+    rows = [(t, "ab"[t - 1], n, x, None, None) for t, (n, x) in enumerate(pairs, start=1)]
+    return SurveillanceSeries.two_variant(rows, 7.0)
+
+
+def _odds(period):
+    _, n, x = period
+    return Fraction(x, n - x)
 
 
 def _oracle_mean(series):
     values = []
-    prev = series.records[0]
-    for rec in series.records[1:]:
-        gap = rec.t_index - prev.t_index
+    periods = _periods(series)
+    prev = periods[0]
+    for rec in periods[1:]:
+        gap = rec[0] - prev[0]
         ratio = float(_odds(rec) / _odds(prev))
         values.append(ratio ** (1.0 / gap))
         prev = rec
@@ -28,10 +44,11 @@ def test_values_match_odds_ratio_oracle(name):
     series = load_bundled(name)
     measures = crude_gammas(series)
     assert len(measures) == len(series) - 1
-    prev = series.records[0]
-    for measure, rec in zip(measures, series.records[1:]):
-        assert measure.t_index == rec.t_index
-        expected = float(_odds(rec) / _odds(prev)) ** (1.0 / (rec.t_index - prev.t_index))
+    periods = _periods(series)
+    prev = periods[0]
+    for measure, rec in zip(measures, periods[1:]):
+        assert measure.t_index == rec[0]
+        expected = float(_odds(rec) / _odds(prev)) ** (1.0 / (rec[0] - prev[0]))
         assert measure.value == pytest.approx(expected, rel=1e-12)
         prev = rec
 
@@ -64,18 +81,12 @@ def test_geometric_mean_telescopes():
     series = load_bundled("alpha")
     measures = crude_gammas(series)
     product = math.prod(m.value for m in measures)
-    endpoint = float(_odds(series.records[-1]) / _odds(series.records[0]))
+    endpoint = float(_odds(_periods(series)[-1]) / _odds(_periods(series)[0]))
     assert product == pytest.approx(endpoint, rel=1e-10)
 
 
 def test_zero_cell_uses_continuity_correction():
-    series = validate_series(
-        [
-            ObservationRecord(t_index=1, label="a", sequenced=100, variant_count=0),
-            ObservationRecord(t_index=2, label="b", sequenced=100, variant_count=10),
-        ],
-        7.0,
-    )
+    series = _series((100, 0), (100, 10))
     measure = crude_gammas(series)[0]
     expected = (10.5 / 90.5) / (0.5 / 100.5)
     assert measure.value == pytest.approx(expected, rel=1e-12)
@@ -89,13 +100,7 @@ def test_crude_ci_brackets_point_and_uses_wald_width():
 
 
 def test_wald_interval_by_hand():
-    series = validate_series(
-        [
-            ObservationRecord(t_index=1, label="a", sequenced=120, variant_count=20),
-            ObservationRecord(t_index=2, label="b", sequenced=130, variant_count=40),
-        ],
-        7.0,
-    )
+    series = _series((120, 20), (130, 40))
     m = crude_gammas(series)[0]
     ratio = (40 / 90) / (20 / 100)
     se = math.sqrt(1 / 40 + 1 / 90 + 1 / 20 + 1 / 100)
@@ -108,20 +113,14 @@ def test_wilson_intervals_basic_properties():
     series = load_bundled("omicron")
     intervals = proportion_intervals(series, 0.95)
     assert len(intervals) == len(series)
-    for (t, point, lo, hi), rec in zip(intervals, series.records):
-        assert t == rec.t_index
-        assert point == pytest.approx(rec.variant_count / rec.sequenced)
+    for (t, point, lo, hi), (t_rec, n, x) in zip(intervals, _periods(series)):
+        assert t == t_rec
+        assert point == pytest.approx(x / n)
         assert 0.0 <= lo <= point <= hi <= 1.0
 
 
 def test_wilson_zero_numerator():
-    series = validate_series(
-        [
-            ObservationRecord(t_index=1, label="a", sequenced=100, variant_count=0),
-            ObservationRecord(t_index=2, label="b", sequenced=100, variant_count=100),
-        ],
-        7.0,
-    )
+    series = _series((100, 0), (100, 100))
     intervals = proportion_intervals(series, 0.95)
     _, point, lo, hi = intervals[0]
     assert point == 0.0
@@ -136,13 +135,32 @@ def test_wilson_zero_numerator():
 def test_wilson_width_shrinks_with_n():
     widths = []
     for n in (50, 500, 5000):
-        series = validate_series(
-            [
-                ObservationRecord(t_index=1, label="a", sequenced=n, variant_count=n // 5),
-                ObservationRecord(t_index=2, label="b", sequenced=n, variant_count=n // 4),
-            ],
-            7.0,
-        )
+        series = _series((n, n // 5), (n, n // 4))
         _, _, lo, hi = proportion_intervals(series, 0.95)[0]
         widths.append(hi - lo)
     assert widths[0] > widths[1] > widths[2]
+
+
+def test_crude_needs_two_variants():
+    three = SurveillanceSeries(
+        t_values=(1, 2, 3),
+        labels=("a", "b", "c"),
+        counts=np.array([[10, 5, 1], [5, 6, 2], [3, 9, 4]]),
+        variant_names=("v1", "v2", "v3"),
+    )
+    with pytest.raises(InvalidValue, match="two-variant"):
+        crude_gammas(three)
+
+
+def test_gap_spreads_the_interval_over_the_periods():
+    # Periods 1 and 4: the measure and both endpoints are cube roots of the
+    # one-period figures.
+    gap = SurveillanceSeries.two_variant(
+        [(1, "a", 120, 20, None, None), (4, "b", 130, 40, None, None)], 7.0
+    )
+    one = _series((120, 20), (130, 40))
+    m, m1 = crude_gammas(gap)[0], crude_gammas(one)[0]
+    assert m.t_index == 4
+    assert m.value == pytest.approx(m1.value ** (1 / 3), rel=1e-12)
+    assert m.ci_low == pytest.approx(m1.ci_low ** (1 / 3), rel=1e-12)
+    assert m.ci_high == pytest.approx(m1.ci_high ** (1 / 3), rel=1e-12)

@@ -1,51 +1,61 @@
 import io
 
+import numpy as np
 import pytest
 
 from variantfit.data import (
-    ObservationRecord,
+    SurveillanceSeries,
     load_csv,
     read_csv,
     to_csv_string,
-    validate_series,
 )
 from variantfit.datasets import load_bundled
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,
     EmptySeries,
+    InvalidValue,
     ParseError,
     UnknownDataset,
 )
 
+two_variant = SurveillanceSeries.two_variant
 
-def rec(t, n, x, **kw):
-    return ObservationRecord(t_index=t, label=f"t{t}", sequenced=n, variant_count=x, **kw)
+
+def rec(t, n, x, total_cases=None, tested=None):
+    return (t, f"t{t}", n, x, total_cases, tested)
+
+
+def period(series, label):
+    """(N, X) of the period with this label."""
+    n, x = series.binomial_counts()
+    i = series.labels.index(label)
+    return int(n[i]), int(x[i])
 
 
 def test_validate_sorts_and_accepts():
-    series = validate_series([rec(3, 10, 1), rec(1, 20, 2), rec(2, 30, 3)], 7.0)
-    assert series.t_values == [1, 2, 3]
+    series = two_variant([rec(3, 10, 1), rec(1, 20, 2), rec(2, 30, 3)], 7.0)
+    assert series.t_values == (1, 2, 3)
     assert series.period_days == 7.0
 
 
 def test_single_record_rejected():
     with pytest.raises(EmptySeries):
-        validate_series([rec(1, 10, 1)], 7.0)
+        two_variant([rec(1, 10, 1)], 7.0)
 
 
 def test_count_violation():
     with pytest.raises(CountViolation):
-        rec(1, 3, 5)
+        two_variant([rec(1, 3, 5)])
     with pytest.raises(CountViolation):
-        rec(1, 10, 1, total_cases=5)
+        two_variant([rec(1, 10, 1, total_cases=5)])
     with pytest.raises(CountViolation):
-        ObservationRecord(t_index=1, label="", sequenced=-1, variant_count=0)
+        two_variant([(1, "", -1, 0, None, None)])
 
 
 def test_duplicate_period():
     with pytest.raises(DuplicatePeriod):
-        validate_series([rec(1, 10, 1), rec(1, 20, 2)], 7.0)
+        two_variant([rec(1, 10, 1), rec(1, 20, 2)], 7.0)
 
 
 def test_bundled_shapes():
@@ -56,26 +66,25 @@ def test_bundled_shapes():
 
 def test_bundled_spot_checks():
     alpha = load_bundled("alpha")
-    w46 = alpha.records[0]
-    assert (w46.sequenced, w46.variant_count) == (1486, 4)
+    assert alpha.labels[0] == "W46"
+    assert period(alpha, "W46") == (1486, 4)
     delta = load_bundled("delta")
-    w25 = next(r for r in delta.records if r.label == "W25")
-    assert (w25.sequenced, w25.variant_count) == (1165, 345)
+    assert period(delta, "W25") == (1165, 345)
     omicron = load_bundled("omicron")
-    dec8 = next(r for r in omicron.records if r.label == "2021-12-08")
-    assert (dec8.sequenced, dec8.variant_count) == (6232, 649)
+    assert period(omicron, "2021-12-08") == (6232, 649)
     assert omicron.period_days == 1.0
 
 
 def test_bundled_proportions_match_printed_precision():
     alpha = load_bundled("alpha")
-    w03 = next(r for r in alpha.records if r.label == "W03")
-    assert round(100 * w03.proportion, 2) == 12.83
+    n, x = period(alpha, "W03")
+    assert round(100 * x / n, 2) == 12.83
     # printed percentages, one per row, weekly Alpha table
     printed = [0.27, 0.15, 0.33, 0.38, 0.38, 0.75, 1.76, 2.04, 3.77,
                7.04, 12.83, 19.51, 29.66, 47.06, 65.81, 76.11, 85.18, 92.45]
-    for r, pct in zip(alpha.records, printed):
-        assert round(100 * r.proportion, 2) == pytest.approx(pct, abs=0.005)
+    n, x = alpha.binomial_counts()
+    for n_t, x_t, pct in zip(n.tolist(), x.tolist(), printed):
+        assert round(100 * x_t / n_t, 2) == pytest.approx(pct, abs=0.005)
 
 
 def test_unknown_dataset():
@@ -111,5 +120,68 @@ def test_csv_malformed_row_reports_row_number():
 def test_csv_optional_fields_empty():
     text = "t,label,sequenced,variant_count,total_cases,tested\n1,a,10,1,,\n2,b,20,2,25,100\n"
     series = read_csv(io.StringIO(text))
-    assert series.records[0].total_cases is None
-    assert series.records[1].tested == 100
+    assert series.total_cases[0] is None
+    assert series.tested[1] == 100
+
+
+def three_variant(counts, t_values=(1, 2, 3)):
+    return SurveillanceSeries(
+        t_values=t_values,
+        labels=tuple(f"w{t}" for t in t_values),
+        counts=counts,
+        variant_names=("a", "b", "c"),
+    )
+
+
+def test_counts_are_a_read_only_copy():
+    counts = np.array([[10, 5, 1], [5, 6, 2], [3, 9, 4]])
+    series = three_variant(counts)
+    counts[0, 0] = 999
+    assert series.counts[0, 0] == 10
+    assert series.columns[1][0, 0] == 10.0
+    with pytest.raises(ValueError):
+        series.counts[0, 0] = 999
+    assert not series.columns[0].flags.writeable and not series.columns[1].flags.writeable
+
+
+def test_periods_are_checked_before_the_counts():
+    with pytest.raises(EmptySeries, match="got 0"):
+        three_variant(np.zeros((0,), dtype=int), t_values=())
+    with pytest.raises(DuplicatePeriod):
+        three_variant(np.array([[1, -1, 1], [1, 1, 1], [1, 1, 1]]), t_values=(1, 1, 2))
+    with pytest.raises(InvalidValue, match="non-negative"):
+        three_variant(np.array([[1, -1, 1], [1, 1, 1], [1, 1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [np.ones((3, 2), dtype=int), np.ones((2, 3), dtype=int), np.ones((3, 3)), np.ones(3, dtype=int)],
+    ids=["too-few-columns", "too-few-rows", "floats", "one-dimensional"],
+)
+def test_malformed_counts_are_invalid(counts):
+    with pytest.raises(InvalidValue):
+        three_variant(counts)
+
+
+def test_binomial_counts_need_two_variants():
+    n, x = load_bundled("delta").binomial_counts()
+    assert (int(n[0]), int(x[0])) == (5366, 13)
+    with pytest.raises(InvalidValue, match="two-variant"):
+        three_variant(np.ones((3, 3), dtype=int)).binomial_counts()
+
+
+def test_select_keeps_the_chosen_periods_and_variants():
+    series = three_variant(np.arange(9).reshape(3, 3))
+    part = series.select(periods=[0, 2], variants=[2, 0])
+    assert part.t_values == (1, 3)
+    assert part.labels == ("w1", "w3")
+    assert part.variant_names == ("c", "a")
+    assert part.counts.tolist() == [[2, 0], [8, 6]]
+    assert part.total_cases == (None, None)
+
+
+def test_equal_series_compare_equal():
+    a = three_variant(np.arange(9).reshape(3, 3))
+    assert a == three_variant(np.arange(9).reshape(3, 3))
+    assert a != three_variant(np.arange(9).reshape(3, 3) + 1)
+    assert a != load_bundled("alpha")

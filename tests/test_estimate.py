@@ -4,20 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from variantfit.data import ObservationRecord, validate_series
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
-from variantfit.errors import Separation, Singular
+from variantfit.errors import InvalidValue, Separation, Singular
 from variantfit.estimate import fit, hessian, log_likelihood, score
 from variantfit.simulate import SimConfig, simulate
 
 
 def series_from_counts(pairs, start=1, period_days=7.0):
-    return validate_series(
-        [
-            ObservationRecord(t_index=t, label=str(t), sequenced=n, variant_count=x)
-            for t, (n, x) in enumerate(pairs, start=start)
-        ],
+    return SurveillanceSeries.two_variant(
+        [(t, str(t), n, x, None, None) for t, (n, x) in enumerate(pairs, start=start)],
         period_days,
     )
 
@@ -39,13 +36,14 @@ def mp_log_likelihood(series, params):
     """Independent summation oracle in 50-digit arithmetic."""
     with mpmath.workdps(50):
         total = mpmath.mpf(0)
-        for r in series.records:
-            eta = mpmath.mpf(params.alpha) + mpmath.mpf(params.beta) * r.t_index
+        sequenced, variant_count = series.binomial_counts()
+        for t, n, x in zip(series.t_values, sequenced.tolist(), variant_count.tolist()):
+            eta = mpmath.mpf(params.alpha) + mpmath.mpf(params.beta) * t
             lam = 1 / (1 + mpmath.e**-eta)
-            if r.variant_count:
-                total += r.variant_count * mpmath.log(lam)
-            if r.sequenced - r.variant_count:
-                total += (r.sequenced - r.variant_count) * mpmath.log(1 - lam)
+            if x:
+                total += x * mpmath.log(lam)
+            if n - x:
+                total += (n - x) * mpmath.log(1 - lam)
         return float(total)
 
 
@@ -205,17 +203,8 @@ def test_grid_search_oracle_agreement():
 
 def test_sequencing_intensity_invariance():
     series = load_bundled("delta")
-    scaled = validate_series(
-        [
-            ObservationRecord(
-                t_index=r.t_index,
-                label=r.label,
-                sequenced=7 * r.sequenced,
-                variant_count=7 * r.variant_count,
-            )
-            for r in series.records
-        ],
-        series.period_days,
+    scaled = SurveillanceSeries(
+        series.t_values, series.labels, 7 * series.counts, series.variant_names, series.period_days
     )
     base = fit(series)
     big = fit(scaled)
@@ -226,16 +215,11 @@ def test_sequencing_intensity_invariance():
 def test_time_shift_covariance():
     series = load_bundled("alpha")
     shift = 5
-    shifted = validate_series(
-        [
-            ObservationRecord(
-                t_index=r.t_index + shift,
-                label=r.label,
-                sequenced=r.sequenced,
-                variant_count=r.variant_count,
-            )
-            for r in series.records
-        ],
+    shifted = SurveillanceSeries(
+        tuple(t + shift for t in series.t_values),
+        series.labels,
+        series.counts,
+        series.variant_names,
         series.period_days,
     )
     base = fit(series)
@@ -248,9 +232,11 @@ def test_time_shift_covariance():
 
 def test_zero_weight_period_has_no_effect():
     base = series_from_counts([(100, 10), (100, 30), (100, 60)])
-    padded = validate_series(
-        list(base.records)
-        + [ObservationRecord(t_index=4, label="pad", sequenced=0, variant_count=0)],
+    padded = SurveillanceSeries(
+        base.t_values + (4,),
+        base.labels + ("pad",),
+        np.vstack([base.counts, [0, 0]]),
+        base.variant_names,
         base.period_days,
     )
     a = fit(base)
@@ -283,7 +269,7 @@ def test_long_daily_series_converges():
     )
     series = simulate(config, replication=1)
     result = fit(series)
-    n = np.array([r.sequenced for r in series.records], dtype=float)
+    n = np.array(series.binomial_counts()[0], dtype=float)
     t = np.array(series.t_values, dtype=float)
     g = score(series, result.params)
     assert abs(g[0]) <= 1e-12 * n.sum()
@@ -305,3 +291,14 @@ def test_separated_series_raise_separation(pairs):
     # one period, so the likelihood keeps rising as beta grows.
     with pytest.raises(Separation):
         fit(series_from_counts(pairs))
+
+
+def test_fit_needs_two_variants():
+    three = SurveillanceSeries(
+        t_values=(1, 2, 3),
+        labels=("a", "b", "c"),
+        counts=np.array([[10, 5, 1], [5, 6, 2], [3, 9, 4]]),
+        variant_names=("v1", "v2", "v3"),
+    )
+    with pytest.raises(InvalidValue, match="two-variant"):
+        fit(three)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from variantfit.data import ObservationRecord, validate_series
 from variantfit.datasets import load_bundled
 from variantfit.errors import NegativeC
 from variantfit.estimate import fit
@@ -13,9 +12,7 @@ from variantfit.inference import fisher_information, hac_sandwich
 
 
 def _truncate(series, through):
-    return validate_series(
-        [r for r in series.records if r.t_index <= through], series.period_days
-    )
+    return series.select(periods=np.array(series.t_values) <= through)
 
 
 def test_c_zero_collapses_to_point():
@@ -78,10 +75,12 @@ def test_train_early_covers_later_observations():
     train = _truncate(series, 8)
     result = fit(train)
     variance = fisher_information(train, result)
-    held_out = [r for r in series.records if r.t_index > 8]
-    band = forecast(result, variance, horizons=[r.t_index for r in held_out], c=4.0)
-    for rec, lo, hi in zip(held_out, band.lower, band.upper):
-        share = rec.variant_count / rec.sequenced
+    n, x = series.binomial_counts()
+    held_out = [(t, n_t, x_t) for t, n_t, x_t in zip(series.t_values, n.tolist(), x.tolist())
+                if t > 8]
+    band = forecast(result, variance, horizons=[t for t, _, _ in held_out], c=4.0)
+    for (_, n_t, x_t), lo, hi in zip(held_out, band.lower, band.upper):
+        share = x_t / n_t
         assert lo <= share <= hi
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from variantfit.data import ObservationRecord, validate_series
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage
 from variantfit.errors import BandwidthTooLarge, PeriodMismatch
@@ -123,17 +123,8 @@ def test_interval_widths_grow_with_bandwidth():
 
 def test_doubling_counts_halves_fisher_variance():
     series = load_bundled("alpha")
-    doubled = validate_series(
-        [
-            ObservationRecord(
-                t_index=r.t_index,
-                label=r.label,
-                sequenced=2 * r.sequenced,
-                variant_count=2 * r.variant_count,
-            )
-            for r in series.records
-        ],
-        series.period_days,
+    doubled = SurveillanceSeries(
+        series.t_values, series.labels, 2 * series.counts, series.variant_names, series.period_days
     )
     v1 = fisher_information(series, fit(series)).matrix
     v2 = fisher_information(doubled, fit(doubled)).matrix
@@ -184,7 +175,7 @@ def test_degenerate_interval_when_se_zero():
     series = load_bundled("alpha")
     result = fit(series)
     variance = fisher_information(series, result)
-    zero = type(variance)(kind="fisher", matrix=np.zeros((2, 2)), fit=result)
+    zero = type(variance)(kind="fisher", matrix=np.zeros((2, 2)))
     est = interval_for_gamma(zero, result, 4.7)
     assert est.ci_low == est.gamma.value == est.ci_high
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
-from variantfit.errors import InvalidIndex, ParseError, Separation
+from variantfit.errors import EmptySeries, InvalidIndex, ParseError, Separation
 from variantfit.estimate import fit
 from variantfit.multivariant import (
     MultiParams,
-    MultiSeries,
     fit_multi,
     marginalize,
     multi_hessian,
@@ -33,7 +33,7 @@ def _three_variant_series(n=10**6, t_max=12):
         p /= p.sum()
         rows.append(np.round(n * p).astype(int))
     counts = np.array(rows)
-    return MultiSeries(
+    return SurveillanceSeries(
         t_values=tuple(range(1, t_max + 1)),
         labels=tuple(f"p{t}" for t in range(1, t_max + 1)),
         counts=counts,
@@ -43,12 +43,11 @@ def _three_variant_series(n=10**6, t_max=12):
 
 
 def _binary_multi(series):
-    counts = np.array(
-        [[r.sequenced - r.variant_count, r.variant_count] for r in series.records]
-    )
-    return MultiSeries(
-        t_values=tuple(r.t_index for r in series.records),
-        labels=tuple(r.label for r in series.records),
+    n, x = series.binomial_counts()
+    counts = np.column_stack([n - x, x])
+    return SurveillanceSeries(
+        t_values=series.t_values,
+        labels=series.labels,
         counts=counts,
         variant_names=("incumbent", "variant"),
         period_days=series.period_days,
@@ -97,9 +96,10 @@ def test_marginalization_consistency():
 def test_marginalize_counts_and_roles():
     series = _three_variant_series(n=1000, t_max=5)
     reduced = marginalize(series, (2, 3))
-    for rec, i in zip(reduced.records, range(5)):
-        assert rec.variant_count == series.counts[i, 2]
-        assert rec.sequenced == series.counts[i, 1] + series.counts[i, 2]
+    sequenced, variant_count = reduced.binomial_counts()
+    for n, x, i in zip(sequenced, variant_count, range(5)):
+        assert x == series.counts[i, 2]
+        assert n == series.counts[i, 1] + series.counts[i, 2]
 
 
 def test_marginalize_bad_indices():
@@ -111,7 +111,7 @@ def test_marginalize_bad_indices():
 
 def test_relabeling_numeraire_preserves_pairwise_advantages():
     series = _three_variant_series(n=10**6)
-    swapped = MultiSeries(
+    swapped = SurveillanceSeries(
         t_values=series.t_values,
         labels=series.labels,
         counts=series.counts[:, [1, 0, 2]],
@@ -144,7 +144,7 @@ def test_step_preserves_simplex_and_matches_softmax():
 def test_score_and_hessian_match_finite_differences():
     rng = np.random.default_rng(77)
     counts = rng.integers(1, 400, size=(8, 3))
-    series = MultiSeries(
+    series = SurveillanceSeries(
         t_values=tuple(range(1, 9)),
         labels=tuple("abcdefgh"),
         counts=counts,
@@ -189,7 +189,7 @@ def test_hessian_negative_definite_at_interior_point():
 
 def test_separation_raises():
     counts = np.array([[50, 0, 10], [40, 0, 20], [30, 0, 30]])
-    series = MultiSeries(
+    series = SurveillanceSeries(
         t_values=(1, 2, 3),
         labels=("a", "b", "c"),
         counts=counts,
@@ -218,6 +218,11 @@ def test_csv_rejects_bad_header_and_values():
         read_multi_csv(io.StringIO(bad))
 
 
+def test_csv_header_only_is_empty_series():
+    with pytest.raises(EmptySeries, match="need at least 2 periods, got 0"):
+        read_multi_csv(io.StringIO("t,label,count_a,count_b\n"))
+
+
 def test_ten_variant_long_series_converges():
     # Nine faster variants take over from a numeraire that starts at 91%.
     # At the optimum the score is at float resolution, which is above any
@@ -242,7 +247,7 @@ def test_ten_variant_long_series_converges():
 
 def test_separation_when_a_variant_appears_after_the_others_vanish():
     counts = np.array([[10, 5, 0], [10, 6, 0], [10, 7, 5]])
-    series = MultiSeries(
+    series = SurveillanceSeries(
         t_values=(1, 2, 3), labels=("a", "b", "c"), counts=counts, variant_names=("v1", "v2", "v3")
     )
     with pytest.raises(Separation):
@@ -253,7 +258,7 @@ def test_fit_when_one_variant_vanishes_before_another_appears():
     # Variants 2 and 3 are never seen together, but each overlaps the
     # numeraire, so the MLE exists although not every pair of ranges overlaps.
     counts = np.array([[50, 20, 0], [50, 15, 0], [50, 10, 0], [50, 0, 5], [50, 0, 10], [50, 0, 20]])
-    series = MultiSeries(
+    series = SurveillanceSeries(
         t_values=tuple(range(1, 7)),
         labels=tuple("abcdef"),
         counts=counts,

@@ -6,7 +6,6 @@ import pytest
 from variantfit.data import SurveillanceSeries
 from variantfit.dynamics import Advantage, Proportion, step_lambda
 from variantfit.errors import InvalidConfig
-from variantfit.multivariant import MultiSeries
 from variantfit.simulate import RecoveryReport, SimConfig, expected_path, recovery_report, simulate
 
 
@@ -44,15 +43,16 @@ def test_different_replications_differ():
     a = simulate(config, replication=0)
     b = simulate(config, replication=1)
     assert any(
-        x.variant_count != y.variant_count for x, y in zip(a.records, b.records)
+        x != y for x, y in zip(a.binomial_counts()[1], b.binomial_counts()[1])
     )
 
 
 def test_counts_respect_schedule():
     config = _config(sequenced=(100, 0, 250, 4000))
     series = simulate(config)
-    assert tuple(r.sequenced for r in series.records) == (100, 0, 250, 4000)
-    assert all(0 <= r.variant_count <= r.sequenced for r in series.records)
+    n, x = series.binomial_counts()
+    assert tuple(n.tolist()) == (100, 0, 250, 4000)
+    assert all(0 <= x_t <= n_t for n_t, x_t in zip(n, x))
 
 
 def test_empirical_mean_tracks_expected_path():
@@ -62,7 +62,8 @@ def test_empirical_mean_tracks_expected_path():
     n_rep = 300
     for rep in range(n_rep):
         series = simulate(config, replication=rep)
-        sums += [r.variant_count / r.sequenced for r in series.records]
+        n, x = series.binomial_counts()
+        sums += [x_t / n_t for n_t, x_t in zip(n.tolist(), x.tolist())]
     means = sums / n_rep
     se = np.sqrt(path[:, 1] * (1 - path[:, 1]) / (5000 * n_rep))
     assert np.all(np.abs(means - path[:, 1]) < 5 * se + 1e-12)
@@ -76,7 +77,7 @@ def test_three_variant_simulation_shape():
         seed=2,
     )
     series = simulate(config)
-    assert isinstance(series, MultiSeries)
+    assert isinstance(series, SurveillanceSeries)
     assert series.counts.shape == (6, 3)
     assert np.array_equal(series.totals, np.full(6, 2000))
 
@@ -90,8 +91,8 @@ def test_total_cases_from_growth_schedule():
     series = simulate(config)
     # numeraire flat, variant grows by 1.6 each period from 200 cases
     expected = 9800 + 200 * 1.6
-    assert series.records[0].total_cases == round(expected)
-    assert all(r.total_cases is not None for r in series.records)
+    assert series.total_cases[0] == round(expected)
+    assert all(cases is not None for cases in series.total_cases)
 
 
 def test_invalid_configs_rejected():
