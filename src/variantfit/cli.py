@@ -9,6 +9,7 @@ output. Error paths exit nonzero with a single `error:`-prefixed line.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -246,7 +247,8 @@ def _grid(spec: str) -> list[float]:
     """The parser's type for --contour: start:stop:step, clamped to [0, 1].
 
     The point count is worked out before any point is built, and a grid of
-    more than MAX_GRID_POINTS is refused.
+    more than MAX_GRID_POINTS, or whose step does not advance the start, is
+    refused.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -254,6 +256,10 @@ def _grid(spec: str) -> list[float]:
     start, stop, step = (_finite_float(v) for v in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    if start + step == start:
+        raise argparse.ArgumentTypeError(
+            f"grid step {step:g} is below the precision of the start {start:g}"
+        )
     points = max(math.floor((stop + 1e-12 - start) / step) + 1, 0)
     if points > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
@@ -262,8 +268,8 @@ def _grid(spec: str) -> list[float]:
     values = []
     v = start
     # The points are accumulated, so they can differ from start + i * step in
-    # the last bits. The length bound also ends the loop where a step below
-    # v's precision leaves v unchanged.
+    # the last bits. The length bound also ends the loop where v has grown so
+    # far past the start that the step no longer changes it.
     while v <= stop + 1e-12 and len(values) <= points:
         values.append(min(max(v, 0.0), 1.0))
         v += step
@@ -429,7 +435,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args keeps no state between calls: each returns a new Namespace.
+    """
     parser = _Parser(
         prog="variantfit",
         description="Estimate the growth advantage of an emerging virus variant.",

@@ -75,15 +75,28 @@ def model_derivatives(
     Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
     """
     m = counts.shape[1]
+    k = m - 1
     p = np.exp(_log_softmax(theta, t, m))[:, 1:]
     n = counts.sum(axis=1)
-    x = np.column_stack([np.ones_like(t), t])
+    # Row t of xx holds x_ta x_tb for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1),
+    # with x_t = (1, t); its first two columns are x_t.
+    xx = np.empty((len(t), 4))
+    xx[:, 0] = 1.0
+    xx[:, 1] = xx[:, 2] = t
+    xx[:, 3] = t * t
     resid = counts[:, 1:] - n[:, None] * p
-    scores = (resid[:, :, None] * x[:, None, :]).reshape(len(t), -1)
-    # -H = sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t')
-    w = n[:, None, None] * (p[:, :, None] * np.eye(m - 1) - p[:, :, None] * p[:, None, :])
-    info = np.einsum("tjk,tab->jakb", w, x[:, :, None] * x[:, None, :])
-    return scores, -info.reshape(2 * (m - 1), 2 * (m - 1))
+    scores = (resid[:, :, None] * xx[:, None, :2]).reshape(len(t), -1)
+    # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
+    # With w = n p, every (j, k) block of sum_t w_tj p_tk x_t x_t' comes from
+    # one matmul. The diagonal blocks are then set to sum_t w_tj (p_tj - 1)
+    # x_t x_t': subtracting sum_t w_tj x_t x_t' instead would cancel when a
+    # share nears 1.
+    w = n[:, None] * p
+    h = ((w[:, :, None] * xx[:, None, :]).reshape(len(t), -1).T @ p).reshape(k, 2, 2, k)
+    h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
+    diagonal = np.arange(k)
+    h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    return scores, 0.5 * (h + h.T)
 
 
 def _check_identified(t: np.ndarray, counts: np.ndarray) -> None:
@@ -168,13 +181,18 @@ def _theta(params: ModelParams) -> np.ndarray:
 
 
 def log_likelihood(series: SurveillanceSeries, params: ModelParams) -> float:
+    series.binomial_counts()  # raises unless m = 2
     return model_log_likelihood(_theta(params), *series.columns)
 
 
 def scores_and_hessian(
     series: SurveillanceSeries, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period scores and the Hessian with respect to (alpha, beta)."""
+    """Per-period scores and the Hessian with respect to (alpha, beta).
+
+    InvalidValue unless the series has exactly two variants.
+    """
+    series.binomial_counts()  # raises unless m = 2
     return model_derivatives(_theta(params), *series.columns)
 
 

@@ -208,7 +208,7 @@ def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageE
             f"period mismatch: {a.gamma.period_days} vs {b.gamma.period_days}"
         )
     if not math.isclose(a.level, b.level):
-        raise ValueError("confidence levels differ")
+        raise InvalidValue(f"confidence levels differ: {a.level} vs {b.level}")
     return AdvantageEstimate(
         gamma=Advantage(
             value=a.gamma.value * b.gamma.value, period_days=a.gamma.period_days

@@ -332,6 +332,8 @@ R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:inf:0.1"), id="grid-inf"),
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1:1e-6"), id="grid-too-fine"),
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "0:1e9:1"), id="grid-too-wide"),
+        pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "1e17:1e17:1"),
+                     id="grid-step-below-start-precision"),
         pytest.param(("infer-r", "--gamma-gen", "2.0"), id="nothing-to-do"),
         pytest.param(("estimate", "alpha", "--gen-days", "inf"), id="gen-days-inf"),
         pytest.param(("estimate", "alpha", "--level", "nan"), id="level-nan"),
@@ -349,6 +351,27 @@ def test_contour_grid_at_the_bound_is_printed(capsys):
     code, out, err = run(capsys, "infer-r", "--gamma-gen", "2.0", "--contour", "0:1:1e-4")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + 10_001
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    run(capsys, "forecast", "alpha", "--c", "3", "--json")
+    code, out, _ = run(capsys, "forecast", "alpha", "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["options"]["c"] == [2.0]
+    assert [band["c"] for band in report["bands"]] == [2.0]
+    run(capsys, "estimate", "alpha", "--hac", "2", "--json")
+    code, out, _ = run(capsys, "estimate", "alpha", "--json")
+    assert code == 0
+    assert json.loads(out)["options"]["variance"] == "sandwich(4)"
+    normal = run(capsys, "estimate", "delta", "--level", "0.9", "--json")
+    assert normal[0] == 0
+    for rejected in [("estimate", "delta", "--fisher", "--hac", "2"),
+                     ("estimate", "delta", "--level", "1.5"),
+                     ("no-such-command",)]:
+        assert run(capsys, *rejected)[0] == 1
+        assert run(capsys, "estimate", "delta", "--level", "0.9", "--json") == normal
 
 
 @pytest.mark.parametrize(

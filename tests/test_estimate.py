@@ -8,7 +8,7 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
-from variantfit.estimate import fit, hessian, log_likelihood, score
+from variantfit.estimate import fit, hessian, log_likelihood, model_derivatives, score
 from variantfit.simulate import SimConfig, simulate
 
 
@@ -302,3 +302,33 @@ def test_fit_needs_two_variants():
     )
     with pytest.raises(InvalidValue, match="two-variant"):
         fit(three)
+    with pytest.raises(InvalidValue, match="two-variant"):
+        log_likelihood(three, ModelParams(alpha=0.0, beta=0.0))
+
+
+def kron_information(theta, t, counts):
+    """-H as the per-period sum of kron(n_t (diag p_t - p_t p_t'), x_t x_t')."""
+    m = counts.shape[1]
+    eta = np.zeros((len(t), m))
+    eta[:, 1:] = theta[0::2] + t[:, None] * theta[1::2]
+    total = np.zeros((2 * (m - 1), 2 * (m - 1)))
+    for t_i, c_t, eta_t in zip(t, counts, eta):
+        p = np.exp(eta_t - eta_t.max())
+        p = (p / p.sum())[1:]
+        x = np.array([1.0, t_i])
+        total += np.kron(c_t.sum() * (np.diag(p) - np.outer(p, p)), np.outer(x, x))
+    return total
+
+
+@pytest.mark.parametrize("T", [18, 500])
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_hessian_equals_per_period_kron_sum(m, T):
+    rng = np.random.default_rng([m, T])
+    t = np.arange(1.0, T + 1)
+    counts = rng.integers(0, 3000, size=(T, m)).astype(float)
+    # Each log-odds against the numeraire moves by at most 3 over the window.
+    theta = np.column_stack([rng.uniform(-1, 1, m - 1), rng.uniform(-3, 3, m - 1) / T]).ravel()
+    _, h = model_derivatives(theta, t, counts)
+    reference = kron_information(theta, t, counts)
+    assert np.array_equal(h, h.T)
+    assert np.max(np.abs(h + reference)) <= 1e-12 * np.max(np.abs(reference))

@@ -6,7 +6,7 @@ import pytest
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage
-from variantfit.errors import BandwidthTooLarge, PeriodMismatch
+from variantfit.errors import BandwidthTooLarge, InvalidValue, PeriodMismatch
 from variantfit.estimate import fit
 from variantfit.inference import (
     AdvantageEstimate,
@@ -201,6 +201,35 @@ def test_compose_period_mismatch():
     b = AdvantageEstimate(Advantage(1.7, 4.7), 1.6, 1.8, 0.95)
     with pytest.raises(PeriodMismatch):
         compose_advantages(a, b)
+
+
+def test_compose_level_mismatch_is_invalid_value():
+    a = AdvantageEstimate(Advantage(1.7, 7.0), 1.6, 1.8, 0.95)
+    b = AdvantageEstimate(Advantage(1.7, 7.0), 1.6, 1.8, 0.9)
+    with pytest.raises(InvalidValue, match="levels differ"):
+        compose_advantages(a, b)
+    with pytest.raises(ValueError):
+        compose_advantages(a, b)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 4])
+def test_variance_refuses_a_series_with_more_variants_than_the_fit(bandwidth):
+    # Unchecked, the fit's (alpha, beta) broadcast over both non-numeraire
+    # columns of the copied-column series and give a 4x4 "covariance".
+    alpha = load_bundled("alpha")
+    three = SurveillanceSeries(
+        t_values=alpha.t_values,
+        labels=alpha.labels,
+        counts=np.column_stack([alpha.counts, alpha.counts[:, 1]]),
+        variant_names=("ancestral", "alpha", "copy"),
+        period_days=alpha.period_days,
+    )
+    result = fit(alpha)
+    with pytest.raises(InvalidValue, match="two-variant"):
+        if bandwidth is None:
+            fisher_information(three, result)
+        else:
+            hac_sandwich(three, result, bandwidth)
 
 
 def test_delta_vs_ancestral_composition():

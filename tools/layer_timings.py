@@ -1,0 +1,143 @@
+"""Time each layer of one fit at every grid point of T periods x m variants.
+
+    python tools/layer_timings.py                              # the full grid
+    python tools/layer_timings.py --periods 18 --variants 2    # one point
+
+At each point a seeded simulated series with 3 000 sequenced cases per
+period is written as CSV to a temporary directory. Then each stage runs
+--repeats times and its median wall time (time.perf_counter) is reported:
+
+- load_ms: read the CSV, with load_csv for m = 2 and load_multi_csv
+  otherwise, as the CLI does
+- newton_ms: the damped Newton fit of the loaded counts
+- fisher_ms, hac4_ms: the variance step, Fisher and HAC with bandwidth 4;
+  hac4_ms is null, with the error in hac4_error, where the sandwich is not
+  identified (T = 18 periods cannot identify 18 parameters at m = 10)
+- report_ms: the JSON run report of the fit, built and formatted as the
+  `multi --json` command does
+
+The result is one JSON object on stdout. Nothing is asserted about the
+times: the script measures, it does not gate. Warm file cache only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from variantfit import cli  # noqa: E402
+from variantfit.data import load_csv, to_csv_string  # noqa: E402
+from variantfit.errors import VariantFitError  # noqa: E402
+from variantfit.estimate import newton  # noqa: E402
+from variantfit.inference import advantage_interval, sandwich  # noqa: E402
+from variantfit.multivariant import load_multi_csv, to_multi_csv_string  # noqa: E402
+from variantfit.simulate import SimConfig, simulate  # noqa: E402
+
+PERIODS = (18, 100, 1_000, 10_000)
+VARIANTS = (2, 3, 10)
+SEQUENCED = 3_000
+
+
+def series_csv(T: int, m: int, seed: int) -> str:
+    rng = np.random.default_rng([seed, m, T])
+    # Each log-odds against the numeraire moves by at most 3 over the window,
+    # from roughly equal shares, so no variant vanishes at any T.
+    gammas = tuple(float(g) for g in np.exp(rng.uniform(-3.0, 3.0, size=m - 1) / T))
+    start = rng.uniform(0.5, 1.5, size=m)
+    config = SimConfig(
+        gammas=gammas,
+        initial_proportions=tuple(float(p) for p in start / start.sum()),
+        sequenced=(SEQUENCED,) * T,
+        seed=seed,
+    )
+    series = simulate(config)
+    return to_csv_string(series) if m == 2 else to_multi_csv_string(series)
+
+
+def median_ms(stage, repeats: int):
+    """Median wall time of `repeats` calls in ms, and the last call's result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = stage()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times), result
+
+
+def report_text(series, theta, variance) -> str:
+    scale = cli.GENERATION_DAYS / series.period_days
+    variants = []
+    for j, name in enumerate(series.variant_names[1:]):
+        beta = float(theta[2 * j + 1])
+        point, low, high = advantage_interval(
+            beta, variance.matrix[2 * j + 1, 2 * j + 1], scale, 0.95
+        )
+        variants.append({"variant": name, "gamma_per_period": math.exp(beta),
+                         "gamma_per_generation": point, "ci_low_per_generation": low,
+                         "ci_high_per_generation": high})
+    report = cli._report_header("multi", {"path": "series.csv"}, {"variance": variance.kind})
+    report.update({"numeraire": series.variant_names[0], "variants": variants,
+                   "covariance": variance.matrix.tolist()})
+    sink = io.StringIO()
+    with redirect_stdout(sink):
+        cli._emit(report, True, [])
+    return sink.getvalue()
+
+
+def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict:
+    path = directory / f"series-T{T}-m{m}.csv"
+    path.write_text(series_csv(T, m, seed), encoding="utf-8")
+    load = load_csv if m == 2 else load_multi_csv
+    load_ms, series = median_ms(lambda: load(str(path)), repeats)
+    t, counts = series.columns
+    newton_ms, (theta, _, iterations, scores, h) = median_ms(lambda: newton(t, counts), repeats)
+    fisher_ms, fisher = median_ms(lambda: sandwich(-h, scores, series.columns, None), repeats)
+    point = {"T": T, "m": m, "iterations": iterations, "load_ms": load_ms,
+             "newton_ms": newton_ms, "fisher_ms": fisher_ms}
+    try:
+        point["hac4_ms"], _ = median_ms(lambda: sandwich(-h, scores, series.columns, 4), repeats)
+    except VariantFitError as exc:
+        # No more periods with counts than the 2(m - 1) parameters.
+        point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
+    point["report_ms"], _ = median_ms(lambda: report_text(series, theta, fisher), repeats)
+    return point
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--periods", type=int, nargs="+", default=PERIODS)
+    parser.add_argument("--variants", type=int, nargs="+", default=VARIANTS)
+    parser.add_argument("--repeats", type=int, default=7, help="calls per stage (default 7)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        points = [time_point(T, m, args.seed, args.repeats, Path(tmp))
+                  for m in args.variants for T in args.periods]
+    print(json.dumps({
+        "statistic": f"median of {args.repeats} calls, ms",
+        "seed": args.seed,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "points": points,
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
