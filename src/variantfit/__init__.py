@@ -8,13 +8,9 @@ from .dynamics import (
     ModelParams,
     Proportion,
     from_log_odds,
-    lambda_at,
-    log_odds,
-    odds,
-    rescale_advantage,
     step_lambda,
 )
-from .estimate import FitResult, fit, hessian, log_likelihood, score
+from .estimate import FitResult, fit
 from .inference import (
     AdvantageEstimate,
     VarianceEstimate,
@@ -24,16 +20,10 @@ from .inference import (
     interval_for_gamma,
     parzen_kernel,
 )
-from .crude import CrudeMeasure, crude_gammas, mean_crude_gamma, proportion_intervals
+from .crude import CrudeMeasure, crude_gammas, mean_crude_gamma
 from .forecast import ForecastBand, forecast
 from .repro import ReproInference, adjusted_R, infer_variant_R, stability_region
-from .multivariant import (
-    MultiParams,
-    fit_multi,
-    load_multi_csv,
-    marginalize,
-    step_lambda_multi,
-)
+from .multivariant import fit_multi, load_multi_csv, marginalize, step_lambda_multi
 from .simulate import RecoveryReport, SimConfig, recovery_report, simulate
 
 __version__ = "0.1.0"
@@ -47,7 +37,6 @@ __all__ = [
     "ForecastBand",
     "GENERATION_DAYS",
     "ModelParams",
-    "MultiParams",
     "Proportion",
     "RecoveryReport",
     "ReproInference",
@@ -63,23 +52,15 @@ __all__ = [
     "forecast",
     "from_log_odds",
     "hac_sandwich",
-    "hessian",
     "infer_variant_R",
     "interval_for_gamma",
-    "lambda_at",
     "load_bundled",
     "load_csv",
     "load_multi_csv",
-    "log_likelihood",
-    "log_odds",
     "marginalize",
     "mean_crude_gamma",
-    "odds",
     "parzen_kernel",
-    "proportion_intervals",
     "recovery_report",
-    "rescale_advantage",
-    "score",
     "simulate",
     "stability_region",
     "step_lambda",

@@ -27,7 +27,6 @@ from .forecast import forecast as forecast_band
 from .inference import (
     DEFAULT_BANDWIDTH,
     AdvantageEstimate,
-    advantage_interval,
     fisher_information,
     hac_sandwich,
     interval_for_gamma,
@@ -379,25 +378,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_multi(args) -> int:
-    series = load_multi_csv(args.file, period_days=args.period_days)
-    digest = _file_digest(args.file)
-    params, variance = fit_multi(series, bandwidth=None if args.fisher else args.hac)
-    scale = args.gen_days / series.period_days
+def multi_report(digest: dict, result, variance, gen_days: float, level: float):
+    """The `multi` run report and its text lines, for a fit and its variance."""
+    series = result.series
     variants = []
-    for j, (beta, gamma, name) in enumerate(
-        zip(params.betas, params.gammas, series.variant_names[1:])
-    ):
-        point, low, high = advantage_interval(
-            beta, variance.matrix[2 * j + 1, 2 * j + 1], scale, args.level
-        )
+    for j, name in enumerate(series.variant_names[1:], start=1):
+        gen = interval_for_gamma(variance, result, gen_days, level, variant=j)
         variants.append(
             {
                 "variant": name,
-                "gamma_per_period": gamma,
-                "gamma_per_generation": point,
-                "ci_low_per_generation": low,
-                "ci_high_per_generation": high,
+                "gamma_per_period": math.exp(result.theta[2 * j - 1]),
+                "gamma_per_generation": gen.gamma.value,
+                "ci_low_per_generation": gen.ci_low,
+                "ci_high_per_generation": gen.ci_high,
             }
         )
     report = _report_header(
@@ -405,9 +398,9 @@ def cmd_multi(args) -> int:
         digest,
         {
             "period_days": series.period_days,
-            "gen_days": args.gen_days,
+            "gen_days": gen_days,
             "variance": variance.kind,
-            "level": args.level,
+            "level": level,
         },
     )
     report.update(
@@ -424,6 +417,14 @@ def cmd_multi(args) -> int:
             f"{v['variant']},{v['gamma_per_period']:.6g},{v['gamma_per_generation']:.6g},"
             f"{v['ci_low_per_generation']:.6g},{v['ci_high_per_generation']:.6g}"
         )
+    return report, lines
+
+
+def cmd_multi(args) -> int:
+    series = load_multi_csv(args.file, period_days=args.period_days)
+    digest = _file_digest(args.file)
+    result, variance = fit_multi(series, bandwidth=None if args.fisher else args.hac)
+    report, lines = multi_report(digest, result, variance, args.gen_days, args.level)
     _emit(report, args.json, lines)
     return 0
 

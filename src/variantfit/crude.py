@@ -1,4 +1,4 @@
-"""Model-free diagnostics: per-period advantage measures and proportion CIs.
+"""Model-free diagnostics: per-period advantage measures.
 
 The crude advantage for a pair of consecutive periods is the ratio of
 their empirical odds ratios, (X_t/(N_t-X_t)) / (X_s/(N_s-X_s)), reduced
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .data import SurveillanceSeries
-from .inference import advantage_interval, normal_quantile
+from .inference import advantage_interval
 
 
 @dataclass(frozen=True)
@@ -54,21 +54,3 @@ def crude_mean(measures: list[CrudeMeasure]) -> float:
 
 def mean_crude_gamma(series: SurveillanceSeries) -> float:
     return crude_mean(crude_gammas(series))
-
-
-def proportion_intervals(
-    series: SurveillanceSeries, level: float = 0.95
-) -> list[tuple[int, float, float, float]]:
-    """Wilson score interval for each period's empirical proportion."""
-    z = normal_quantile(level)
-    out = []
-    n_all, x_all = (column.tolist() for column in series.binomial_counts())
-    for t, n, x in zip(series.t_values, n_all, x_all):
-        if n == 0:
-            continue
-        p = x / n
-        denom = 1.0 + z * z / n
-        center = (p + z * z / (2 * n)) / denom
-        half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-        out.append((t, p, max(center - half, 0.0), min(center + half, 1.0)))
-    return out

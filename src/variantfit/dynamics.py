@@ -1,4 +1,4 @@
-"""Deterministic proportion dynamics and odds-ratio algebra.
+"""Proportions, advantages and the deterministic one-step dynamics.
 
 The variant proportion follows the one-step recursion
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryOdds, InvalidValue, NonPositivePeriod
+from .errors import InvalidValue, NonPositivePeriod
 
 GENERATION_DAYS = 4.7  # default generation period in days
 
@@ -65,38 +65,9 @@ def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:
     return Proportion(g * x / ((1.0 - x) + g * x))
 
 
-def lambda_at(params: ModelParams, t: float) -> Proportion:
-    """Closed-form proportion at time t."""
-    return from_log_odds(params.alpha + params.beta * t)
-
-
-def odds(lam: Proportion) -> float:
-    """Odds value / (1 - value); infinite at the upper boundary."""
-    if lam.value >= 1.0:
-        raise BoundaryOdds("odds undefined at proportion 1")
-    return lam.value / (1.0 - lam.value)
-
-
-def log_odds(lam: Proportion) -> float:
-    if lam.value <= 0.0 or lam.value >= 1.0:
-        raise BoundaryOdds(f"log-odds undefined at proportion {lam.value}")
-    return math.log(lam.value) - math.log1p(-lam.value)
-
-
 def from_log_odds(value: float) -> Proportion:
-    """Inverse of log_odds; total on finite inputs."""
+    """The proportion whose log-odds is `value`, expit(value); total on finite inputs."""
     if value >= 0:
         return Proportion(1.0 / (1.0 + math.exp(-value)))
     e = math.exp(value)
     return Proportion(e / (1.0 + e))
-
-
-def rescale_advantage(gamma: Advantage, target_days: float) -> Advantage:
-    """Re-express the advantage over a different calendar period.
-
-    Multiplicative in exponents: g_x = exp((x / period_days) * log g).
-    """
-    if target_days <= 0:
-        raise NonPositivePeriod(f"target_days must be positive, got {target_days}")
-    scaled = math.exp((target_days / gamma.period_days) * math.log(gamma.value))
-    return Advantage(value=scaled, period_days=target_days)

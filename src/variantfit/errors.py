@@ -35,10 +35,6 @@ class ParseError(VariantFitError):
     """Malformed CSV input; message carries the row number."""
 
 
-class BoundaryOdds(VariantFitError):
-    """Log-odds requested for a proportion of exactly 0 or 1."""
-
-
 class NonPositivePeriod(VariantFitError):
     """Period length must be strictly positive."""
 

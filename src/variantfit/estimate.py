@@ -17,20 +17,22 @@ and theta = (alpha, beta):
     ll(a, b) = sum_t X_t * log(lam_t) + (N_t - X_t) * log(1 - lam_t),
     lam_t = expit(a + b * t).
 
-Sign convention: score() returns the gradient of the log-likelihood,
-d ll / d(a, b) = sum_t (X_t - N_t * lam_t) * (1, t); this is checked
-against central finite differences in the test suite.
+Sign convention: model_derivatives() returns the per-period gradient
+contributions of the log-likelihood, for m = 2 (X_t - N_t * lam_t) * (1, t);
+they and the Hessian are checked against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .data import SurveillanceSeries
 from .dynamics import ModelParams
-from .errors import MaxIterations, Separation, Singular
+from .errors import InvalidValue, MaxIterations, Separation, Singular
 
 # Newton decrement g' inv(-H) g at which the fit stops. It is twice the
 # log-likelihood gain a full Newton step predicts, so unlike an absolute
@@ -39,18 +41,45 @@ DECREMENT_TOLERANCE = 1e-20
 MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    params: ModelParams
+    """Maximum likelihood fit of the m-variant model, with the model's
+    derivatives at the optimum.
+
+    `theta` holds the 2(m-1) estimates (a_2, b_2, a_3, b_3, ...), `scores`
+    the (T, 2(m-1)) per-period scores and `information` the observed
+    information -H, both at theta as the Newton iteration last evaluated
+    them; the variance estimators read these and evaluate nothing. Every
+    array is read-only.
+    """
+
+    theta: np.ndarray
+    scores: np.ndarray
+    information: np.ndarray
     log_likelihood: float
     iterations: int
-    fitted: tuple[tuple[int, float], ...]  # (t_index, fitted lambda)
     score_norm: float
     series: SurveillanceSeries = field(repr=False)
 
+    @cached_property
+    def shares(self) -> np.ndarray:
+        """The (T, m) fitted shares, worked out on first use."""
+        t, counts = self.series.columns
+        shares = np.exp(_log_softmax(self.theta, t, counts.shape[1]))
+        shares.flags.writeable = False
+        return shares
+
+    @property
+    def params(self) -> ModelParams:
+        """(alpha, beta) of a two-variant fit; InvalidValue for m != 2."""
+        m = self.series.n_variants
+        if m != 2:
+            raise InvalidValue(f"need a two-variant fit, got {m} variants")
+        return ModelParams(alpha=float(self.theta[0]), beta=float(self.theta[1]))
+
     @property
     def gamma(self) -> float:
-        """Estimated per-period advantage, exp(beta)."""
+        """Estimated per-period advantage, exp(beta), of a two-variant fit."""
         return self.params.gamma
 
 
@@ -176,54 +205,19 @@ def newton(t: np.ndarray, counts: np.ndarray):
     raise MaxIterations(f"no convergence in {MAX_ITERATIONS} iterations")
 
 
-def _theta(params: ModelParams) -> np.ndarray:
-    return np.array([params.alpha, params.beta])
-
-
-def log_likelihood(series: SurveillanceSeries, params: ModelParams) -> float:
-    series.binomial_counts()  # raises unless m = 2
-    return model_log_likelihood(_theta(params), *series.columns)
-
-
-def scores_and_hessian(
-    series: SurveillanceSeries, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period scores and the Hessian with respect to (alpha, beta).
-
-    InvalidValue unless the series has exactly two variants.
-    """
-    series.binomial_counts()  # raises unless m = 2
-    return model_derivatives(_theta(params), *series.columns)
-
-
-def per_period_scores(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    """Per-period gradient contributions; rows are (t order) x (alpha, beta)."""
-    return scores_and_hessian(series, params)[0]
-
-
-def score(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    """Gradient of the log-likelihood with respect to (alpha, beta)."""
-    return per_period_scores(series, params).sum(axis=0)
-
-
-def hessian(series: SurveillanceSeries, params: ModelParams) -> np.ndarray:
-    return scores_and_hessian(series, params)[1]
-
-
 def fit(series: SurveillanceSeries) -> FitResult:
-    """Maximum likelihood fit of the two-variant model by damped Newton.
-
-    InvalidValue unless the series has exactly two variants.
-    """
-    series.binomial_counts()  # raises unless m = 2
+    """Maximum likelihood fit of the m-variant model by damped Newton."""
     t, counts = series.columns
-    theta, ll, iterations, scores, _ = newton(t, counts)
-    lam_hat = np.exp(_log_softmax(theta, t, 2)[:, 1])
+    theta, ll, iterations, scores, h = newton(t, counts)
+    information = -h
+    for array in (theta, scores, information):
+        array.flags.writeable = False
     return FitResult(
-        params=ModelParams(alpha=float(theta[0]), beta=float(theta[1])),
+        theta=theta,
+        scores=scores,
+        information=information,
         log_likelihood=ll,
         iterations=iterations,
-        fitted=tuple(zip(series.t_values, lam_hat.tolist())),
         score_norm=float(np.max(np.abs(scores.sum(axis=0)))),
         series=series,
     )

@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import SurveillanceSeries
 from .dynamics import Advantage
-from .errors import BandwidthTooLarge, InvalidValue, PeriodMismatch, Singular
-from .estimate import FitResult, scores_and_hessian
+from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
+from .estimate import FitResult
 
 DEFAULT_BANDWIDTH = 4
 DEFAULT_LEVEL = 0.95
@@ -30,7 +30,7 @@ DEFAULT_LEVEL = 0.95
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """Covariance of the (alpha, beta) estimates, tagged with its estimator."""
+    """Covariance of the fit's theta estimates, tagged with its estimator."""
 
     kind: str  # "fisher" or "sandwich(K)"
     matrix: np.ndarray
@@ -133,18 +133,23 @@ def sandwich(
     return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T))
 
 
+def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:
+    if series is not fit.series and series != fit.series:
+        raise InvalidValue("the variance needs the series the fit was made from, got another")
+
+
 def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
-    """Model-based variance, inverse of the observed information."""
-    scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns, None)
+    """Model-based variance, inverse of the observed information at the fit."""
+    _own_series(series, fit)
+    return sandwich(fit.information, fit.scores, series.columns, None)
 
 
 def hac_sandwich(
     series: SurveillanceSeries, fit: FitResult, bandwidth: int = DEFAULT_BANDWIDTH
 ) -> VarianceEstimate:
     """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
-    scores, h = scores_and_hessian(series, fit.params)
-    return sandwich(-h, scores, series.columns, bandwidth)
+    _own_series(series, fit)
+    return sandwich(fit.information, fit.scores, series.columns, bandwidth)
 
 
 def normal_quantile(level: float) -> float:
@@ -178,16 +183,24 @@ def interval_for_gamma(
     fit: FitResult,
     target_days: float | None = None,
     level: float = DEFAULT_LEVEL,
+    variant: int = 1,
 ) -> AdvantageEstimate:
-    """Confidence interval for the advantage rescaled to `target_days`.
+    """Confidence interval for the advantage of one variant over the numeraire,
+    rescaled to `target_days`.
 
-    Endpoints are exp((target_days / period_days) * (beta_hat +- z * se)).
+    `variant` is the column j = 1..m-1 of the series' counts, 1 for the
+    variant of a two-variant series. Endpoints are
+    exp((target_days / period_days) * (b_j +- z * se(b_j))).
     """
+    m = fit.series.n_variants
+    if not 1 <= variant < m:
+        raise InvalidIndex(f"variant must be a non-numeraire column in 1..{m - 1}, got {variant}")
     period_days = fit.series.period_days
     if target_days is None:
         target_days = period_days
+    b = 2 * variant - 1
     point, low, high = advantage_interval(
-        fit.params.beta, variance.matrix[1, 1], target_days / period_days, level
+        float(fit.theta[b]), variance.matrix[b, b], target_days / period_days, level
     )
     return AdvantageEstimate(
         gamma=Advantage(value=point, period_days=target_days),
@@ -198,10 +211,13 @@ def interval_for_gamma(
 
 
 def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageEstimate:
-    """Chain two advantages measured against intermediate references.
+    """Chain two independent advantages measured against intermediate references.
 
-    Point estimates multiply; interval endpoints multiply too
-    (endpoint-product rule, treating the two estimates as independent).
+    Point estimates multiply. Each interval's lower and upper distances from
+    its point, on the log scale, add in quadrature. For the Wald intervals
+    of this package, exp(log g -+ z * se), that is the interval of the
+    product with the two log-scale variances summed. Multiplying the
+    endpoints instead would add the distances and overstate the width.
     """
     if not math.isclose(a.gamma.period_days, b.gamma.period_days):
         raise PeriodMismatch(
@@ -209,11 +225,17 @@ def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageE
         )
     if not math.isclose(a.level, b.level):
         raise InvalidValue(f"confidence levels differ: {a.level} vs {b.level}")
+
+    def log_distances(e: AdvantageEstimate) -> tuple[float, float]:
+        log_point = math.log(e.gamma.value)
+        below = log_point - math.log(e.ci_low) if e.ci_low > 0 else math.inf
+        return below, math.log(e.ci_high) - log_point
+
+    (below_a, above_a), (below_b, above_b) = log_distances(a), log_distances(b)
+    point = a.gamma.value * b.gamma.value
     return AdvantageEstimate(
-        gamma=Advantage(
-            value=a.gamma.value * b.gamma.value, period_days=a.gamma.period_days
-        ),
-        ci_low=a.ci_low * b.ci_low,
-        ci_high=a.ci_high * b.ci_high,
+        gamma=Advantage(value=point, period_days=a.gamma.period_days),
+        ci_low=point * math.exp(-math.hypot(below_a, below_b)),
+        ci_high=point * math.exp(math.hypot(above_a, above_b)),
         level=a.level,
     )

@@ -1,4 +1,4 @@
-"""Competition among m variants: simplex dynamics and multinomial fit.
+"""Competition among m variants: simplex dynamics, fit with variance, CSV input/output.
 
 Variant 1 is the numeraire (advantage fixed at 1). Proportions follow
 
@@ -13,32 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import SurveillanceSeries, csv_rows
 from .errors import InvalidIndex, InvalidValue, ParseError
-from .estimate import model_derivatives, model_log_likelihood, newton
+from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
-
-
-@dataclass(frozen=True)
-class MultiParams:
-    """Relative log-odds intercepts and log advantages for variants 2..m."""
-
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.alphas) != len(self.betas):
-            raise InvalidValue("alphas and betas must have equal length")
-
-    @property
-    def gammas(self) -> tuple[float, ...]:
-        return tuple(math.exp(b) for b in self.betas)
 
 
 def step_lambda_multi(
@@ -55,31 +37,12 @@ def step_lambda_multi(
     return weighted / weighted.sum()
 
 
-def _theta(params: MultiParams) -> np.ndarray:
-    return np.array([v for pair in zip(params.alphas, params.betas) for v in pair], dtype=float)
-
-
-def multi_log_likelihood(series: SurveillanceSeries, params: MultiParams) -> float:
-    return model_log_likelihood(_theta(params), *series.columns)
-
-
-def multi_score_per_period(series: SurveillanceSeries, params: MultiParams) -> np.ndarray:
-    """Per-period gradients; columns ordered (a_2, b_2, a_3, b_3, ...)."""
-    return model_derivatives(_theta(params), *series.columns)[0]
-
-
-def multi_hessian(series: SurveillanceSeries, params: MultiParams) -> np.ndarray:
-    return model_derivatives(_theta(params), *series.columns)[1]
-
-
 def fit_multi(
     series: SurveillanceSeries, bandwidth: Optional[int] = None
-) -> tuple[MultiParams, VarianceEstimate]:
-    """Damped Newton fit; variance is Fisher or, given a bandwidth, HAC sandwich."""
-    t, counts = series.columns
-    theta, _, _, scores, h = newton(t, counts)
-    params = MultiParams(alphas=tuple(theta[0::2].tolist()), betas=tuple(theta[1::2].tolist()))
-    return params, sandwich(-h, scores, series.columns, bandwidth)
+) -> tuple[FitResult, VarianceEstimate]:
+    """The fit and its variance: Fisher or, given a bandwidth, HAC sandwich."""
+    result = fit(series)
+    return result, sandwich(result.information, result.scores, series.columns, bandwidth)
 
 
 def marginalize(series: SurveillanceSeries, keep: tuple[int, int]) -> SurveillanceSeries:

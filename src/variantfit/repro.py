@@ -74,6 +74,9 @@ def stability_region(
 
     Returns (lambda, threshold, lo, hi) rows; lo/hi use the CI endpoints of
     the advantage, and the band collapses to zero width as lambda -> 1.
+    Using the endpoints is exact: the threshold 1 / (lambda + g (1 - lambda))
+    is monotone in g, so over the interval of g it takes its extremes at the
+    interval's ends.
     """
 
     def threshold(lam: float, g: float) -> float:

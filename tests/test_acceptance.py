@@ -14,8 +14,8 @@ import numpy as np
 from variantfit.crude import mean_crude_gamma
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
-from variantfit.dynamics import Advantage, ModelParams, Proportion
-from variantfit.estimate import fit, hessian, log_likelihood, score
+from variantfit.dynamics import Advantage, Proportion
+from variantfit.estimate import fit, model_derivatives, model_log_likelihood
 from variantfit.forecast import forecast
 from variantfit.inference import (
     compose_advantages,
@@ -87,6 +87,10 @@ def test_criterion_2_delta_reproduction(capsys):
     composed = compose_advantages(gen_alpha, gen)
     _check(failures, abs(composed.gamma.value - 3.28) <= 0.03,
            f"composed per-generation {composed.gamma.value:.4f} not 3.28 +- 0.03")
+    _check(failures, abs(composed.ci_low - 3.01) <= 0.01,
+           f"composed CI low {composed.ci_low:.4f} not 3.01 +- 0.01")
+    _check(failures, abs(composed.ci_high - 3.58) <= 0.01,
+           f"composed CI high {composed.ci_high:.4f} not 3.58 +- 0.01")
     _report(capsys, 2, failures)
 
 
@@ -215,18 +219,17 @@ def test_criterion_7_property_suite(capsys):
         n = rng.integers(20, 2000, size=T)
         x = rng.integers(1, n)
         series = _series(n, x, "p")
-        params = ModelParams(float(rng.normal(0, 1)), float(rng.normal(0, 0.3)))
-        theta = np.array([params.alpha, params.beta])
+        theta = np.array([rng.normal(0, 1), rng.normal(0, 0.3)])
         eps = 1e-6
 
         def ll(vec):
-            return log_likelihood(series, ModelParams(vec[0], vec[1]))
+            return model_log_likelihood(vec, *series.columns)
 
         def grad(vec):
-            return score(series, ModelParams(vec[0], vec[1]))
+            return model_derivatives(vec, *series.columns)[0].sum(axis=0)
 
-        g = score(series, params)
-        h = hessian(series, params)
+        g = grad(theta)
+        h = model_derivatives(theta, *series.columns)[1]
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
@@ -255,7 +258,8 @@ def test_criterion_7_property_suite(capsys):
             a_grid = np.linspace(lo[0], hi[0], 41)
             b_grid = np.linspace(lo[1], hi[1], 41)
             values = np.array(
-                [[log_likelihood(series, ModelParams(a, b)) for b in b_grid] for a in a_grid]
+                [[model_log_likelihood(np.array([a, b]), *series.columns) for b in b_grid]
+                 for a in a_grid]
             )
             ia, ib = np.unravel_index(np.argmax(values), values.shape)
             best = (a_grid[ia], b_grid[ib])
@@ -301,9 +305,9 @@ def test_criterion_7_property_suite(capsys):
         period_days=base.period_days,
     )
     mp, _ = fit_multi(pair)
-    _check(failures, abs(mp.alphas[0] - f_base.params.alpha) < 1e-8,
+    _check(failures, abs(mp.theta[0] - f_base.params.alpha) < 1e-8,
            "multinomial m=2 alpha differs from binomial")
-    _check(failures, abs(mp.betas[0] - f_base.params.beta) < 1e-8,
+    _check(failures, abs(mp.theta[1] - f_base.params.beta) < 1e-8,
            "multinomial m=2 beta differs from binomial")
 
     # (e) marginalizing noise-free 3-variant expected counts recovers each
@@ -328,7 +332,7 @@ def test_criterion_7_property_suite(capsys):
     joint, _ = fit_multi(tri)
     for j in (2, 3):
         pairwise = fit(marginalize(tri, (1, j)))
-        _check(failures, abs(pairwise.params.beta - joint.betas[j - 2]) < 1e-6,
+        _check(failures, abs(pairwise.params.beta - joint.theta[2 * j - 3]) < 1e-6,
                f"marginalization mismatch for variant {j}")
 
     # (f) Monte Carlo coverage of the nominal 95% interval

@@ -405,6 +405,15 @@ def test_adjusted_r_zero_period_is_one_error_line(capsys):
                           kind="NonPositivePeriod")
 
 
+def test_multi_zero_gen_days_is_one_error_line(tmp_path, capsys):
+    # As for `estimate`: no advantage exists per generation of zero days.
+    path = tmp_path / "multi.csv"
+    path.write_text("t,label,count_a,count_b,count_c\n"
+                    "1,a,100,10,5\n2,b,90,20,9\n3,c,80,30,20\n4,d,70,40,30\n")
+    argv = ("multi", "--file", str(path), "--fisher", "--gen-days", "0")
+    assert_one_error_line(*run(capsys, *argv), kind="NonPositivePeriod")
+
+
 @pytest.mark.parametrize("option", ["--seed", "--replication"])
 def test_simulate_negative_seed_is_one_error_line(capsys, option):
     argv = ("simulate", "--gamma", "1.5", "--lambda0", "0.1", "--n", "10", "--t", "3")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from variantfit.crude import crude_gammas, mean_crude_gamma, proportion_intervals
+from variantfit.crude import crude_gammas, mean_crude_gamma
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import InvalidValue
@@ -107,38 +107,6 @@ def test_wald_interval_by_hand():
     assert m.value == pytest.approx(ratio, rel=1e-12)
     assert m.ci_low == pytest.approx(ratio * math.exp(-1.96 * se), rel=1e-9)
     assert m.ci_high == pytest.approx(ratio * math.exp(1.96 * se), rel=1e-9)
-
-
-def test_wilson_intervals_basic_properties():
-    series = load_bundled("omicron")
-    intervals = proportion_intervals(series, 0.95)
-    assert len(intervals) == len(series)
-    for (t, point, lo, hi), (t_rec, n, x) in zip(intervals, _periods(series)):
-        assert t == t_rec
-        assert point == pytest.approx(x / n)
-        assert 0.0 <= lo <= point <= hi <= 1.0
-
-
-def test_wilson_zero_numerator():
-    series = _series((100, 0), (100, 100))
-    intervals = proportion_intervals(series, 0.95)
-    _, point, lo, hi = intervals[0]
-    assert point == 0.0
-    assert lo == 0.0
-    assert hi == pytest.approx(1.96**2 / (100 + 1.96**2), rel=1e-9)
-    _, point1, lo1, hi1 = intervals[1]
-    assert point1 == 1.0
-    assert hi1 == pytest.approx(1.0, abs=1e-12)
-    assert lo1 == pytest.approx(100 / (100 + 1.96**2), rel=1e-9)
-
-
-def test_wilson_width_shrinks_with_n():
-    widths = []
-    for n in (50, 500, 5000):
-        series = _series((n, n // 5), (n, n // 4))
-        _, _, lo, hi = proportion_intervals(series, 0.95)[0]
-        widths.append(hi - lo)
-    assert widths[0] > widths[1] > widths[2]
 
 
 def test_crude_needs_two_variants():

@@ -3,18 +3,19 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from variantfit.dynamics import (
-    Advantage,
-    ModelParams,
-    Proportion,
-    from_log_odds,
-    lambda_at,
-    log_odds,
-    odds,
-    rescale_advantage,
-    step_lambda,
-)
-from variantfit.errors import BoundaryOdds, NonPositivePeriod
+from variantfit.datasets import load_bundled
+from variantfit.dynamics import Advantage, Proportion, from_log_odds, step_lambda
+from variantfit.errors import NonPositivePeriod
+from variantfit.estimate import fit
+from variantfit.inference import hac_sandwich, interval_for_gamma
+
+
+def _log_odds(p: float) -> float:
+    return math.log(p) - math.log1p(-p)
+
+
+def _odds(lam: Proportion) -> float:
+    return lam.value / (1.0 - lam.value)
 
 
 def test_step_identity_at_gamma_one():
@@ -32,14 +33,15 @@ def test_step_direct_arithmetic():
 
 
 def test_lambda_at_symmetric():
-    assert lambda_at(ModelParams(0.0, 0.0), 17.0).value == 0.5
+    # The closed form lam_t = expit(alpha + beta * t).
+    assert from_log_odds(0.0 + 0.0 * 17.0).value == 0.5
 
 
 def test_lambda_at_published_parameters():
-    assert lambda_at(ModelParams(-4.11, 0.244), 0).value == pytest.approx(
+    assert from_log_odds(-4.11 + 0.244 * 0).value == pytest.approx(
         1.0 / (1.0 + math.exp(4.11)), abs=1e-12
     )
-    assert lambda_at(ModelParams(-7.8, 0.619), 40).value > 0.999
+    assert from_log_odds(-7.8 + 0.619 * 40).value > 0.999
 
 
 @given(
@@ -48,40 +50,40 @@ def test_lambda_at_published_parameters():
     t=st.integers(0, 50),
 )
 def test_recursion_equals_closed_form(alpha, beta, t):
-    params = ModelParams(alpha, beta)
-    stepped = step_lambda(lambda_at(params, t), Advantage(math.exp(beta)))
-    assert stepped.value == pytest.approx(lambda_at(params, t + 1).value, abs=1e-12)
+    stepped = step_lambda(from_log_odds(alpha + beta * t), Advantage(math.exp(beta)))
+    assert stepped.value == pytest.approx(from_log_odds(alpha + beta * (t + 1)).value, abs=1e-12)
 
 
 @given(alpha=st.floats(-5, 5), beta=st.floats(-0.3, 0.3), t=st.integers(0, 30))
 def test_log_odds_affine_in_t(alpha, beta, t):
     # keep |alpha + beta*t| moderate: the proportion is stored as a double,
     # so the round trip degrades exponentially in the linear predictor
-    lo = log_odds(lambda_at(ModelParams(alpha, beta), t))
+    lo = _log_odds(from_log_odds(alpha + beta * t).value)
     assert lo == pytest.approx(alpha + beta * t, rel=1e-9, abs=1e-9)
 
 
 def test_odds_values():
-    assert odds(Proportion(0.5)) == pytest.approx(1.0)
-    assert odds(Proportion(0.75)) == pytest.approx(3.0)
+    # Odds 1 and 3 are the proportions 1/2 and 3/4.
+    assert from_log_odds(math.log(1.0)).value == pytest.approx(0.5)
+    assert from_log_odds(math.log(3.0)).value == pytest.approx(0.75)
 
 
 def test_odds_ratio_is_gamma():
     lam = Proportion(0.3)
     nxt = step_lambda(lam, Advantage(2.0))
-    assert odds(nxt) / odds(lam) == pytest.approx(2.0, abs=1e-12)
+    assert _odds(nxt) / _odds(lam) == pytest.approx(2.0, abs=1e-12)
 
 
 @given(st.floats(0.001, 0.999))
 def test_log_odds_round_trip(p):
-    assert from_log_odds(log_odds(Proportion(p))).value == pytest.approx(p, abs=1e-14)
+    assert from_log_odds(_log_odds(p)).value == pytest.approx(p, abs=1e-14)
 
 
 def test_boundary_odds():
-    with pytest.raises(BoundaryOdds):
-        odds(Proportion(1.0))
-    with pytest.raises(BoundaryOdds):
-        log_odds(Proportion(0.0))
+    # Log-odds far beyond the double range of exp still give the boundary
+    # proportions, without overflow.
+    assert from_log_odds(800.0).value == 1.0
+    assert from_log_odds(-800.0).value == 0.0
 
 
 def test_monotone_progression_to_one():
@@ -94,28 +96,43 @@ def test_monotone_progression_to_one():
     assert lam.value > 1 - 1e-9
 
 
+def _alpha_fit():
+    series = load_bundled("alpha")
+    result = fit(series)
+    return result, hac_sandwich(series, result, 4)
+
+
 def test_rescale_week_to_generation():
-    g = rescale_advantage(Advantage(1.86, period_days=7.0), 4.7)
-    assert g.value == pytest.approx(math.exp((4.7 / 7) * math.log(1.86)), abs=1e-12)
-    assert g.value == pytest.approx(1.517, abs=0.002)  # published value rounds to 1.51
+    result, variance = _alpha_fit()
+    g = interval_for_gamma(variance, result, 4.7)
+    assert g.gamma.value == pytest.approx(math.exp((4.7 / 7) * result.params.beta), rel=1e-12)
+    assert g.gamma.value == pytest.approx(1.51, abs=0.005)  # published per-generation value
 
 
 def test_rescale_day_to_week():
-    g = rescale_advantage(Advantage(1.28, period_days=1.0), 7.0)
-    assert g.value == pytest.approx(1.28**7, abs=1e-9)
-    # unrounded daily estimate reproduces the printed weekly value
-    daily = math.exp(0.244)
-    assert rescale_advantage(Advantage(daily, 1.0), 7.0).value == pytest.approx(5.52, abs=0.005)
+    series = load_bundled("omicron")
+    result = fit(series)
+    g = interval_for_gamma(hac_sandwich(series, result, 4), result, 7.0)
+    assert g.gamma.value == pytest.approx(result.gamma**7, rel=1e-12)
+    # the unrounded daily estimate reproduces the printed weekly value
+    assert g.gamma.value == pytest.approx(5.52, abs=0.005)
 
 
 def test_rescale_identity_and_composition():
-    g = Advantage(1.7, period_days=7.0)
-    assert rescale_advantage(g, 7.0).value == pytest.approx(g.value, abs=1e-14)
-    twice = rescale_advantage(rescale_advantage(g, 3.0), 11.0)
-    once = rescale_advantage(g, 11.0)
-    assert twice.value == pytest.approx(once.value, abs=1e-12)
+    result, variance = _alpha_fit()
+    own = interval_for_gamma(variance, result)
+    assert own.gamma.value == pytest.approx(result.gamma, rel=1e-14)
+    # Rescaling is a power of the point and of both endpoints: the interval
+    # over 11 days is the one over 3 days raised to 11/3.
+    three = interval_for_gamma(variance, result, 3.0)
+    eleven = interval_for_gamma(variance, result, 11.0)
+    for a, b in [(three.gamma.value, eleven.gamma.value), (three.ci_low, eleven.ci_low),
+                 (three.ci_high, eleven.ci_high)]:
+        assert a ** (11 / 3) == pytest.approx(b, rel=1e-12)
 
 
 def test_rescale_rejects_nonpositive():
-    with pytest.raises(NonPositivePeriod):
-        rescale_advantage(Advantage(1.5), 0.0)
+    result, variance = _alpha_fit()
+    for days in (0.0, -4.7):
+        with pytest.raises(NonPositivePeriod):
+            interval_for_gamma(variance, result, days)

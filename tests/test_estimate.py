@@ -8,7 +8,7 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
-from variantfit.estimate import fit, hessian, log_likelihood, model_derivatives, score
+from variantfit.estimate import FitResult, fit, model_derivatives, model_log_likelihood
 from variantfit.simulate import SimConfig, simulate
 
 
@@ -32,6 +32,22 @@ def random_series(rng, n_periods=8, n_max=500):
             return series_from_counts(pairs)
 
 
+def _theta(params):
+    return np.array([params.alpha, params.beta])
+
+
+def log_likelihood_at(series, params):
+    return model_log_likelihood(_theta(params), *series.columns)
+
+
+def score_at(series, params):
+    return model_derivatives(_theta(params), *series.columns)[0].sum(axis=0)
+
+
+def hessian_at(series, params):
+    return model_derivatives(_theta(params), *series.columns)[1]
+
+
 def mp_log_likelihood(series, params):
     """Independent summation oracle in 50-digit arithmetic."""
     with mpmath.workdps(50):
@@ -50,7 +66,7 @@ def mp_log_likelihood(series, params):
 def test_log_likelihood_even_split_at_origin():
     series = series_from_counts([(10, 5), (20, 10), (8, 4)])
     total_n = 10 + 20 + 8
-    assert log_likelihood(series, ModelParams(0.0, 0.0)) == pytest.approx(
+    assert log_likelihood_at(series, ModelParams(0.0, 0.0)) == pytest.approx(
         total_n * math.log(0.5), rel=1e-12
     )
 
@@ -58,7 +74,7 @@ def test_log_likelihood_even_split_at_origin():
 def test_log_likelihood_matches_extended_precision_oracle():
     series = load_bundled("alpha")
     params = ModelParams(-8.75, 0.619)
-    assert log_likelihood(series, params) == pytest.approx(
+    assert log_likelihood_at(series, params) == pytest.approx(
         mp_log_likelihood(series, params), rel=1e-9
     )
 
@@ -73,7 +89,7 @@ def test_log_likelihood_maximized_at_fit():
             result.params.alpha + rng.normal(scale=0.5),
             result.params.beta + rng.normal(scale=0.2),
         )
-        assert log_likelihood(series, perturbed) <= best + 1e-10
+        assert log_likelihood_at(series, perturbed) <= best + 1e-10
 
 
 def fd_score(series, params, h=1e-6):
@@ -81,8 +97,8 @@ def fd_score(series, params, h=1e-6):
     for i in range(2):
         d = [0.0, 0.0]
         d[i] = h
-        hi = log_likelihood(series, ModelParams(params.alpha + d[0], params.beta + d[1]))
-        lo = log_likelihood(series, ModelParams(params.alpha - d[0], params.beta - d[1]))
+        hi = log_likelihood_at(series, ModelParams(params.alpha + d[0], params.beta + d[1]))
+        lo = log_likelihood_at(series, ModelParams(params.alpha - d[0], params.beta - d[1]))
         out.append((hi - lo) / (2 * h))
     return np.array(out)
 
@@ -92,8 +108,8 @@ def fd_hessian(series, params, h=1e-5):
     for i in range(2):
         d = [0.0, 0.0]
         d[i] = h
-        hi = score(series, ModelParams(params.alpha + d[0], params.beta + d[1]))
-        lo = score(series, ModelParams(params.alpha - d[0], params.beta - d[1]))
+        hi = score_at(series, ModelParams(params.alpha + d[0], params.beta + d[1]))
+        lo = score_at(series, ModelParams(params.alpha - d[0], params.beta - d[1]))
         out[:, i] = (hi - lo) / (2 * h)
     return out
 
@@ -103,7 +119,7 @@ def test_score_matches_finite_differences_on_random_instances():
     for _ in range(100):
         series = random_series(rng, n_periods=int(rng.integers(3, 9)))
         params = ModelParams(float(rng.normal(scale=2)), float(rng.normal(scale=0.4)))
-        analytic = score(series, params)
+        analytic = score_at(series, params)
         approx = fd_score(series, params)
         denom = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(analytic - approx)) / denom < 1e-5
@@ -114,7 +130,7 @@ def test_hessian_matches_finite_differences_on_random_instances():
     for _ in range(100):
         series = random_series(rng, n_periods=int(rng.integers(3, 9)))
         params = ModelParams(float(rng.normal(scale=2)), float(rng.normal(scale=0.4)))
-        analytic = hessian(series, params)
+        analytic = hessian_at(series, params)
         approx = fd_hessian(series, params)
         denom = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(analytic - approx)) / denom < 1e-5
@@ -123,7 +139,7 @@ def test_hessian_matches_finite_differences_on_random_instances():
 def test_hessian_symmetric_negative_definite_at_optimum():
     series = load_bundled("alpha")
     result = fit(series)
-    h = hessian(series, result.params)
+    h = hessian_at(series, result.params)
     assert h[0, 1] == h[1, 0]
     assert np.all(np.linalg.eigvalsh(h) < 0)
 
@@ -131,12 +147,12 @@ def test_hessian_symmetric_negative_definite_at_optimum():
 def test_score_vanishes_at_optimum():
     series = load_bundled("alpha")
     result = fit(series)
-    assert np.max(np.abs(score(series, result.params))) < 1e-6
+    assert np.max(np.abs(score_at(series, result.params))) < 1e-6
 
 
 def test_singular_hessian_single_period_mass():
     series = series_from_counts([(100, 30), (0, 0), (0, 0)])
-    h = hessian(series, ModelParams(0.0, 0.0))
+    h = hessian_at(series, ModelParams(0.0, 0.0))
     assert abs(np.linalg.det(h)) < 1e-8 * abs(h[0, 0]) ** 2
     with pytest.raises(Singular):
         fit(series)
@@ -152,9 +168,7 @@ def test_separation_raises():
 def test_saturated_two_point_fit():
     series = series_from_counts([(10, 2), (10, 5)])
     result = fit(series)
-    fitted = dict(result.fitted)
-    assert fitted[1] == pytest.approx(0.2, abs=1e-9)
-    assert fitted[2] == pytest.approx(0.5, abs=1e-9)
+    assert result.shares[:, 1] == pytest.approx([0.2, 0.5], abs=1e-9)
 
 
 def test_published_point_estimates():
@@ -174,7 +188,7 @@ def grid_search(series, bounds=((-15.0, 5.0), (-1.0, 3.0)), coarse=41, refinemen
         betas = np.linspace(b_lo, b_hi, coarse)
         values = np.array(
             [
-                [log_likelihood(series, ModelParams(a, b)) for b in betas]
+                [log_likelihood_at(series, ModelParams(a, b)) for b in betas]
                 for a in alphas
             ]
         )
@@ -247,7 +261,8 @@ def test_zero_weight_period_has_no_effect():
 
 def test_fitted_values_in_open_interval():
     result = fit(load_bundled("omicron"))
-    assert all(0.0 < lam < 1.0 for _, lam in result.fitted)
+    assert np.all((0.0 < result.shares) & (result.shares < 1.0))
+    assert result.shares.sum(axis=1) == pytest.approx(1.0, abs=1e-14)
     assert result.score_norm <= 1e-8
 
 
@@ -271,7 +286,7 @@ def test_long_daily_series_converges():
     result = fit(series)
     n = np.array(series.binomial_counts()[0], dtype=float)
     t = np.array(series.t_values, dtype=float)
-    g = score(series, result.params)
+    g = score_at(series, result.params)
     assert abs(g[0]) <= 1e-12 * n.sum()
     assert abs(g[1]) <= 1e-12 * (n * np.abs(t)).sum()
     assert result.params.beta == pytest.approx(beta, rel=0.01)
@@ -293,17 +308,58 @@ def test_separated_series_raise_separation(pairs):
         fit(series_from_counts(pairs))
 
 
-def test_fit_needs_two_variants():
+def test_params_view_needs_two_variants():
     three = SurveillanceSeries(
         t_values=(1, 2, 3),
         labels=("a", "b", "c"),
         counts=np.array([[10, 5, 1], [5, 6, 2], [3, 9, 4]]),
         variant_names=("v1", "v2", "v3"),
     )
+    result = fit(three)
+    assert result.theta.shape == (4,)
     with pytest.raises(InvalidValue, match="two-variant"):
-        fit(three)
+        result.params
     with pytest.raises(InvalidValue, match="two-variant"):
-        log_likelihood(three, ModelParams(alpha=0.0, beta=0.0))
+        result.gamma
+
+
+def _simulated(m, T=18):
+    gammas = tuple(1.1 + 0.1 * k for k in range(m - 1))
+    config = SimConfig(
+        gammas=gammas,
+        initial_proportions=(0.9,) + (0.1 / (m - 1),) * (m - 1),
+        sequenced=(3000,) * T,
+        seed=m,
+    )
+    return simulate(config)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_fit_result_for_any_m(m):
+    series = _simulated(m)
+    result = fit(series)
+    k = 2 * (m - 1)
+    assert isinstance(result, FitResult)
+    assert result.series is series
+    assert result.theta.shape == (k,)
+    assert result.scores.shape == (len(series), k)
+    assert result.information.shape == (k, k)
+    assert result.shares.shape == (len(series), m)
+    assert result.shares.sum(axis=1) == pytest.approx(1.0, abs=1e-14)
+    assert result.score_norm == np.max(np.abs(result.scores.sum(axis=0)))
+    for array in (result.theta, result.scores, result.information, result.shares):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fit_holds_the_derivatives_at_theta(m):
+    series = _simulated(m)
+    result = fit(series)
+    scores, h = model_derivatives(result.theta, *series.columns)
+    assert np.array_equal(result.scores, scores)
+    assert np.array_equal(result.information, -h)
+    assert result.log_likelihood == model_log_likelihood(result.theta, *series.columns)
 
 
 def kron_information(theta, t, counts):

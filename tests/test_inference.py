@@ -6,17 +6,20 @@ import pytest
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage
-from variantfit.errors import BandwidthTooLarge, InvalidValue, PeriodMismatch
-from variantfit.estimate import fit
+from variantfit.errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch
+from variantfit.estimate import fit, model_derivatives
 from variantfit.inference import (
     AdvantageEstimate,
+    advantage_interval,
     compose_advantages,
     fisher_information,
     hac_sandwich,
     interval_for_gamma,
     kernel_weighted_outer,
     parzen_kernel,
+    sandwich,
 )
+from variantfit.simulate import SimConfig, simulate
 
 # Published gamma CIs per 4.7 days for each variance estimator
 SENSITIVITY_TABLE = {
@@ -181,19 +184,52 @@ def test_degenerate_interval_when_se_zero():
 
 
 def test_compose_advantages_points_and_endpoints():
+    # Points multiply; the lower and upper log-distances add in quadrature.
     a = AdvantageEstimate(Advantage(1.86, 7.0), 1.82, 1.89, 0.95)
     b = AdvantageEstimate(Advantage(3.16, 7.0), 2.79, 3.59, 0.95)
     combined = compose_advantages(a, b)
-    assert combined.gamma.value == pytest.approx(1.86 * 3.16)
-    assert combined.ci_low == pytest.approx(1.82 * 2.79)
-    assert combined.ci_high == pytest.approx(1.89 * 3.59)
+    point = 1.86 * 3.16
+    below = math.sqrt(math.log(1.86 / 1.82) ** 2 + math.log(3.16 / 2.79) ** 2)
+    above = math.sqrt(math.log(1.89 / 1.86) ** 2 + math.log(3.59 / 3.16) ** 2)
+    assert combined.gamma.value == pytest.approx(point, rel=1e-12)
+    assert combined.ci_low == pytest.approx(point * math.exp(-below), rel=1e-12)
+    assert combined.ci_high == pytest.approx(point * math.exp(above), rel=1e-12)
+    # Narrower than the product of the endpoints, which adds the distances.
+    assert 1.82 * 2.79 < combined.ci_low and combined.ci_high < 1.89 * 3.59
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95])
+def test_compose_wald_intervals_sums_log_variances(level):
+    # For Wald intervals exp(beta -+ z se) the composed interval is the Wald
+    # interval of beta_a + beta_b with variance var_a + var_b.
+    (beta_a, var_a), (beta_b, var_b) = (0.62, 0.0004), (1.15, 0.0049)
+
+    def estimate(beta, variance):
+        point, low, high = advantage_interval(beta, variance, 1.0, level)
+        return AdvantageEstimate(Advantage(point, 7.0), low, high, level)
+
+    combined = compose_advantages(estimate(beta_a, var_a), estimate(beta_b, var_b))
+    point, low, high = advantage_interval(beta_a + beta_b, var_a + var_b, 1.0, level)
+    assert combined.gamma.value == pytest.approx(point, rel=1e-12)
+    assert combined.ci_low == pytest.approx(low, rel=1e-12)
+    assert combined.ci_high == pytest.approx(high, rel=1e-12)
 
 
 def test_compose_identity():
     a = AdvantageEstimate(Advantage(1.7, 7.0), 1.6, 1.8, 0.95)
     unit = AdvantageEstimate(Advantage(1.0, 7.0), 1.0, 1.0, 0.95)
     combined = compose_advantages(a, unit)
-    assert (combined.gamma.value, combined.ci_low, combined.ci_high) == (1.7, 1.6, 1.8)
+    assert (combined.gamma.value, combined.ci_low, combined.ci_high) == pytest.approx(
+        (1.7, 1.6, 1.8), rel=1e-12
+    )
+
+
+def test_compose_zero_lower_endpoint():
+    a = AdvantageEstimate(Advantage(1.7, 7.0), 0.0, 1.8, 0.95)
+    b = AdvantageEstimate(Advantage(2.0, 7.0), 1.9, 2.1, 0.95)
+    combined = compose_advantages(a, b)
+    assert combined.ci_low == 0.0
+    assert combined.gamma.value == pytest.approx(3.4)
 
 
 def test_compose_period_mismatch():
@@ -225,7 +261,7 @@ def test_variance_refuses_a_series_with_more_variants_than_the_fit(bandwidth):
         period_days=alpha.period_days,
     )
     result = fit(alpha)
-    with pytest.raises(InvalidValue, match="two-variant"):
+    with pytest.raises(InvalidValue, match="series the fit was made from"):
         if bandwidth is None:
             fisher_information(three, result)
         else:
@@ -246,13 +282,92 @@ def test_delta_vs_ancestral_composition():
     assert week.gamma.value == pytest.approx(5.87, abs=0.02)
 
 
-def test_k0_sandwich_matches_hand_computation():
-    from variantfit.estimate import hessian, per_period_scores
+@pytest.mark.parametrize("bandwidth", [None, 4])
+def test_variance_refuses_a_different_series(bandwidth):
+    # The Alpha fit with the Delta counts: both are two-variant series, so
+    # only the check against the fit's own series stops a covariance of the
+    # Alpha estimates computed from the Delta counts.
+    alpha, delta = load_bundled("alpha"), load_bundled("delta")
+    result = fit(alpha)
+    with pytest.raises(InvalidValue, match="series the fit was made from"):
+        if bandwidth is None:
+            fisher_information(delta, result)
+        else:
+            hac_sandwich(delta, result, bandwidth)
 
+
+def test_variance_accepts_an_equal_series():
+    result = fit(load_bundled("alpha"))
+    again = load_bundled("alpha")
+    assert again is not result.series
+    expected = hac_sandwich(result.series, result, 4).matrix
+    assert np.array_equal(hac_sandwich(again, result, 4).matrix, expected)
+
+
+def _simulated(m):
+    config = SimConfig(
+        gammas=tuple(1.2 + 0.1 * k for k in range(m - 1)),
+        initial_proportions=(0.9,) + (0.1 / (m - 1),) * (m - 1),
+        sequenced=(3000,) * 18,
+        seed=10 + m,
+    )
+    return simulate(config)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_variance_from_the_fit_equals_recomputed_at_theta(m, bandwidth):
+    series = _simulated(m)
+    result = fit(series)
+    scores, h = model_derivatives(np.array(result.theta), *series.columns)
+    expected = sandwich(-h, scores, series.columns, bandwidth).matrix
+    if bandwidth is None:
+        got = fisher_information(series, result).matrix
+    else:
+        got = hac_sandwich(series, result, bandwidth).matrix
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_fit_and_variance_evaluate_the_derivatives_once_per_newton_step(monkeypatch):
+    # Newton evaluates the derivatives once per step and once more at the
+    # optimum, where the fit keeps them; the variance evaluates nothing.
+    import variantfit.estimate as estimate
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return model_derivatives(*args)
+
+    monkeypatch.setattr(estimate, "model_derivatives", counted)
+    series = load_bundled("alpha")
+    result = fit(series)
+    fisher_information(series, result)
+    hac_sandwich(series, result, 4)
+    assert result.iterations == 4
+    assert len(calls) == result.iterations + 1
+
+
+def test_interval_for_each_variant():
+    series = _simulated(3)
+    result = fit(series)
+    variance = hac_sandwich(series, result, 4)
+    for j in (1, 2):
+        est = interval_for_gamma(variance, result, 4.7, variant=j)
+        b, v = result.theta[2 * j - 1], variance.matrix[2 * j - 1, 2 * j - 1]
+        scale = 4.7 / series.period_days
+        assert est.gamma.value == pytest.approx(math.exp(scale * b), rel=1e-14)
+        assert est.ci_low == pytest.approx(math.exp(scale * (b - 1.96 * math.sqrt(v))), rel=1e-14)
+    for j in (0, 3):
+        with pytest.raises(InvalidIndex):
+            interval_for_gamma(variance, result, 4.7, variant=j)
+
+
+def test_k0_sandwich_matches_hand_computation():
     series = load_bundled("omicron")
     result = fit(series)
-    info = -hessian(series, result.params)
-    scores = per_period_scores(series, result.params)
+    scores, h = model_derivatives(np.array(result.theta), *series.columns)
+    info = -h
     j = scores.T @ scores
     expected = np.linalg.solve(info, j) @ np.linalg.inv(info)
     got = hac_sandwich(series, result, 0).matrix

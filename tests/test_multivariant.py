@@ -7,14 +7,11 @@ import pytest
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import EmptySeries, InvalidIndex, ParseError, Separation
-from variantfit.estimate import fit
+from variantfit.estimate import fit, model_derivatives, model_log_likelihood
+from variantfit.inference import fisher_information, hac_sandwich
 from variantfit.multivariant import (
-    MultiParams,
     fit_multi,
     marginalize,
-    multi_hessian,
-    multi_log_likelihood,
-    multi_score_per_period,
     read_multi_csv,
     step_lambda_multi,
     to_multi_csv_string,
@@ -42,6 +39,14 @@ def _three_variant_series(n=10**6, t_max=12):
     )
 
 
+def _betas(result):
+    return tuple(result.theta[1::2])
+
+
+def _gammas(result):
+    return tuple(np.exp(result.theta[1::2]))
+
+
 def _binary_multi(series):
     n, x = series.binomial_counts()
     counts = np.column_stack([n - x, x])
@@ -58,15 +63,13 @@ def _binary_multi(series):
 def test_two_variant_fit_reduces_to_binary(name):
     series = load_bundled(name)
     binary = fit(series)
-    params, variance = fit_multi(_binary_multi(series))
-    assert params.alphas[0] == pytest.approx(binary.params.alpha, abs=1e-8)
-    assert params.betas[0] == pytest.approx(binary.params.beta, abs=1e-8)
-    assert params.gammas[0] == pytest.approx(binary.params.gamma, rel=1e-8)
+    result, variance = fit_multi(_binary_multi(series))
+    assert result.params.alpha == pytest.approx(binary.params.alpha, abs=1e-8)
+    assert result.params.beta == pytest.approx(binary.params.beta, abs=1e-8)
+    assert result.gamma == pytest.approx(binary.params.gamma, rel=1e-8)
 
 
 def test_two_variant_hac_variance_matches_binary():
-    from variantfit.inference import hac_sandwich
-
     series = load_bundled("delta")
     binary = fit(series)
     v_binary = hac_sandwich(series, binary, 4).matrix
@@ -76,10 +79,10 @@ def test_two_variant_hac_variance_matches_binary():
 
 def test_recovers_generating_parameters_from_expected_counts():
     series = _three_variant_series()
-    params, _ = fit_multi(series)
-    assert params.alphas == pytest.approx((-4.0, -7.0), abs=5e-4)
-    assert params.betas == pytest.approx((0.35, 0.65), abs=5e-5)
-    assert params.gammas == pytest.approx((math.exp(0.35), math.exp(0.65)), rel=1e-4)
+    result, _ = fit_multi(series)
+    assert tuple(result.theta[0::2]) == pytest.approx((-4.0, -7.0), abs=5e-4)
+    assert _betas(result) == pytest.approx((0.35, 0.65), abs=5e-5)
+    assert _gammas(result) == pytest.approx((math.exp(0.35), math.exp(0.65)), rel=1e-4)
 
 
 def test_marginalization_consistency():
@@ -90,7 +93,7 @@ def test_marginalization_consistency():
     for j in (2, 3):
         reduced = marginalize(series, (1, j))
         pairwise = fit(reduced)
-        assert pairwise.params.beta == pytest.approx(joint.betas[j - 2], abs=1e-5)
+        assert pairwise.params.beta == pytest.approx(_betas(joint)[j - 2], abs=1e-5)
 
 
 def test_marginalize_counts_and_roles():
@@ -120,21 +123,21 @@ def test_relabeling_numeraire_preserves_pairwise_advantages():
     )
     base, _ = fit_multi(series)
     other, _ = fit_multi(swapped)
+    base_gammas, other_gammas = _gammas(base), _gammas(other)
     # advantage of variant 3 over variant 2 must not depend on the numeraire
-    ratio_base = base.gammas[1] / base.gammas[0]
-    ratio_other = other.gammas[1] * other.gammas[0] ** 0  # two vs new numeraire "one"
+    ratio_base = base_gammas[1] / base_gammas[0]
+    ratio_other = other_gammas[1] * other_gammas[0] ** 0  # two vs new numeraire "one"
     # under the swap, gamma of "wild" is 1/old gamma of "one", gamma of
     # "two" is old gamma_two / old gamma_one
-    assert other.gammas[0] == pytest.approx(1.0 / base.gammas[0], rel=1e-6)
-    assert other.gammas[1] == pytest.approx(ratio_base, rel=1e-6)
-    assert ratio_other == pytest.approx(base.gammas[1] / base.gammas[0], rel=1e-6)
+    assert other_gammas[0] == pytest.approx(1.0 / base_gammas[0], rel=1e-6)
+    assert other_gammas[1] == pytest.approx(ratio_base, rel=1e-6)
+    assert ratio_other == pytest.approx(base_gammas[1] / base_gammas[0], rel=1e-6)
 
 
 def test_step_preserves_simplex_and_matches_softmax():
-    params = MultiParams(alphas=(-2.0, -3.0), betas=(0.3, 0.5))
     lam = np.array([0.90, 0.07, 0.03])
-    gammas = np.array([1.0, *params.gammas])
-    stepped = step_lambda_multi(lam, tuple(params.gammas))
+    gammas = np.array([1.0, math.exp(0.3), math.exp(0.5)])
+    stepped = step_lambda_multi(lam, tuple(gammas[1:]))
     assert stepped.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(stepped >= 0)
     expected = lam * gammas / np.dot(lam, gammas)
@@ -151,17 +154,14 @@ def test_score_and_hessian_match_finite_differences():
         variant_names=("v1", "v2", "v3"),
         period_days=7.0,
     )
-    params = MultiParams(alphas=(0.2, -0.4), betas=(0.05, 0.1))
     theta = np.array([0.2, 0.05, -0.4, 0.1])
 
     def ll(vec):
-        return multi_log_likelihood(
-            series, MultiParams(alphas=tuple(vec[0::2]), betas=tuple(vec[1::2]))
-        )
+        return model_log_likelihood(vec, *series.columns)
 
     eps = 1e-6
-    grad = multi_score_per_period(series, params).sum(axis=0)
-    hess = multi_hessian(series, params)
+    scores, hess = model_derivatives(theta, *series.columns)
+    grad = scores.sum(axis=0)
     for i in range(4):
         e = np.zeros(4)
         e[i] = eps
@@ -181,8 +181,7 @@ def test_score_and_hessian_match_finite_differences():
 
 def test_hessian_negative_definite_at_interior_point():
     series = _three_variant_series(n=1000, t_max=8)
-    params = MultiParams(alphas=(-1.0, -2.0), betas=(0.2, 0.4))
-    h = multi_hessian(series, params)
+    _, h = model_derivatives(np.array([-1.0, 0.2, -2.0, 0.4]), *series.columns)
     eigenvalues = np.linalg.eigvalsh(h)
     assert np.all(eigenvalues < 0)
 
@@ -235,13 +234,13 @@ def test_ten_variant_long_series_converges():
         seed=7,
     )
     series = simulate(config)
-    params, variance = fit_multi(series)
-    g = multi_score_per_period(series, params).sum(axis=0)
+    result, variance = fit_multi(series)
+    g = model_derivatives(result.theta, *series.columns)[0].sum(axis=0)
     n = series.totals.astype(float)
     t = np.asarray(series.t_values, dtype=float)
     assert np.all(np.abs(g[0::2]) <= 1e-12 * n.sum())
     assert np.all(np.abs(g[1::2]) <= 1e-12 * (n * t).sum())
-    assert params.gammas == pytest.approx(gammas, rel=1e-3)
+    assert _gammas(result) == pytest.approx(gammas, rel=1e-3)
     assert variance.kind == "fisher"
 
 
@@ -264,7 +263,32 @@ def test_fit_when_one_variant_vanishes_before_another_appears():
         counts=counts,
         variant_names=("v1", "v2", "v3"),
     )
-    params, variance = fit_multi(series)
-    scores = multi_score_per_period(series, params)
+    result, variance = fit_multi(series)
+    scores = model_derivatives(result.theta, *series.columns)[0]
     assert np.max(np.abs(scores.sum(axis=0))) < 1e-8 * counts.sum()
     assert np.all(np.isfinite(variance.matrix)) and np.all(np.diag(variance.matrix) > 0)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0, 4])
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_fit_multi_is_fit_plus_variance(m, bandwidth):
+    config = SimConfig(
+        gammas=tuple(1.05 + 0.05 * k for k in range(m - 1)),
+        initial_proportions=(0.9,) + (0.1 / (m - 1),) * (m - 1),
+        sequenced=(3000,) * 40,
+        seed=m,
+    )
+    series = simulate(config)
+    result, variance = fit_multi(series, bandwidth)
+    alone = fit(series)
+    if bandwidth is None:
+        expected = fisher_information(series, alone)
+    else:
+        expected = hac_sandwich(series, alone, bandwidth)
+    for name in ("theta", "scores", "information", "shares"):
+        assert np.array_equal(getattr(result, name), getattr(alone, name))
+    assert (result.log_likelihood, result.iterations, result.score_norm) == (
+        alone.log_likelihood, alone.iterations, alone.score_norm
+    )
+    assert variance.kind == expected.kind
+    assert np.array_equal(variance.matrix, expected.matrix)

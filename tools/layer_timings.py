@@ -1,7 +1,7 @@
 """Time each layer of one fit at every grid point of T periods x m variants.
 
     python tools/layer_timings.py                              # the full grid
-    python tools/layer_timings.py --periods 18 --variants 2    # one point
+    python tools/layer_timings.py --periods 18 --variants 2 3  # two points
 
 At each point a seeded simulated series with 3 000 sequenced cases per
 period is written as CSV to a temporary directory. Then each stage runs
@@ -9,12 +9,14 @@ period is written as CSV to a temporary directory. Then each stage runs
 
 - load_ms: read the CSV, with load_csv for m = 2 and load_multi_csv
   otherwise, as the CLI does
-- newton_ms: the damped Newton fit of the loaded counts
-- fisher_ms, hac4_ms: the variance step, Fisher and HAC with bandwidth 4;
+- fit_ms: `fit` of the loaded series, the damped Newton iteration plus the
+  fitted shares
+- fisher_ms, hac4_ms: the variance step from the fit's own scores and
+  information, Fisher and HAC with bandwidth 4;
   hac4_ms is null, with the error in hac4_error, where the sandwich is not
   identified (T = 18 periods cannot identify 18 parameters at m = 10)
-- report_ms: the JSON run report of the fit, built and formatted as the
-  `multi --json` command does
+- report_ms: the JSON run report of the fit, built by the `multi` command's
+  report builder and formatted as `multi --json` does
 
 The result is one JSON object on stdout. Nothing is asserted about the
 times: the script measures, it does not gate. Warm file cache only.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import platform
 import statistics
@@ -42,8 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from variantfit import cli  # noqa: E402
 from variantfit.data import load_csv, to_csv_string  # noqa: E402
 from variantfit.errors import VariantFitError  # noqa: E402
-from variantfit.estimate import newton  # noqa: E402
-from variantfit.inference import advantage_interval, sandwich  # noqa: E402
+from variantfit.estimate import fit  # noqa: E402
+from variantfit.inference import sandwich  # noqa: E402
 from variantfit.multivariant import load_multi_csv, to_multi_csv_string  # noqa: E402
 from variantfit.simulate import SimConfig, simulate  # noqa: E402
 
@@ -78,23 +79,12 @@ def median_ms(stage, repeats: int):
     return 1e3 * statistics.median(times), result
 
 
-def report_text(series, theta, variance) -> str:
-    scale = cli.GENERATION_DAYS / series.period_days
-    variants = []
-    for j, name in enumerate(series.variant_names[1:]):
-        beta = float(theta[2 * j + 1])
-        point, low, high = advantage_interval(
-            beta, variance.matrix[2 * j + 1, 2 * j + 1], scale, 0.95
-        )
-        variants.append({"variant": name, "gamma_per_period": math.exp(beta),
-                         "gamma_per_generation": point, "ci_low_per_generation": low,
-                         "ci_high_per_generation": high})
-    report = cli._report_header("multi", {"path": "series.csv"}, {"variance": variance.kind})
-    report.update({"numeraire": series.variant_names[0], "variants": variants,
-                   "covariance": variance.matrix.tolist()})
+def report_text(result, variance) -> str:
+    report, lines = cli.multi_report({"path": "series.csv"}, result, variance,
+                                     cli.GENERATION_DAYS, 0.95)
     sink = io.StringIO()
     with redirect_stdout(sink):
-        cli._emit(report, True, [])
+        cli._emit(report, True, lines)
     return sink.getvalue()
 
 
@@ -103,17 +93,20 @@ def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict
     path.write_text(series_csv(T, m, seed), encoding="utf-8")
     load = load_csv if m == 2 else load_multi_csv
     load_ms, series = median_ms(lambda: load(str(path)), repeats)
-    t, counts = series.columns
-    newton_ms, (theta, _, iterations, scores, h) = median_ms(lambda: newton(t, counts), repeats)
-    fisher_ms, fisher = median_ms(lambda: sandwich(-h, scores, series.columns, None), repeats)
-    point = {"T": T, "m": m, "iterations": iterations, "load_ms": load_ms,
-             "newton_ms": newton_ms, "fisher_ms": fisher_ms}
+    fit_ms, result = median_ms(lambda: fit(series), repeats)
+
+    def variance(bandwidth):
+        return sandwich(result.information, result.scores, series.columns, bandwidth)
+
+    fisher_ms, fisher = median_ms(lambda: variance(None), repeats)
+    point = {"T": T, "m": m, "iterations": result.iterations, "load_ms": load_ms,
+             "fit_ms": fit_ms, "fisher_ms": fisher_ms}
     try:
-        point["hac4_ms"], _ = median_ms(lambda: sandwich(-h, scores, series.columns, 4), repeats)
+        point["hac4_ms"], _ = median_ms(lambda: variance(4), repeats)
     except VariantFitError as exc:
         # No more periods with counts than the 2(m - 1) parameters.
         point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
-    point["report_ms"], _ = median_ms(lambda: report_text(series, theta, fisher), repeats)
+    point["report_ms"], _ = median_ms(lambda: report_text(result, fisher), repeats)
     return point
 
 
