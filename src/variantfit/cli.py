@@ -39,20 +39,54 @@ from .simulate import SimConfig, simulate
 MAX_GRID_POINTS = 10_001
 
 
-def _round10(value):
-    """Normalize floats to 10 significant digits for stable JSON output."""
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value, indent: str = "") -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it once
+    every float is rounded to 10 significant digits, so that identical runs
+    print identical bytes.
+
+    Written directly because json.dumps formats indented output with its
+    pure-Python encoder. Dict keys must be strings.
+    """
     if isinstance(value, float):
-        return float(f"{value:.10g}")
+        text = f"{value:.10g}"
+        if "e" in text or "n" in text:  # exponent, NaN or infinity
+            text = repr(float(text))
+            return _SPECIAL_FLOATS.get(text, text)
+        # 10 digits round-trip, so repr() of the rounded float has the same
+        # digits, and in fixed notation differs only by its ".0".
+        return text if "." in text else text + ".0"
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    separator = ",\n" + inner
     if isinstance(value, dict):
-        return {k: _round10(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [_ESCAPE(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + separator.join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_round10(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        items = [json_text(v, inner) for v in value]
+        return "[\n" + inner + separator.join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(_round10(report), indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         for line in human_lines:
             print(line)
@@ -144,12 +178,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_crude(args) -> int:
-    series, digest = _load_input(args.input, args.period_days)
-    measures = crude_gammas(series, level=args.level)
+def crude_report(digest: dict, series, measures, level: float):
+    """The `crude` run report and its text lines, for the series' crude measures."""
     mean = crude_mean(measures)
     report = _report_header(
-        "crude", digest, {"period_days": series.period_days, "level": args.level}
+        "crude", digest, {"period_days": series.period_days, "level": level}
     )
     report.update(
         {
@@ -165,6 +198,13 @@ def cmd_crude(args) -> int:
         f"{m.t_index},{m.value:.6g},{m.ci_low:.6g},{m.ci_high:.6g}" for m in measures
     ]
     lines.append(f"mean,{mean:.6g},,")
+    return report, lines
+
+
+def cmd_crude(args) -> int:
+    series, digest = _load_input(args.input, args.period_days)
+    measures = crude_gammas(series, level=args.level)
+    report, lines = crude_report(digest, series, measures, args.level)
     _emit(report, args.json, lines)
     return 0
 

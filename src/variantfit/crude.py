@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import SurveillanceSeries
 from .inference import advantage_interval
 
@@ -31,20 +33,18 @@ def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeM
     of the affected pair. The CI is a Wald interval on the log odds-ratio
     ratio with variance 1/a + 1/b + 1/c + 1/d, exponentiated.
     """
-    t = series.t_values
-    n, x = (column.tolist() for column in series.binomial_counts())
-    out = []
-    for i in range(1, len(t)):
-        cells = [float(x[i]), float(n[i] - x[i]), float(x[i - 1]), float(n[i - 1] - x[i - 1])]
-        if any(c == 0.0 for c in cells):
-            cells = [c + 0.5 for c in cells]
-        a, b, c, d = cells
-        log_ratio = math.log(a / b) - math.log(c / d)
-        value, low, high = advantage_interval(
-            log_ratio, 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d, 1.0 / (t[i] - t[i - 1]), level
-        )
-        out.append(CrudeMeasure(t_index=t[i], value=value, ci_low=low, ci_high=high))
-    return out
+    t, _ = series.columns
+    n, x = series.binomial_counts()
+    # Row i: the variant and the other cases in period i + 1, then in period i.
+    cells = np.column_stack([x[1:], n[1:] - x[1:], x[:-1], n[:-1] - x[:-1]]).astype(float)
+    cells += 0.5 * (cells == 0.0).any(axis=1, keepdims=True)
+    a, b, c, d = cells.T
+    # math.log, not np.log, which can differ from it in the last bit.
+    log_odds = [list(map(math.log, odds.tolist())) for odds in (a / b, c / d)]
+    log_ratio = np.subtract(*log_odds)
+    variance = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
+    value, low, high = advantage_interval(log_ratio, variance, 1.0 / np.diff(t), level)
+    return list(map(CrudeMeasure, series.t_values[1:], value, low, high))
 
 
 def crude_mean(measures: list[CrudeMeasure]) -> float:

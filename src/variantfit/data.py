@@ -7,7 +7,8 @@ import io
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .errors import CountViolation, DuplicatePeriod, EmptySeries, InvalidValue, 
 CSV_HEADER = ["t", "label", "sequenced", "variant_count", "total_cases", "tested"]
 # Variant names of a two-variant series; neither CSV schema for it stores names.
 TWO_VARIANT_NAMES = ("incumbent", "variant")
+REQUIRED = "t, sequenced and variant_count are required"
 
 
 def check_periods(t_values: Sequence[int], period_days: float) -> None:
@@ -29,6 +31,20 @@ def check_periods(t_values: Sequence[int], period_days: float) -> None:
             raise DuplicatePeriod(f"repeated t_index {a}")
         if a > b:
             raise InvalidValue("periods not sorted by t_index")
+
+
+def _raise_count_violation(t, n, x, cases, tested) -> None:
+    """CountViolation for the first row whose counts break 0 <= X <= N <= total_cases
+    or tested >= 0; total_cases and tested may be None."""
+    for t, n, x, cases, tested in zip(t, n, x, cases, tested):
+        if n < 0 or x < 0:
+            raise CountViolation(f"negative count at t={t}: sequenced={n}, variant_count={x}")
+        if x > n:
+            raise CountViolation(f"variant_count {x} > sequenced {n} at t={t}")
+        if cases is not None and (cases < 0 or n > cases):
+            raise CountViolation(f"sequenced {n} > total_cases {cases} at t={t}")
+        if tested is not None and tested < 0:
+            raise CountViolation(f"negative tested count at t={t}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,23 +113,26 @@ class SurveillanceSeries:
         """The m = 2 series from rows (t, label, sequenced N, variant_count X,
         total_cases, tested), sorted by t, with count columns (N - X, X).
 
-        total_cases and tested may be None. Each row is checked as it is read:
-        CountViolation unless 0 <= X <= N <= total_cases and tested >= 0.
+        total_cases and tested may be None. CountViolation unless
+        0 <= X <= N <= total_cases and tested >= 0; the columns are checked
+        whole, and the first row at fault is looked for only when one is.
         """
-        checked = []
-        for row in rows:
-            t, _, n, x, cases, tested = row
-            if n < 0 or x < 0:
-                raise CountViolation(f"negative count at t={t}: sequenced={n}, variant_count={x}")
-            if x > n:
-                raise CountViolation(f"variant_count {x} > sequenced {n} at t={t}")
-            if cases is not None and (cases < 0 or n > cases):
-                raise CountViolation(f"sequenced {n} > total_cases {cases} at t={t}")
-            if tested is not None and tested < 0:
-                raise CountViolation(f"negative tested count at t={t}")
-            checked.append(row)
-        checked.sort(key=lambda row: row[0])
-        t, labels, n, x, cases, tested = zip(*checked) if checked else [()] * 6
+        columns = tuple(zip(*rows)) or ((),) * 6
+        t, labels, n, x, cases, tested = columns
+        cases_given = list(map(operator.is_not, cases, repeat(None)))
+        tested_given = map(operator.is_not, tested, repeat(None))
+        if (
+            min(n, default=0) < 0
+            or min(x, default=0) < 0
+            or any(map(operator.gt, x, n))
+            # With N >= 0, N > total_cases also catches a negative total_cases.
+            or any(map(operator.gt, compress(n, cases_given), compress(cases, cases_given)))
+            or min(compress(tested, tested_given), default=0) < 0
+        ):
+            _raise_count_violation(t, n, x, cases, tested)
+        if any(map(operator.gt, t, t[1:])):
+            order = sorted(range(len(t)), key=t.__getitem__)
+            t, labels, n, x, cases, tested = ([column[i] for i in order] for column in columns)
         n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
                    cases, tested)
@@ -169,64 +188,94 @@ class SurveillanceSeries:
         )
 
 
-def _parse_optional_int(text: str, row_num: int, column: str) -> Optional[int]:
-    text = text.strip()
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"row {row_num}: bad {column} value {text!r}") from None
-
-
 def load_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
     """Load the `t,label,sequenced,variant_count,total_cases,tested` schema."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
         return read_csv(fh, period_days=period_days)
 
 
-def csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
-    """Yield the stripped header as row 1, then each non-blank row with its number.
+def csv_columns(fh) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:
+    """The stripped header, the file row number of each non-blank data row
+    (the header is row 1), and those rows' cells as one tuple per column.
 
     ParseError on an empty file, a row whose length differs from the header's,
     text that is not UTF-8 and malformed CSV.
     """
-    reader = csv.reader(fh)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file, expected a header row")
-        yield 1, [h.strip() for h in header]
-        for row_num, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-            yield row_num, row
+        rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from None
+    if not rows:
+        raise ParseError("empty file, expected a header row")
+    header = [h.strip() for h in rows[0]]
+    del rows[0]
+    numbers = range(2, len(rows) + 2)
+    # A row is blank when its joined cells are whitespace; blank rows are skipped.
+    if not all(map(str.strip, map("".join, rows))):
+        kept = [i for i, row in enumerate(rows) if "".join(row).strip()]
+        numbers, rows = [numbers[i] for i in kept], [rows[i] for i in kept]
+    width = len(header)
+    if list(map(len, rows)).count(width) != len(rows):
+        number, row = next((n, row) for n, row in zip(numbers, rows) if len(row) != width)
+        raise ParseError(f"row {number}: expected {width} fields, got {len(row)}")
+    return header, numbers, list(zip(*rows)) or [()] * width
+
+
+def int_column(
+    cells: Sequence[str],
+    numbers: Sequence[int],
+    fault: Callable[[str], str],
+    optional: bool = False,
+    count: bool = False,
+) -> list:
+    """One CSV column's cells as ints, ignoring surrounding whitespace.
+
+    A blank cell of an optional column is None. A count column must not be
+    negative. ParseError names the first row at fault, with `fault(text)` for
+    a cell whose stripped text is not an integer and "negative count" for a
+    negative count; the row is looked for only once the column has failed.
+    """
+    try:
+        if not optional:
+            values = list(map(int, cells))
+        elif any(texts := list(map(str.strip, cells))):
+            values = [int(text) if text else None for text in texts]
+        else:
+            values = [None] * len(cells)
+    except ValueError:
+        # int() keeps some characters that str.strip() removes, so a cell
+        # is at fault only if its stripped text fails too.
+        values = []
+        for number, cell in zip(numbers, cells):
+            text = cell.strip()
+            try:
+                values.append(int(text) if text or not optional else None)
+            except ValueError:
+                raise ParseError(f"row {number}: {fault(text)}") from None
+    if count and min(values, default=0) < 0:
+        number = next(n for n, value in zip(numbers, values) if value < 0)
+        raise ParseError(f"row {number}: negative count")
+    return values
 
 
 def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
-    rows = csv_rows(fh)
-    _, header = next(rows)
+    header, numbers, columns = csv_columns(fh)
     if header != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {CSV_HEADER!r}")
 
-    def parsed():
-        # A generator, so each row is checked before the next one is parsed.
-        for row_num, row in rows:
-            t, n, x = (_parse_optional_int(row[i], row_num, CSV_HEADER[i]) for i in (0, 2, 3))
-            if None in (t, n, x):
-                raise ParseError(f"row {row_num}: t, sequenced and variant_count are required")
-            if n < 0 or x < 0:
-                raise ParseError(f"row {row_num}: negative count")
-            cases, tested = (_parse_optional_int(row[i], row_num, CSV_HEADER[i]) for i in (4, 5))
-            yield t, row[1].strip(), n, x, cases, tested
+    def fault(name):
+        return lambda text: f"bad {name} value {text!r}" if text else REQUIRED
 
-    return SurveillanceSeries.two_variant(parsed(), period_days=period_days)
+    t, labels, n, x, cases, tested = columns
+    t = int_column(t, numbers, fault("t"))
+    n = int_column(n, numbers, fault("sequenced"), count=True)
+    x = int_column(x, numbers, fault("variant_count"), count=True)
+    cases = int_column(cases, numbers, fault("total_cases"), optional=True)
+    tested = int_column(tested, numbers, fault("tested"), optional=True)
+    rows = zip(t, map(str.strip, labels), n, x, cases, tested)
+    return SurveillanceSeries.two_variant(rows, period_days=period_days)
 
 
 def write_csv(series: SurveillanceSeries, fh) -> None:

@@ -91,21 +91,32 @@ def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
     return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
 
 
+def _log_likelihood(
+    theta: np.ndarray, t: np.ndarray, counts: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The log-likelihood at theta and the (T, m) log-softmax it was summed from."""
+    log_shares = _log_softmax(theta, t, counts.shape[1])
+    return float(np.sum(counts * log_shares)), log_shares
+
+
 def model_log_likelihood(theta: np.ndarray, t: np.ndarray, counts: np.ndarray) -> float:
     """Log-likelihood at theta of the (T,) periods and (T, m) counts."""
-    return float(np.sum(counts * _log_softmax(theta, t, counts.shape[1])))
+    return _log_likelihood(theta, t, counts)[0]
 
 
 def model_derivatives(
-    theta: np.ndarray, t: np.ndarray, counts: np.ndarray
+    theta: np.ndarray, t: np.ndarray, counts: np.ndarray, log_shares: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-period scores (T, 2(m-1)) and the Hessian at theta, from one softmax.
 
+    `log_shares` is that log-softmax at theta when the caller has it already.
     Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
     """
     m = counts.shape[1]
     k = m - 1
-    p = np.exp(_log_softmax(theta, t, m))[:, 1:]
+    if log_shares is None:
+        log_shares = _log_softmax(theta, t, m)
+    p = np.exp(log_shares)[:, 1:]
     n = counts.sum(axis=1)
     # Row t of xx holds x_ta x_tb for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1),
     # with x_t = (1, t); its first two columns are x_t.
@@ -178,13 +189,14 @@ def newton(t: np.ndarray, counts: np.ndarray):
 
     Stops once the Newton decrement is at most DECREMENT_TOLERANCE. Returns
     (theta, log-likelihood, steps taken, per-period scores, Hessian), the
-    last two at theta.
+    last two at theta. The softmax is evaluated once per theta: the
+    derivatives at an accepted step reuse the line search's.
     """
     _check_identified(t, counts)
     theta = _initial_theta(t, counts)
-    ll = model_log_likelihood(theta, t, counts)
+    ll, log_shares = _log_likelihood(theta, t, counts)
     for iterations in range(MAX_ITERATIONS):
-        scores, h = model_derivatives(theta, t, counts)
+        scores, h = model_derivatives(theta, t, counts, log_shares)
         g = scores.sum(axis=0)
         try:
             step = np.linalg.solve(h, -g)
@@ -197,11 +209,11 @@ def newton(t: np.ndarray, counts: np.ndarray):
         scale = 1.0
         while True:
             candidate = theta + scale * step
-            ll_new = model_log_likelihood(candidate, t, counts)
+            ll_new, candidate_log_shares = _log_likelihood(candidate, t, counts)
             if ll_new >= ll - slack or scale <= 1e-12:
                 break
             scale *= 0.5
-        theta, ll = candidate, ll_new
+        theta, ll, log_shares = candidate, ll_new, candidate_log_shares
     raise MaxIterations(f"no convergence in {MAX_ITERATIONS} iterations")
 
 

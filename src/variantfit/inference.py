@@ -162,20 +162,22 @@ def normal_quantile(level: float) -> float:
 
 
 def advantage_interval(
-    beta: float, variance: float, scale: float, level: float
-) -> tuple[float, float, float]:
+    beta: float | np.ndarray, variance: float | np.ndarray, scale: float | np.ndarray, level: float
+) -> tuple:
     """exp(scale * beta) and its interval exp(scale * (beta -+ z * se)).
 
     `beta` is a per-period log advantage with the given variance, and
-    `scale` converts periods to the target time unit.
+    `scale` converts periods to the target time unit. Given floats, the
+    three results are floats; given 1-D arrays of one length, they are
+    lists with one entry per element. The exponential is math.exp either
+    way, so an element's interval is the one its floats would give.
     """
     z = normal_quantile(level)
-    se = math.sqrt(max(variance, 0.0))
-    return (
-        math.exp(scale * beta),
-        math.exp(scale * (beta - z * se)),
-        math.exp(scale * (beta + z * se)),
-    )
+    se = np.sqrt(np.maximum(variance, 0.0))
+    point, low, high = np.multiply(scale, [beta, beta - z * se, beta + z * se]).tolist()
+    if np.ndim(beta):
+        return list(map(math.exp, point)), list(map(math.exp, low)), list(map(math.exp, high))
+    return math.exp(point), math.exp(low), math.exp(high)
 
 
 def interval_for_gamma(

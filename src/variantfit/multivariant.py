@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import SurveillanceSeries, csv_rows
+from .data import SurveillanceSeries, csv_columns, int_column
 from .errors import InvalidIndex, InvalidValue, ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
@@ -60,8 +61,7 @@ def marginalize(series: SurveillanceSeries, keep: tuple[int, int]) -> Surveillan
 
 def read_multi_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     """Schema: `t,label,count_<name1>,count_<name2>,...` with a header."""
-    rows = csv_rows(fh)
-    _, header = next(rows)
+    header, numbers, columns = csv_columns(fh)
     if len(header) < 4 or header[0] != "t" or header[1] != "label":
         raise ParseError(f"bad header {header!r}; expected t,label,count_*,...")
     names = []
@@ -69,26 +69,29 @@ def read_multi_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
         if not col.startswith("count_"):
             raise ParseError(f"bad count column {col!r}; expected count_<variant>")
         names.append(col[len("count_"):])
-    t_values, labels, counts = [], [], []
-    for row_num, row in rows:
-        try:
-            t_values.append(int(row[0]))
-            counts.append([int(cell) for cell in row[2:]])
-        except ValueError:
-            raise ParseError(f"row {row_num}: malformed integer") from None
-        labels.append(row[1].strip())
-    order = np.argsort(t_values, kind="stable")
+
+    def fault(text):
+        return "malformed integer"
+
+    t_values = int_column(columns[0], numbers, fault)
+    labels = list(map(str.strip, columns[1]))
+    counts = np.array([int_column(cells, numbers, fault, count=True) for cells in columns[2:]],
+                      dtype=np.int64).T
+    if any(map(operator.gt, t_values, t_values[1:])):
+        order = sorted(range(len(t_values)), key=t_values.__getitem__)
+        t_values, labels = [t_values[i] for i in order], [labels[i] for i in order]
+        counts = counts[order]
     return SurveillanceSeries(
-        t_values=tuple(t_values[i] for i in order),
-        labels=tuple(labels[i] for i in order),
-        counts=np.array(counts, dtype=int)[order],
+        t_values=t_values,
+        labels=labels,
+        counts=np.ascontiguousarray(counts),
         variant_names=tuple(names),
         period_days=period_days,
     )
 
 
 def load_multi_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
         return read_multi_csv(fh, period_days=period_days)
 
 

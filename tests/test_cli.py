@@ -2,18 +2,20 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import variantfit
-from variantfit.cli import build_parser, main
+from variantfit.cli import build_parser, json_text, main
 
 
 def run(capsys, *argv):
@@ -225,20 +227,25 @@ def test_out_of_range_value_is_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "command, text, extra",
+    "command, text, extra, error",
     [
         ("estimate", "t,label,sequenced,variant_count,total_cases,tested\n"
-         "1,w1,100,10,,\n2,w2,100,30,,\n3,w3,100,60,,\n", ["--period-days", "0"]),
-        ("multi", "t,label,count_a,count_b\n1,w1,10,5\n2,w2,5,6\n", ["--period-days", "0"]),
-        ("multi", "t,label,count_a,count_b\n1,w1,10,-5\n2,w2,5,6\n", []),
+         "1,w1,100,10,,\n2,w2,100,30,,\n3,w3,100,60,,\n", ["--period-days", "0"], "InvalidValue: "),
+        ("multi", "t,label,count_a,count_b\n1,w1,10,5\n2,w2,5,6\n", ["--period-days", "0"],
+         "InvalidValue: "),
+        # As in the two-variant schema: a parse error that names the row.
+        ("multi", "t,label,count_a,count_b\n1,w1,10,-5\n2,w2,5,6\n", [],
+         "ParseError: row 2: negative count\n"),
     ],
     ids=["estimate-period-days-0", "multi-period-days-0", "multi-negative-count"],
 )
-def test_out_of_range_input_is_one_error_line(tmp_path, capsys, command, text, extra):
+def test_out_of_range_input_is_one_error_line(tmp_path, capsys, command, text, extra, error):
     path = tmp_path / "input.csv"
     path.write_text(text)
     argv = [str(path)] if command == "estimate" else ["--file", str(path)]
-    assert_one_invalid_value_line(*run(capsys, command, *argv, *extra))
+    code, out, err = run(capsys, command, *argv, *extra)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: " + error)
 
 
 def test_import_loads_no_scipy():
@@ -433,6 +440,28 @@ def test_non_utf8_csv_is_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, text",
+    [
+        ("estimate", TWO_VARIANT_HEADER + "1,w1,100,10,,\n2,w2,100,30,,\n3,w3,100,60,,\n"),
+        ("multi", "t,label,count_a,count_b\n1,w1,90,10\n2,w2,70,30\n3,w3,40,60\n"),
+    ],
+    ids=["two-variant", "multi"],
+)
+def test_csv_with_a_byte_order_mark_is_read(tmp_path, capsys, command, text):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark; it is not part of the header.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = []
+    for path in (plain, marked):
+        argv = [str(path)] if command == "estimate" else ["--file", str(path)]
+        outputs.append(run(capsys, command, *argv, "--fisher"))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize(
     "pairs, extra",
     [
         ([(50, 0), (50, 0), (50, 50), (50, 50)], []),
@@ -604,3 +633,55 @@ def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, m
         code = main(argv)
     if code != 0:
         assert_one_error_line(code, out.getvalue(), err.getvalue())
+
+
+# --- the JSON report writer against json.dumps --------------------------------
+
+
+def _round10_reference(value):
+    """Every float rounded to 10 significant digits: json.dumps of this is the reference."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {k: _round10_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round10_reference(v) for v in value]
+    return value
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                     1e10, 1e16, 9999999999.5, 1.0, 12345678901.0]),
+    st.floats(1e10, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+)
+JSON_SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    st.text(),  # any code point, so non-ASCII and escapes
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_text_equals_json_dumps_of_the_rounded_report(value):
+    expected = json.dumps(_round10_reference(value), indent=2, sort_keys=True)
+    assert json_text(value) == expected
+
+
+def test_json_text_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text({"a": [np.int64(1)]})

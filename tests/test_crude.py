@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from variantfit.crude import crude_gammas, mean_crude_gamma
+from variantfit.crude import CrudeMeasure, crude_gammas, mean_crude_gamma
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import InvalidValue
+from variantfit.inference import normal_quantile
 
 
 def _periods(series):
@@ -132,3 +133,41 @@ def test_gap_spreads_the_interval_over_the_periods():
     assert m.value == pytest.approx(m1.value ** (1 / 3), rel=1e-12)
     assert m.ci_low == pytest.approx(m1.ci_low ** (1 / 3), rel=1e-12)
     assert m.ci_high == pytest.approx(m1.ci_high ** (1 / 3), rel=1e-12)
+
+
+def _crude_reference(series, level):
+    """The scalar formula, one pair of periods at a time: the reference for crude_gammas."""
+    z = normal_quantile(level)
+    t = series.t_values
+    n, x = (column.tolist() for column in series.binomial_counts())
+    out = []
+    for i in range(1, len(t)):
+        cells = [float(x[i]), float(n[i] - x[i]), float(x[i - 1]), float(n[i - 1] - x[i - 1])]
+        if any(c == 0.0 for c in cells):
+            cells = [c + 0.5 for c in cells]
+        a, b, c, d = cells
+        log_ratio = math.log(a / b) - math.log(c / d)
+        se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
+        scale = 1.0 / (t[i] - t[i - 1])
+        out.append((t[i], math.exp(scale * log_ratio), math.exp(scale * (log_ratio - z * se)),
+                    math.exp(scale * (log_ratio + z * se))))
+    return out
+
+
+def _gappy_series():
+    """Zero cells of each kind (no variant, all variant, nothing sequenced) and gaps of 4 and 5."""
+    pairs = [(1, 100, 0), (2, 120, 3), (3, 80, 80), (7, 0, 0), (8, 150, 40), (13, 200, 190),
+             (14, 210, 0), (15, 90, 45)]
+    return SurveillanceSeries.two_variant([(t, f"p{t}", n, x, None, None) for t, n, x in pairs])
+
+
+@pytest.mark.parametrize("level", [0.95, 0.9])
+@pytest.mark.parametrize("name", ["gaps-and-zero-cells", "alpha", "delta", "omicron"])
+def test_crude_gammas_equal_the_scalar_formula(name, level):
+    series = _gappy_series() if name == "gaps-and-zero-cells" else load_bundled(name)
+    measures = crude_gammas(series, level=level)
+    expected = _crude_reference(series, level)
+    assert [m.t_index for m in measures] == [e[0] for e in expected]
+    for m, (_, value, low, high) in zip(measures, expected):
+        assert isinstance(m, CrudeMeasure)
+        assert (m.value, m.ci_low, m.ci_high) == pytest.approx((value, low, high), rel=1e-15)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from variantfit.data import (
     to_csv_string,
 )
 from variantfit.datasets import load_bundled
+from variantfit.multivariant import read_multi_csv
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,
@@ -185,3 +187,79 @@ def test_equal_series_compare_equal():
     assert a == three_variant(np.arange(9).reshape(3, 3))
     assert a != three_variant(np.arange(9).reshape(3, 3) + 1)
     assert a != load_bundled("alpha")
+
+
+HEADER = "t,label,sequenced,variant_count,total_cases,tested\n"
+MULTI_HEADER = "t,label,count_a,count_b\n"
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_csv, HEADER + "1,a,10,1,,\nx,b,20,5,,\n", "row 3: bad t value 'x'"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b, 2x ,5,,\n", "row 3: bad sequenced value '2x'"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5.0,,\n", "row 3: bad variant_count value '5.0'"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,,,\n",
+         "row 3: t, sequenced and variant_count are required"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5,z,\n", "row 3: bad total_cases value 'z'"),
+        (read_csv, HEADER + "1,a,10,1,30,\n2,b,20,5,,-\n", "row 3: bad tested value '-'"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b,-20,5,,\n", "row 3: negative count"),
+        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5,\n", "row 3: expected 6 fields, got 5"),
+        (read_csv, HEADER + "1,a,10,1,,\n\n , ,, , ,\n2,b,x,5,,\n",
+         "row 5: bad sequenced value 'x'"),
+        (read_csv, HEADER + '1,a,10,1,,\n2,"b,20,5,,\n', "row 3: expected 6 fields, got 2"),
+        (read_csv, "t,label,sequenced,variant,total_cases,tested\n1,a,10,1,,\n", "bad header"),
+        (read_csv, "", "empty file"),
+        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n2,b,20,x\n", "row 3: malformed integer"),
+        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n,b,20,5\n", "row 3: malformed integer"),
+        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n\n2,b,20\n", "row 4: expected 4 fields, got 3"),
+        (read_multi_csv, "t,label,a,count_b\n1,a,10,1\n", "bad count column 'a'"),
+    ],
+)
+def test_a_file_with_one_fault_names_it(read, text, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        read(io.StringIO(text))
+
+
+@pytest.mark.parametrize("read", [read_csv, read_multi_csv], ids=["two-variant", "multi"])
+def test_negative_count_is_a_parse_error_in_both_schemas(read):
+    header = HEADER if read is read_csv else MULTI_HEADER
+    rows = "1,a,10,1,,\n2,b,20,-5,,\n" if read is read_csv else "1,a,10,1\n2,b,20,-5\n"
+    with pytest.raises(ParseError, match="^row 3: negative count$"):
+        read(io.StringIO(header + rows))
+
+
+def test_cells_are_read_without_surrounding_whitespace():
+    # str.strip() also removes \x1c-\x1f, which int() alone refuses.
+    text = HEADER + " 2 ,\tb ,\x1c20\x1f, 5 , 25 ,\n1,a,10,1,,\n3,c,30,9,,7\n"
+    series = read_csv(io.StringIO(text))
+    assert series.t_values == (1, 2, 3)
+    assert series.labels == ("a", "b", "c")
+    assert [c.tolist() for c in series.binomial_counts()] == [[10, 20, 30], [1, 5, 9]]
+    assert series.total_cases == (None, 25, None)
+    assert series.tested == (None, None, 7)
+
+
+def test_unsorted_rows_are_sorted_stably_by_t():
+    text = MULTI_HEADER + "3,c,5,6\n1,a,1,2\n2,b,3,4\n"
+    series = read_multi_csv(io.StringIO(text))
+    assert series.t_values == (1, 2, 3)
+    assert series.labels == ("a", "b", "c")
+    assert series.counts.tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert series.counts.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((2, "b", 20, 25, None, None), "variant_count 25 > sequenced 20 at t=2"),
+        ((2, "b", 20, 5, 10, None), "sequenced 20 > total_cases 10 at t=2"),
+        ((2, "b", 20, 5, -1, None), "sequenced 20 > total_cases -1 at t=2"),
+        ((2, "b", 20, 5, None, -3), "negative tested count at t=2"),
+        ((2, "b", 20, -5, None, None), "negative count at t=2: sequenced=20, variant_count=-5"),
+    ],
+)
+def test_count_violation_names_the_first_period_at_fault(row, message):
+    rows = [(1, "a", 10, 1, 12, 100), row, (3, "c", 5, 9, None, None)]
+    with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
+        two_variant(rows)

@@ -9,6 +9,7 @@ from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
 from variantfit.estimate import FitResult, fit, model_derivatives, model_log_likelihood
+from variantfit.inference import hac_sandwich
 from variantfit.simulate import SimConfig, simulate
 
 
@@ -361,6 +362,29 @@ def test_fit_holds_the_derivatives_at_theta(m):
     assert np.array_equal(result.information, -h)
     assert result.log_likelihood == model_log_likelihood(result.theta, *series.columns)
 
+
+
+@pytest.mark.parametrize("name", ["alpha", "delta", "omicron"])
+def test_fit_evaluates_the_softmax_once_per_theta(monkeypatch, name):
+    # Once at the start and once per line-search candidate: the derivatives
+    # at an accepted step reuse the candidate's softmax. No bundled fit halves
+    # a step, so that is iterations + 1 calls.
+    import variantfit.estimate as estimate
+
+    calls = []
+    log_softmax = estimate._log_softmax
+
+    def counted(*args):
+        calls.append(args[0])
+        return log_softmax(*args)
+
+    monkeypatch.setattr(estimate, "_log_softmax", counted)
+    series = load_bundled(name)
+    result = fit(series)
+    hac_sandwich(series, result, 4)
+    assert result.iterations == 4
+    assert len(calls) == 5
+    assert np.array_equal(calls[-1], result.theta)
 
 def kron_information(theta, t, counts):
     """-H as the per-period sum of kron(n_t (diag p_t - p_t p_t'), x_t x_t')."""

@@ -17,6 +17,8 @@ period is written as CSV to a temporary directory. Then each stage runs
   identified (T = 18 periods cannot identify 18 parameters at m = 10)
 - report_ms: the JSON run report of the fit, built by the `multi` command's
   report builder and formatted as `multi --json` does
+- crude_ms, crude_report_ms: at m = 2 only (null otherwise), crude_gammas of
+  the loaded series and its run report formatted as `crude --json` does
 
 The result is one JSON object on stdout. Nothing is asserted about the
 times: the script measures, it does not gate. Warm file cache only.
@@ -51,6 +53,7 @@ from variantfit.simulate import SimConfig, simulate  # noqa: E402
 PERIODS = (18, 100, 1_000, 10_000)
 VARIANTS = (2, 3, 10)
 SEQUENCED = 3_000
+DIGEST = {"path": "series.csv"}
 
 
 def series_csv(T: int, m: int, seed: int) -> str:
@@ -79,9 +82,7 @@ def median_ms(stage, repeats: int):
     return 1e3 * statistics.median(times), result
 
 
-def report_text(result, variance) -> str:
-    report, lines = cli.multi_report({"path": "series.csv"}, result, variance,
-                                     cli.GENERATION_DAYS, 0.95)
+def json_report(report, lines) -> str:
     sink = io.StringIO()
     with redirect_stdout(sink):
         cli._emit(report, True, lines)
@@ -106,7 +107,13 @@ def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict
     except VariantFitError as exc:
         # No more periods with counts than the 2(m - 1) parameters.
         point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
-    point["report_ms"], _ = median_ms(lambda: report_text(result, fisher), repeats)
+    point["report_ms"], _ = median_ms(lambda: json_report(*cli.multi_report(
+        DIGEST, result, fisher, cli.GENERATION_DAYS, 0.95)), repeats)
+    point["crude_ms"] = point["crude_report_ms"] = None
+    if m == 2:
+        point["crude_ms"], measures = median_ms(lambda: cli.crude_gammas(series), repeats)
+        point["crude_report_ms"], _ = median_ms(lambda: json_report(*cli.crude_report(
+            DIGEST, series, measures, 0.95)), repeats)
     return point
 
 
