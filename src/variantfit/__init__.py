@@ -1,70 +1,60 @@
-"""Growth-advantage estimation for emerging virus variants."""
+"""Growth-advantage estimation for emerging virus variants.
 
-from .data import SurveillanceSeries, load_csv, to_csv_string, write_csv
-from .datasets import BUNDLED_NAMES, load_bundled
-from .dynamics import (
-    GENERATION_DAYS,
-    Advantage,
-    ModelParams,
-    Proportion,
-    from_log_odds,
-    step_lambda,
-)
-from .estimate import FitResult, fit
-from .inference import (
-    AdvantageEstimate,
-    VarianceEstimate,
-    compose_advantages,
-    fisher_information,
-    hac_sandwich,
-    interval_for_gamma,
-    parzen_kernel,
-)
-from .crude import CrudeMeasure, crude_gammas, mean_crude_gamma
-from .forecast import ForecastBand, forecast
-from .repro import ReproInference, adjusted_R, infer_variant_R, stability_region
-from .multivariant import fit_multi, load_multi_csv, marginalize, step_lambda_multi
-from .simulate import RecoveryReport, SimConfig, recovery_report, simulate
+The names below load from their home submodules on first access, so
+`import variantfit` (and the CLI's scalar commands) need not import numpy.
+"""
+
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Advantage",
-    "AdvantageEstimate",
-    "BUNDLED_NAMES",
-    "CrudeMeasure",
-    "FitResult",
-    "ForecastBand",
-    "GENERATION_DAYS",
-    "ModelParams",
-    "Proportion",
-    "RecoveryReport",
-    "ReproInference",
-    "SimConfig",
-    "SurveillanceSeries",
-    "VarianceEstimate",
-    "adjusted_R",
-    "compose_advantages",
-    "crude_gammas",
-    "fisher_information",
-    "fit",
-    "fit_multi",
-    "forecast",
-    "from_log_odds",
-    "hac_sandwich",
-    "infer_variant_R",
-    "interval_for_gamma",
-    "load_bundled",
-    "load_csv",
-    "load_multi_csv",
-    "marginalize",
-    "mean_crude_gamma",
-    "parzen_kernel",
-    "recovery_report",
-    "simulate",
-    "stability_region",
-    "step_lambda",
-    "step_lambda_multi",
-    "to_csv_string",
-    "write_csv",
-]
+# Home submodule -> the public names it defines.
+_EXPORTS = {
+    "crude": ("CrudeMeasure", "crude_gammas", "mean_crude_gamma"),
+    "data": ("SurveillanceSeries", "load_csv", "to_csv_string", "write_csv"),
+    "datasets": ("BUNDLED_NAMES", "load_bundled"),
+    "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
+                 "Proportion", "from_log_odds", "step_lambda"),
+    "estimate": ("FitResult", "fit"),
+    "forecast": ("ForecastBand", "forecast"),
+    "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",
+                  "hac_sandwich", "interval_for_gamma", "parzen_kernel"),
+    "multivariant": ("fit_multi", "load_multi_csv", "marginalize", "step_lambda_multi"),
+    "repro": ("ReproInference", "adjusted_R", "infer_variant_R", "stability_region"),
+    "simulate": ("RecoveryReport", "SimConfig", "recovery_report", "simulate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS or name == "errors":
+        return import_module(f".{name}", __name__)  # importing binds it here
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """Keeps `simulate` and `forecast` the functions of those names.
+
+    Importing a submodule binds it on its package under its own name; for a
+    submodule that exports a name of its own, that name is bound instead.
+    """
+
+    def __setattr__(self, name, value):
+        if _HOME.get(name) == name and isinstance(value, types.ModuleType):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

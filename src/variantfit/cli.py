@@ -10,33 +10,55 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
-from .data import load_csv, write_csv
 from .datasets import BUNDLED_NAMES, load_bundled
-from .dynamics import GENERATION_DAYS, Advantage, Proportion
-from .errors import UsageError, VariantFitError, WindowOutOfRange
-from .estimate import fit
-from .crude import crude_gammas, crude_mean
-from .forecast import forecast as forecast_band
-from .inference import (
+from .dynamics import (
     DEFAULT_BANDWIDTH,
+    GENERATION_DAYS,
+    Advantage,
     AdvantageEstimate,
-    fisher_information,
-    hac_sandwich,
-    interval_for_gamma,
+    Proportion,
+    check_level,
 )
-from .multivariant import load_multi_csv, fit_multi, write_multi_csv
+from .errors import UsageError, VariantFitError, WindowOutOfRange
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
-from .simulate import SimConfig, simulate
 
 # Largest --contour grid; 0:1:1e-4 is the finest grid over [0, 1] it admits.
 MAX_GRID_POINTS = 10_001
+
+
+@functools.cache
+def _load_array_layers() -> None:
+    """Import the numpy layers and bind the names the commands call them by.
+
+    The scalar commands never call this, so they run without numpy. A name
+    already bound here, such as a tracer's wrapper, is kept: the commands
+    call whatever this module holds.
+    """
+    from .crude import crude_gammas, crude_mean
+    from .data import load_csv, write_csv
+    from .estimate import fit
+    from .forecast import forecast as forecast_band
+    from .inference import fisher_information, hac_sandwich, interval_for_gamma
+    from .multivariant import fit_multi, load_multi_csv, write_multi_csv
+    from .simulate import SimConfig, simulate
+
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """The array layers' names, such as `fit`, bound on first access."""
+    if not name.startswith("_"):
+        _load_array_layers()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -84,23 +106,31 @@ def json_text(value, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, as_json: bool, human_lines: list[str]) -> None:
+def _emit(report: Callable[[], dict], as_json: bool, lines: Callable[[], list[str]]) -> None:
+    """Print the run report under --json, else the text lines. Each is given
+    as a function that builds it, and only the one printed is built."""
     if as_json:
-        print(json_text(report))
+        print(json_text(report()))
     else:
-        for line in human_lines:
+        for line in lines():
             print(line)
 
 
 def _file_digest(path: str) -> dict:
+    import hashlib  # loads OpenSSL, which only file inputs need
+
     with open(path, "rb") as fh:
         return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _load_input(source: str, period_days: float):
-    if source.lower() in BUNDLED_NAMES:
-        return load_bundled(source), {"dataset": source.lower()}
-    return load_csv(source, period_days=period_days), _file_digest(source)
+    """The series and its report digest. A file is hashed before the array
+    layers load, so a missing file fails without them."""
+    bundled = source.lower() in BUNDLED_NAMES
+    digest = {"dataset": source.lower()} if bundled else _file_digest(source)
+    _load_array_layers()
+    series = load_bundled(source) if bundled else load_csv(source, period_days=period_days)
+    return series, digest
 
 
 def _variance(series, result, args):
@@ -136,18 +166,18 @@ def cmd_estimate(args) -> int:
     per_period = interval_for_gamma(variance, result, series.period_days, args.level)
     per_gen = interval_for_gamma(variance, result, args.gen_days, args.level)
     per_week = interval_for_gamma(variance, result, 7.0, args.level)
-    report = _report_header(
-        "estimate",
-        digest,
-        {
-            "period_days": series.period_days,
-            "gen_days": args.gen_days,
-            "variance": variance.kind,
-            "level": args.level,
-        },
-    )
-    report.update(
-        {
+
+    def report():
+        return _report_header(
+            "estimate",
+            digest,
+            {
+                "period_days": series.period_days,
+                "gen_days": args.gen_days,
+                "variance": variance.kind,
+                "level": args.level,
+            },
+        ) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -162,42 +192,48 @@ def cmd_estimate(args) -> int:
                 "per_week": _interval_dict(per_week),
             },
         }
-    )
-    pct = int(round(args.level * 100))
-    lines = [
-        f"alpha = {result.params.alpha:.4f}   beta = {result.params.beta:.4f}   "
-        f"({variance.kind} errors, {pct}% CI)",
-        f"gamma per {series.period_days:g} days: {per_period.gamma.value:.4f}  "
-        f"[{per_period.ci_low:.4f}, {per_period.ci_high:.4f}]",
-        f"gamma per {args.gen_days:g} days (generation): {per_gen.gamma.value:.4f}  "
-        f"[{per_gen.ci_low:.4f}, {per_gen.ci_high:.4f}]",
-        f"gamma per week: {per_week.gamma.value:.4f}  "
-        f"[{per_week.ci_low:.4f}, {per_week.ci_high:.4f}]",
-    ]
+
+    def lines():
+        pct = int(round(args.level * 100))
+        return [
+            f"alpha = {result.params.alpha:.4f}   beta = {result.params.beta:.4f}   "
+            f"({variance.kind} errors, {pct}% CI)",
+            f"gamma per {series.period_days:g} days: {per_period.gamma.value:.4f}  "
+            f"[{per_period.ci_low:.4f}, {per_period.ci_high:.4f}]",
+            f"gamma per {args.gen_days:g} days (generation): {per_gen.gamma.value:.4f}  "
+            f"[{per_gen.ci_low:.4f}, {per_gen.ci_high:.4f}]",
+            f"gamma per week: {per_week.gamma.value:.4f}  "
+            f"[{per_week.ci_low:.4f}, {per_week.ci_high:.4f}]",
+        ]
+
     _emit(report, args.json, lines)
     return 0
 
 
 def crude_report(digest: dict, series, measures, level: float):
-    """The `crude` run report and its text lines, for the series' crude measures."""
+    """The `crude` run report and its text lines, for the series' crude
+    measures, as the two functions that `_emit` takes."""
+    _load_array_layers()
     mean = crude_mean(measures)
-    report = _report_header(
-        "crude", digest, {"period_days": series.period_days, "level": level}
-    )
-    report.update(
-        {
+
+    def report():
+        return _report_header(
+            "crude", digest, {"period_days": series.period_days, "level": level}
+        ) | {
             "measures": [
-                {"t": m.t_index, "value": m.value, "ci_low": m.ci_low, "ci_high": m.ci_high}
-                for m in measures
+                {"t": t, "value": value, "ci_low": low, "ci_high": high}
+                for t, value, low, high in measures
             ],
             "mean": mean,
         }
-    )
-    lines = ["t,value,ci_low,ci_high"]
-    lines += [
-        f"{m.t_index},{m.value:.6g},{m.ci_low:.6g},{m.ci_high:.6g}" for m in measures
-    ]
-    lines.append(f"mean,{mean:.6g},,")
+
+    def lines():
+        return [
+            "t,value,ci_low,ci_high",
+            *(f"{t},{value:.6g},{low:.6g},{high:.6g}" for t, value, low, high in measures),
+            f"mean,{mean:.6g},,",
+        ]
+
     return report, lines
 
 
@@ -229,19 +265,19 @@ def cmd_forecast(args) -> int:
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
     cs = args.c or [2.0]
     bands = {c: forecast_band(result, variance, horizons, c) for c in cs}
-    report = _report_header(
-        "forecast",
-        digest,
-        {
-            "train_from": args.train_from,
-            "train_through": train_through,
-            "horizons": args.horizons,
-            "c": cs,
-            "variance": variance.kind,
-        },
-    )
-    report.update(
-        {
+
+    def report():
+        return _report_header(
+            "forecast",
+            digest,
+            {
+                "train_from": args.train_from,
+                "train_through": train_through,
+                "horizons": args.horizons,
+                "c": cs,
+                "variance": variance.kind,
+            },
+        ) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -258,15 +294,18 @@ def cmd_forecast(args) -> int:
                 for c, b in bands.items()
             ],
         }
-    )
-    lines = [
-        f"in-sample gamma per {series.period_days:g} days: {result.gamma:.4f} "
-        f"(window through t={train_through}, {len(train)} records)",
-        "c,t,point,lower,upper",
-    ]
-    for c, b in bands.items():
-        for t, p, lo, hi in zip(b.t_values, b.point, b.lower, b.upper):
-            lines.append(f"{c:g},{t:g},{p:.6g},{lo:.6g},{hi:.6g}")
+
+    def lines():
+        lines = [
+            f"in-sample gamma per {series.period_days:g} days: {result.gamma:.4f} "
+            f"(window through t={train_through}, {len(train)} records)",
+            "c,t,point,lower,upper",
+        ]
+        for c, b in bands.items():
+            for t, p, lo, hi in zip(b.t_values, b.point, b.lower, b.upper):
+                lines.append(f"{c:g},{t:g},{p:.6g},{lo:.6g},{hi:.6g}")
+        return lines
+
     _emit(report, args.json, lines)
     return 0
 
@@ -331,46 +370,56 @@ def cmd_infer_r(args) -> int:
             gamma=point, ci_low=lo, ci_high=hi, level=args.level
         )
 
-    report = _report_header(
-        "infer-r",
-        digest,
-        {
-            "gen_days": args.gen_days,
-            "level": args.level,
-            "gamma_gen": gamma_est.gamma.value,
-        },
-    )
-    lines = []
+    inference = rows = None
     if args.R is not None and args.lam is not None:
         inference = infer_variant_R(
             args.R, Proportion(args.lam), gamma_est.gamma
         )
-        report["inference"] = {
-            "R_all": inference.R_all,
-            "lambda": inference.lam.value,
-            "R_variant": inference.R_variant,
-            "R_incumbent": inference.R_incumbent,
-        }
-        lines.append(
-            f"R_variant = {inference.R_variant:.6g}   "
-            f"R_incumbent = {inference.R_incumbent:.6g}"
-        )
     if args.contour is not None:
         grid = [Proportion(v) for v in args.contour]
         rows = stability_region(gamma_est, grid)
-        csv_text = stability_region_csv(rows)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-            lines.append(f"wrote {len(rows)} contour rows to {args.out}")
-        else:
-            lines.append(csv_text.rstrip("\n"))
-        report["contour"] = [
-            {"lambda": lam, "threshold": thr, "lo": lo, "hi": hi}
-            for lam, thr, lo, hi in rows
-        ]
-    if "inference" not in report and "contour" not in report:
+                fh.write(stability_region_csv(rows))
+    if inference is None and rows is None:
         raise UsageError("nothing to do: pass --R/--lambda and/or --contour")
+
+    def report():
+        report = _report_header(
+            "infer-r",
+            digest,
+            {
+                "gen_days": args.gen_days,
+                "level": args.level,
+                "gamma_gen": gamma_est.gamma.value,
+            },
+        )
+        if inference is not None:
+            report["inference"] = {
+                "R_all": inference.R_all,
+                "lambda": inference.lam.value,
+                "R_variant": inference.R_variant,
+                "R_incumbent": inference.R_incumbent,
+            }
+        if rows is not None:
+            report["contour"] = [
+                {"lambda": lam, "threshold": thr, "lo": lo, "hi": hi}
+                for lam, thr, lo, hi in rows
+            ]
+        return report
+
+    def lines():
+        lines = []
+        if inference is not None:
+            lines.append(
+                f"R_variant = {inference.R_variant:.6g}   "
+                f"R_incumbent = {inference.R_incumbent:.6g}"
+            )
+        if rows is not None:
+            lines.append(f"wrote {len(rows)} contour rows to {args.out}" if args.out
+                         else stability_region_csv(rows).rstrip("\n"))
+        return lines
+
     _emit(report, args.json, lines)
     return 0
 
@@ -381,21 +430,24 @@ def cmd_adjusted_r(args) -> int:
         gen_days=args.gen_days, period_days=args.period_days,
         exponent=args.exponent,
     )
-    report = _report_header(
-        "adjusted-r",
-        {"cases": args.cases, "cases_prev": args.cases_prev},
-        {
-            "gen_days": args.gen_days,
-            "period_days": args.period_days,
-            "exponent": args.exponent,
-        },
-    )
-    report["R_all"] = value
-    _emit(report, args.json, [f"R_all = {value:.6g}"])
+
+    def report():
+        return _report_header(
+            "adjusted-r",
+            {"cases": args.cases, "cases_prev": args.cases_prev},
+            {
+                "gen_days": args.gen_days,
+                "period_days": args.period_days,
+                "exponent": args.exponent,
+            },
+        ) | {"R_all": value}
+
+    _emit(report, args.json, lambda: [f"R_all = {value:.6g}"])
     return 0
 
 
 def cmd_simulate(args) -> int:
+    _load_array_layers()
     lam0 = list(args.lambda0)
     if len(lam0) == len(args.gamma):
         lam0 = [1.0 - sum(lam0)] + lam0
@@ -419,7 +471,9 @@ def cmd_simulate(args) -> int:
 
 
 def multi_report(digest: dict, result, variance, gen_days: float, level: float):
-    """The `multi` run report and its text lines, for a fit and its variance."""
+    """The `multi` run report and its text lines, for a fit and its variance,
+    as the two functions that `_emit` takes."""
+    _load_array_layers()
     series = result.series
     variants = []
     for j, name in enumerate(series.variant_names[1:], start=1):
@@ -433,36 +487,40 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
                 "ci_high_per_generation": gen.ci_high,
             }
         )
-    report = _report_header(
-        "multi",
-        digest,
-        {
-            "period_days": series.period_days,
-            "gen_days": gen_days,
-            "variance": variance.kind,
-            "level": level,
-        },
-    )
-    report.update(
-        {
+
+    def report():
+        return _report_header(
+            "multi",
+            digest,
+            {
+                "period_days": series.period_days,
+                "gen_days": gen_days,
+                "variance": variance.kind,
+                "level": level,
+            },
+        ) | {
             "numeraire": series.variant_names[0],
             "variants": variants,
             "covariance": variance.matrix.tolist(),
         }
-    )
-    lines = [f"numeraire: {series.variant_names[0]}",
-             "variant,gamma_per_period,gamma_per_gen,ci_low,ci_high"]
-    for v in variants:
-        lines.append(
-            f"{v['variant']},{v['gamma_per_period']:.6g},{v['gamma_per_generation']:.6g},"
-            f"{v['ci_low_per_generation']:.6g},{v['ci_high_per_generation']:.6g}"
-        )
+
+    def lines():
+        lines = [f"numeraire: {series.variant_names[0]}",
+                 "variant,gamma_per_period,gamma_per_gen,ci_low,ci_high"]
+        for v in variants:
+            lines.append(
+                f"{v['variant']},{v['gamma_per_period']:.6g},{v['gamma_per_generation']:.6g},"
+                f"{v['ci_low_per_generation']:.6g},{v['ci_high_per_generation']:.6g}"
+            )
+        return lines
+
     return report, lines
 
 
 def cmd_multi(args) -> int:
-    series = load_multi_csv(args.file, period_days=args.period_days)
     digest = _file_digest(args.file)
+    _load_array_layers()
+    series = load_multi_csv(args.file, period_days=args.period_days)
     result, variance = fit_multi(series, bandwidth=None if args.fisher else args.hac)
     report, lines = multi_report(digest, result, variance, args.gen_days, args.level)
     _emit(report, args.json, lines)
@@ -578,6 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "level" in args:  # checked before any input is read
+            check_level(args.level)
         return args.func(args)
     except (VariantFitError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ to a single period by the (t-s)-th root when the pair spans a gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .data import SurveillanceSeries
 from .inference import advantage_interval
 
 
-@dataclass(frozen=True)
-class CrudeMeasure:
+class CrudeMeasure(NamedTuple):
     """Empirical advantage for the period ending at t_index."""
 
     t_index: int
@@ -44,7 +43,7 @@ def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeM
     log_ratio = np.subtract(*log_odds)
     variance = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
     value, low, high = advantage_interval(log_ratio, variance, 1.0 / np.diff(t), level)
-    return list(map(CrudeMeasure, series.t_values[1:], value, low, high))
+    return list(map(CrudeMeasure._make, zip(series.t_values[1:], value, low, high)))
 
 
 def crude_mean(measures: list[CrudeMeasure]) -> float:

@@ -7,8 +7,12 @@ exactly; tested = PCR tests performed, total_cases = positive tests.
 
 from __future__ import annotations
 
-from .data import SurveillanceSeries
+from typing import TYPE_CHECKING
+
 from .errors import UnknownDataset
+
+if TYPE_CHECKING:
+    from .data import SurveillanceSeries
 
 # (label, tested, total_cases, sequenced, variant_count); t_index is 1-based row order.
 _ALPHA_WEEKLY = [
@@ -98,6 +102,8 @@ def load_bundled(name: str) -> SurveillanceSeries:
     if key not in _BUNDLED:
         raise UnknownDataset(f"unknown dataset {name!r}; choose from {BUNDLED_NAMES}")
     rows, period_days = _BUNDLED[key]
+    from .data import SurveillanceSeries  # loads numpy; the CLI imports this module without it
+
     return SurveillanceSeries.two_variant(
         [(i, label, n, x, cases, tested) for i, (label, tested, cases, n, x) in enumerate(rows, 1)],
         period_days=period_days,

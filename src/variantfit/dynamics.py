@@ -16,6 +16,13 @@ from dataclasses import dataclass
 from .errors import InvalidValue, NonPositivePeriod
 
 GENERATION_DAYS = 4.7  # default generation period in days
+DEFAULT_BANDWIDTH = 4  # default Parzen HAC bandwidth K
+
+
+def check_level(level: float) -> None:
+    """InvalidValue unless the confidence level lies in (0, 1)."""
+    if not 0 < level < 1:
+        raise InvalidValue(f"level must lie in (0,1), got {level}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,21 @@ class ModelParams:
     @property
     def gamma(self) -> float:
         return math.exp(self.beta)
+
+
+@dataclass(frozen=True)
+class AdvantageEstimate:
+    """Point estimate of the advantage with a confidence interval."""
+
+    gamma: Advantage
+    ci_low: float
+    ci_high: float
+    level: float
+
+    def __post_init__(self):
+        check_level(self.level)
+        if not self.ci_low <= self.gamma.value <= self.ci_high:
+            raise InvalidValue("interval must contain the point estimate")
 
 
 def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:

@@ -20,11 +20,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import SurveillanceSeries
-from .dynamics import Advantage
+# AdvantageEstimate and DEFAULT_BANDWIDTH live in dynamics, which the CLI's
+# scalar commands import without numpy; callers also import them from here.
+from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
 from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
 from .estimate import FitResult
 
-DEFAULT_BANDWIDTH = 4
 DEFAULT_LEVEL = 0.95
 
 
@@ -41,22 +42,6 @@ class VarianceEstimate:
             raise InvalidValue("covariance matrix must be square")
         if not np.allclose(m, m.T, atol=1e-12):
             raise InvalidValue("covariance matrix must be symmetric")
-
-
-@dataclass(frozen=True)
-class AdvantageEstimate:
-    """Point estimate of the advantage with a confidence interval."""
-
-    gamma: Advantage
-    ci_low: float
-    ci_high: float
-    level: float
-
-    def __post_init__(self):
-        if not 0 < self.level < 1:
-            raise InvalidValue(f"level must lie in (0,1), got {self.level}")
-        if not self.ci_low <= self.gamma.value <= self.ci_high:
-            raise InvalidValue("interval must contain the point estimate")
 
 
 def parzen_kernel(x: float) -> float:
@@ -154,8 +139,7 @@ def hac_sandwich(
 
 def normal_quantile(level: float) -> float:
     """Two-sided z value; pinned to the conventional 1.96 at the 95% level."""
-    if not 0 < level < 1:
-        raise InvalidValue(f"level must lie in (0,1), got {level}")
+    check_level(level)
     if abs(level - 0.95) < 1e-12:
         return 1.96
     return NormalDist().inv_cdf(0.5 + level / 2.0)

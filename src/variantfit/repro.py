@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dynamics import GENERATION_DAYS, Advantage, Proportion
+from .dynamics import GENERATION_DAYS, Advantage, AdvantageEstimate, Proportion
 from .errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
-from .inference import AdvantageEstimate
 
 TEST_INTENSITY_EXPONENT = 0.7  # surveillance-practice adjustment for testing volume
 

@@ -261,6 +261,23 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "missing.csv"),
+        ("crude", "missing.csv"),
+        ("infer-r", "--from-fit", "missing.csv", "--R", "1", "--lambda", "0.2"),
+        ("infer-r", "--gamma-gen", "2", "--gamma-ci", "3", "4", "--contour", "0:1:0.5"),
+        ("multi", "--file", "missing.csv"),
+    ],
+    ids=["estimate", "crude", "infer-r-from-fit", "infer-r-gamma-gen", "multi"],
+)
+def test_bad_level_is_reported_before_the_input_is_read(argv, capsys):
+    code, out, err = run(capsys, *argv, "--level", "1.5")
+    assert_one_error_line(code, out, err, "InvalidValue")
+    assert err == "error: InvalidValue: level must lie in (0,1), got 1.5\n"
+
+
 TWO_VARIANT_HEADER = "t,label,sequenced,variant_count,total_cases,tested\n"
 ERROR_LINE = re.compile(r"error: ([A-Za-z_][A-Za-z0-9_]*): \S.*")
 

@@ -20,6 +20,11 @@ period is written as CSV to a temporary directory. Then each stage runs
 - crude_ms, crude_report_ms: at m = 2 only (null otherwise), crude_gammas of
   the loaded series and its run report formatted as `crude --json` does
 
+Start-up is timed apart from the grid, as `startup_ms`: the median wall time
+of --repeats whole `python -m variantfit.cli` processes for each of
+`--version`, `adjusted-r ...` and `estimate alpha --json`, that is
+interpreter start, imports and the command. The first two load no numpy.
+
 The result is one JSON object on stdout. Nothing is asserted about the
 times: the script measures, it does not gate. Warm file cache only.
 """
@@ -32,6 +37,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from variantfit import cli  # noqa: E402
 from variantfit.data import load_csv, to_csv_string  # noqa: E402
@@ -54,6 +61,12 @@ PERIODS = (18, 100, 1_000, 10_000)
 VARIANTS = (2, 3, 10)
 SEQUENCED = 3_000
 DIGEST = {"path": "series.csv"}
+STARTUP_ARGV = (
+    ("--version",),
+    ("adjusted-r", "--cases", "8000", "--cases-prev", "4000",
+     "--tested", "600000", "--tested-prev", "300000", "--json"),
+    ("estimate", "alpha", "--json"),
+)
 
 
 def series_csv(T: int, m: int, seed: int) -> str:
@@ -87,6 +100,17 @@ def json_report(report, lines) -> str:
     with redirect_stdout(sink):
         cli._emit(report, True, lines)
     return sink.getvalue()
+
+
+def startup_ms(repeats: int) -> dict:
+    """Median wall time in ms of a whole CLI process, per argv of STARTUP_ARGV."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run(argv):
+        subprocess.run([sys.executable, "-m", "variantfit.cli", *argv], env=env,
+                       stdout=subprocess.DEVNULL, check=True)
+
+    return {" ".join(argv): median_ms(lambda: run(argv), repeats)[0] for argv in STARTUP_ARGV}
 
 
 def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict:
@@ -134,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "startup_ms": startup_ms(args.repeats),
         "points": points,
     }, indent=2))
     return 0
