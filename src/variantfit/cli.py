@@ -1,7 +1,8 @@
 """Command-line interface: reproducible runs with machine-readable output.
 
-Each command assembles a run report (input digest, resolved options,
-results, tool version). `--json` emits the report with floats fixed at
+Each command returns its run report (input digest, resolved options,
+results, tool version) and its text lines, each as a function that builds
+it, and `main` prints one of them. `--json` emits the report with floats fixed at
 10 significant digits, so identical invocations produce byte-identical
 output. Error paths exit nonzero with a single `error:`-prefixed line.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -28,7 +30,7 @@ from .dynamics import (
 from .errors import UsageError, VariantFitError, WindowOutOfRange
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
 
-# Largest --contour grid; 0:1:1e-4 is the finest grid over [0, 1] it admits.
+# Largest --contour grid and --horizons count; 0:1:1e-4 is the finest grid it admits.
 MAX_GRID_POINTS = 10_001
 
 
@@ -45,6 +47,7 @@ def _load_array_layers() -> None:
     from .estimate import fit
     from .forecast import forecast as forecast_band
     from .inference import fisher_information, hac_sandwich, interval_for_gamma
+    # fit_multi is not called here: it stays bound for callers that wrap it.
     from .multivariant import fit_multi, load_multi_csv, write_multi_csv
     from .simulate import SimConfig, simulate
 
@@ -116,27 +119,30 @@ def _emit(report: Callable[[], dict], as_json: bool, lines: Callable[[], list[st
             print(line)
 
 
-def _file_digest(path: str) -> dict:
+def _load_input(source: str, period_days: float, multi: bool = False):
+    """The series and its report digest: a bundled dataset, or a CSV file of the
+    two-variant schema or, under `multi`, of the m-variant one. A file is read
+    once, so a pipe works and the digest is that of the bytes parsed, and before
+    the array layers load, so a missing file fails without them."""
+    if not multi and source.lower() in BUNDLED_NAMES:
+        _load_array_layers()
+        return load_bundled(source), {"dataset": source.lower()}
     import hashlib  # loads OpenSSL, which only file inputs need
 
-    with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-
-
-def _load_input(source: str, period_days: float):
-    """The series and its report digest. A file is hashed before the array
-    layers load, so a missing file fails without them."""
-    bundled = source.lower() in BUNDLED_NAMES
-    digest = {"dataset": source.lower()} if bundled else _file_digest(source)
+    with open(source, "rb") as fh:
+        data = fh.read()
     _load_array_layers()
-    series = load_bundled(source) if bundled else load_csv(source, period_days=period_days)
-    return series, digest
+    load = load_multi_csv if multi else load_csv
+    digest = {"path": source, "sha256": hashlib.sha256(data).hexdigest()}
+    return load(io.BytesIO(data), period_days=period_days), digest
 
 
-def _variance(series, result, args):
+def _fit(series, args):
+    """The fit and its variance: Fisher under --fisher, else HAC(--hac)."""
+    result = fit(series)
     if args.fisher:
-        return fisher_information(series, result)
-    return hac_sandwich(series, result, args.hac)
+        return result, fisher_information(series, result)
+    return result, hac_sandwich(series, result, args.hac)
 
 
 def _interval_dict(est) -> dict:
@@ -149,35 +155,28 @@ def _interval_dict(est) -> dict:
     }
 
 
-def _report_header(command: str, digest: dict, options: dict) -> dict:
-    return {
-        "tool": "variantfit",
-        "version": __version__,
-        "command": command,
-        "input": digest,
-        "options": options,
-    }
+def _report_header(command: str, digest: dict, **options) -> dict:
+    return {"tool": "variantfit", "version": __version__, "command": command,
+            "input": digest, "options": options}
 
 
-def cmd_estimate(args) -> int:
+def _fit_report(command: str, digest: dict, series, variance, gen_days: float,
+                level: float) -> dict:
+    """The header, options and covariance of a fit's report."""
+    header = _report_header(command, digest, period_days=series.period_days, gen_days=gen_days,
+                            variance=variance.kind, level=level)
+    return header | {"covariance": variance.matrix.tolist()}
+
+
+def cmd_estimate(args):
     series, digest = _load_input(args.input, args.period_days)
-    result = fit(series)
-    variance = _variance(series, result, args)
+    result, variance = _fit(series, args)
     per_period = interval_for_gamma(variance, result, series.period_days, args.level)
     per_gen = interval_for_gamma(variance, result, args.gen_days, args.level)
     per_week = interval_for_gamma(variance, result, 7.0, args.level)
 
     def report():
-        return _report_header(
-            "estimate",
-            digest,
-            {
-                "period_days": series.period_days,
-                "gen_days": args.gen_days,
-                "variance": variance.kind,
-                "level": args.level,
-            },
-        ) | {
+        return _fit_report("estimate", digest, series, variance, args.gen_days, args.level) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -185,7 +184,6 @@ def cmd_estimate(args) -> int:
                 "iterations": result.iterations,
                 "score_norm": result.score_norm,
             },
-            "covariance": variance.matrix.tolist(),
             "advantage": {
                 "per_period": _interval_dict(per_period),
                 "per_generation": _interval_dict(per_gen),
@@ -206,20 +204,17 @@ def cmd_estimate(args) -> int:
             f"[{per_week.ci_low:.4f}, {per_week.ci_high:.4f}]",
         ]
 
-    _emit(report, args.json, lines)
-    return 0
+    return report, lines
 
 
 def crude_report(digest: dict, series, measures, level: float):
     """The `crude` run report and its text lines, for the series' crude
-    measures, as the two functions that `_emit` takes."""
+    measures, as the two functions that a command returns."""
     _load_array_layers()
     mean = crude_mean(measures)
 
     def report():
-        return _report_header(
-            "crude", digest, {"period_days": series.period_days, "level": level}
-        ) | {
+        return _report_header("crude", digest, period_days=series.period_days, level=level) | {
             "measures": [
                 {"t": t, "value": value, "ci_low": low, "ci_high": high}
                 for t, value, low, high in measures
@@ -237,15 +232,12 @@ def crude_report(digest: dict, series, measures, level: float):
     return report, lines
 
 
-def cmd_crude(args) -> int:
+def cmd_crude(args):
     series, digest = _load_input(args.input, args.period_days)
-    measures = crude_gammas(series, level=args.level)
-    report, lines = crude_report(digest, series, measures, args.level)
-    _emit(report, args.json, lines)
-    return 0
+    return crude_report(digest, series, crude_gammas(series, level=args.level), args.level)
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args):
     series, digest = _load_input(args.input, args.period_days)
     t_all = series.t_values
     train_through = args.train_through if args.train_through is not None else t_all[-1]
@@ -259,25 +251,15 @@ def cmd_forecast(args) -> int:
         window &= t >= args.train_from
     if window.sum() < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
-    train = series.select(periods=window)
-    result = fit(train)
-    variance = _variance(train, result, args)
+    result, variance = _fit(series.select(periods=window), args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
     cs = args.c or [2.0]
     bands = {c: forecast_band(result, variance, horizons, c) for c in cs}
 
     def report():
-        return _report_header(
-            "forecast",
-            digest,
-            {
-                "train_from": args.train_from,
-                "train_through": train_through,
-                "horizons": args.horizons,
-                "c": cs,
-                "variance": variance.kind,
-            },
-        ) | {
+        return _report_header("forecast", digest, train_from=args.train_from,
+                              train_through=train_through, horizons=args.horizons, c=cs,
+                              variance=variance.kind) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -298,7 +280,7 @@ def cmd_forecast(args) -> int:
     def lines():
         lines = [
             f"in-sample gamma per {series.period_days:g} days: {result.gamma:.4f} "
-            f"(window through t={train_through}, {len(train)} records)",
+            f"(window through t={train_through}, {len(result.series)} records)",
             "c,t,point,lower,upper",
         ]
         for c, b in bands.items():
@@ -306,8 +288,7 @@ def cmd_forecast(args) -> int:
                 lines.append(f"{c:g},{t:g},{p:.6g},{lo:.6g},{hi:.6g}")
         return lines
 
-    _emit(report, args.json, lines)
-    return 0
+    return report, lines
 
 
 def _finite_float(text: str) -> float:
@@ -354,27 +335,33 @@ def _grid(spec: str) -> list[float]:
     return values
 
 
-def cmd_infer_r(args) -> int:
+def _horizons(text: str) -> int:
+    """The parser's type for --horizons: an integer from 1 to MAX_GRID_POINTS."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"expected 1 to {MAX_GRID_POINTS} horizons, got {value}")
+    return value
+
+
+def cmd_infer_r(args):
     if args.from_fit is not None:
         if args.gamma_ci is not None:
             raise UsageError("argument --gamma-ci: not allowed with argument --from-fit")
         series, digest = _load_input(args.from_fit, args.period_days)
-        result = fit(series)
-        variance = _variance(series, result, args)
+        result, variance = _fit(series, args)
         gamma_est = interval_for_gamma(variance, result, args.gen_days, args.level)
     else:
         digest = {"gamma_gen": args.gamma_gen}
         point = Advantage(args.gamma_gen, args.gen_days)
         lo, hi = (args.gamma_ci if args.gamma_ci else (args.gamma_gen, args.gamma_gen))
-        gamma_est = AdvantageEstimate(
-            gamma=point, ci_low=lo, ci_high=hi, level=args.level
-        )
+        gamma_est = AdvantageEstimate(gamma=point, ci_low=lo, ci_high=hi, level=args.level)
 
     inference = rows = None
     if args.R is not None and args.lam is not None:
-        inference = infer_variant_R(
-            args.R, Proportion(args.lam), gamma_est.gamma
-        )
+        inference = infer_variant_R(args.R, Proportion(args.lam), gamma_est.gamma)
     if args.contour is not None:
         grid = [Proportion(v) for v in args.contour]
         rows = stability_region(gamma_est, grid)
@@ -385,15 +372,8 @@ def cmd_infer_r(args) -> int:
         raise UsageError("nothing to do: pass --R/--lambda and/or --contour")
 
     def report():
-        report = _report_header(
-            "infer-r",
-            digest,
-            {
-                "gen_days": args.gen_days,
-                "level": args.level,
-                "gamma_gen": gamma_est.gamma.value,
-            },
-        )
+        report = _report_header("infer-r", digest, gen_days=args.gen_days, level=args.level,
+                                gamma_gen=gamma_est.gamma.value)
         if inference is not None:
             report["inference"] = {
                 "R_all": inference.R_all,
@@ -420,11 +400,10 @@ def cmd_infer_r(args) -> int:
                          else stability_region_csv(rows).rstrip("\n"))
         return lines
 
-    _emit(report, args.json, lines)
-    return 0
+    return report, lines
 
 
-def cmd_adjusted_r(args) -> int:
+def cmd_adjusted_r(args):
     value = adjusted_R(
         args.cases, args.cases_prev, args.tested, args.tested_prev,
         gen_days=args.gen_days, period_days=args.period_days,
@@ -432,21 +411,15 @@ def cmd_adjusted_r(args) -> int:
     )
 
     def report():
-        return _report_header(
-            "adjusted-r",
-            {"cases": args.cases, "cases_prev": args.cases_prev},
-            {
-                "gen_days": args.gen_days,
-                "period_days": args.period_days,
-                "exponent": args.exponent,
-            },
-        ) | {"R_all": value}
+        digest = {"cases": args.cases, "cases_prev": args.cases_prev}
+        header = _report_header("adjusted-r", digest, gen_days=args.gen_days,
+                                period_days=args.period_days, exponent=args.exponent)
+        return header | {"R_all": value}
 
-    _emit(report, args.json, lambda: [f"R_all = {value:.6g}"])
-    return 0
+    return report, lambda: [f"R_all = {value:.6g}"]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     _load_array_layers()
     lam0 = list(args.lambda0)
     if len(lam0) == len(args.gamma):
@@ -458,21 +431,18 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     series = simulate(config, replication=args.replication)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        if config.n_variants == 2:
-            write_csv(series, out)
-        else:
-            write_multi_csv(series, out)
-    finally:
-        if args.out:
-            out.close()
-    return 0
+    text = io.StringIO()
+    (write_csv if config.n_variants == 2 else write_multi_csv)(series, text)
+    if not args.out:  # simulate has no --json: its lines are the CSV's
+        return None, text.getvalue().splitlines
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text.getvalue())
+    return None, lambda: []
 
 
 def multi_report(digest: dict, result, variance, gen_days: float, level: float):
     """The `multi` run report and its text lines, for a fit and its variance,
-    as the two functions that `_emit` takes."""
+    as the two functions that a command returns."""
     _load_array_layers()
     series = result.series
     variants = []
@@ -489,19 +459,9 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
         )
 
     def report():
-        return _report_header(
-            "multi",
-            digest,
-            {
-                "period_days": series.period_days,
-                "gen_days": gen_days,
-                "variance": variance.kind,
-                "level": level,
-            },
-        ) | {
+        return _fit_report("multi", digest, series, variance, gen_days, level) | {
             "numeraire": series.variant_names[0],
             "variants": variants,
-            "covariance": variance.matrix.tolist(),
         }
 
     def lines():
@@ -517,14 +477,10 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
     return report, lines
 
 
-def cmd_multi(args) -> int:
-    digest = _file_digest(args.file)
-    _load_array_layers()
-    series = load_multi_csv(args.file, period_days=args.period_days)
-    result, variance = fit_multi(series, bandwidth=None if args.fisher else args.hac)
-    report, lines = multi_report(digest, result, variance, args.gen_days, args.level)
-    _emit(report, args.json, lines)
-    return 0
+def cmd_multi(args):
+    series, digest = _load_input(args.file, args.period_days, multi=True)
+    result, variance = _fit(series, args)
+    return multi_report(digest, result, variance, args.gen_days, args.level)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -580,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first t_index of the training window")
     p.add_argument("--train-through", type=int, default=None,
                    help="last t_index of the training window (default: last record)")
-    p.add_argument("--horizons", type=int, default=10,
+    p.add_argument("--horizons", type=_horizons, default=10,
                    help="number of periods to forecast ahead (default 10)")
     p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="band half-width in standard deviations; repeatable (default 2)")
@@ -623,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replication", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, json=False)
 
     p = sub.add_parser("multi", parents=[common, level, gen, variance],
                        help="fit the m-variant multinomial model")
@@ -638,10 +594,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if "level" in args:  # checked before any input is read
             check_level(args.level)
-        return args.func(args)
+        report, lines = args.func(args)
+        _emit(report, args.json, lines)
     except (VariantFitError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

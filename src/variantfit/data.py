@@ -188,10 +188,21 @@ class SurveillanceSeries:
         )
 
 
-def load_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
-    """Load the `t,label,sequenced,variant_count,total_cases,tested` schema."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
-        return read_csv(fh, period_days=period_days)
+def _open_text(source) -> io.TextIOWrapper:
+    """The text of a CSV path or binary file: UTF-8, a byte-order mark dropped.
+
+    A file is read whole and left open; the text decodes as it is read.
+    """
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
+            return _open_text(fh)
+    return io.TextIOWrapper(io.BytesIO(source.read()), encoding="utf-8-sig", newline="")
+
+
+def load_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
+    """Load the `t,label,sequenced,variant_count,total_cases,tested` schema
+    from a path or a binary file."""
+    return read_csv(_open_text(source), period_days=period_days)
 
 
 def csv_columns(fh) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:

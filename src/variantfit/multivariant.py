@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import SurveillanceSeries, csv_columns, int_column
+from .data import SurveillanceSeries, _open_text, csv_columns, int_column
 from .errors import InvalidIndex, InvalidValue, ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
@@ -90,9 +90,9 @@ def read_multi_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     )
 
 
-def load_multi_csv(path: str, period_days: float = 7.0) -> SurveillanceSeries:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: drop a BOM
-        return read_multi_csv(fh, period_days=period_days)
+def load_multi_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
+    """Load the m-variant schema from a path or a binary file."""
+    return read_multi_csv(_open_text(source), period_days=period_days)
 
 
 def write_multi_csv(series: SurveillanceSeries, fh) -> None:

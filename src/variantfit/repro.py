@@ -32,9 +32,17 @@ class ReproInference:
 def infer_variant_R(
     R_all: float, lam: Proportion, gamma_gen: Advantage
 ) -> ReproInference:
+    """The variant's and the incumbent's R from the aggregate R.
+
+    NonPositiveR unless R_all > 0; OverflowError when either R is too large
+    for a float.
+    """
     if R_all <= 0:
         raise NonPositiveR(f"aggregate R must be positive, got {R_all}")
     r_variant = R_all * (lam.value + gamma_gen.value * (1.0 - lam.value))
+    for name, value in (("R_variant", r_variant), ("R_incumbent", r_variant / gamma_gen.value)):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} is too large for a float")
     return ReproInference(R_all=R_all, lam=lam, gamma_gen=gamma_gen, R_variant=r_variant)
 
 
@@ -75,11 +83,17 @@ def stability_region(
     the advantage, and the band collapses to zero width as lambda -> 1.
     Using the endpoints is exact: the threshold 1 / (lambda + g (1 - lambda))
     is monotone in g, so over the interval of g it takes its extremes at the
-    interval's ends.
+    interval's ends. OverflowError when a threshold is too large for a float
+    or, at a zero denominator, infinite.
     """
 
     def threshold(lam: float, g: float) -> float:
-        return 1.0 / (lam + g * (1.0 - lam))
+        denominator = lam + g * (1.0 - lam)
+        value = 1.0 / denominator if denominator else math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"threshold R at lambda {lam:g} and advantage {g:g} "
+                                "is too large for a float")
+        return value
 
     rows = []
     for p in lambda_grid:

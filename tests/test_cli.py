@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -359,6 +360,8 @@ R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "1e17:1e17:1"),
                      id="grid-step-below-start-precision"),
         pytest.param(("infer-r", "--gamma-gen", "2.0"), id="nothing-to-do"),
+        *(pytest.param(("forecast", "alpha", "--horizons", value), id=f"horizons-{value}")
+          for value in ("0", "-3", "10002", "100000000", "x")),
         pytest.param(("estimate", "alpha", "--gen-days", "inf"), id="gen-days-inf"),
         pytest.param(("estimate", "alpha", "--level", "nan"), id="level-nan"),
         pytest.param(("simulate", "--gamma", "inf", "--lambda0", "0.1", "--n", "10", "--t", "3"),
@@ -419,9 +422,21 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert capsys.readouterr().out
 
 
-def test_overflow_is_one_error_line(capsys):
-    assert_one_error_line(*run(capsys, "estimate", "alpha", "--gen-days", "1e10"),
-                          kind="OverflowError")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "alpha", "--gen-days", "1e10"),
+        # infer-r prints no number that is not finite.
+        ("infer-r", "--R", "1e308", "--lambda", "0", "--gamma-gen", "1e308", "--json"),
+        ("infer-r", "--R", "1e10", "--lambda", "1", "--gamma-gen", "1e-320"),
+        ("infer-r", "--gamma-gen", "1e-320", "--contour", "0:1:0.5"),
+        ("infer-r", "--gamma-gen", "2", "--gamma-ci", "-1", "2.2", "--contour", "0:1:0.5"),
+    ],
+    ids=["estimate-gen-days", "R-variant", "R-incumbent", "threshold",
+         "threshold-zero-denominator"],
+)
+def test_overflow_is_one_error_line(capsys, argv):
+    assert_one_error_line(*run(capsys, *argv), kind="OverflowError")
 
 
 def test_adjusted_r_zero_period_is_one_error_line(capsys):
@@ -476,6 +491,41 @@ def test_csv_with_a_byte_order_mark_is_read(tmp_path, capsys, command, text):
         outputs.append(run(capsys, command, *argv, "--fisher"))
     assert outputs[1] == outputs[0]
     assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "multi"])
+def test_piped_input_is_read_once(tmp_path, capsys, command):
+    # A pipe can be read only once, so the digest must come from the bytes parsed.
+    gammas = ["--gamma", "1.6"] + (["--gamma", "1.3"] if command == "multi" else [])
+    lambda0 = ["--lambda0", "0.02"] + (["--lambda0", "0.05"] if command == "multi" else [])
+    assert main(["simulate", *gammas, *lambda0, "--n", "500", "--t", "12"]) == 0
+    data = capsys.readouterr().out.encode()
+
+    def argv(path):
+        return [command, path, "--json"] if command == "estimate" else [
+            command, "--file", path, "--json"]
+
+    src = str(Path(variantfit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "variantfit.cli", *argv("/dev/stdin")],
+                          input=data, capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    piped = json.loads(done.stdout)
+    assert piped["input"] == {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv(str(path)))
+    assert (code, err) == (0, "")
+    by_path = json.loads(out)
+    assert by_path["input"].pop("path") == str(path)
+    del piped["input"]["path"]
+    assert piped == by_path
+
+
+@pytest.mark.parametrize("horizons", [1, 10_001])
+def test_horizons_at_the_bounds_are_forecast(capsys, horizons):
+    code, out, err = run(capsys, "forecast", "alpha", "--horizons", str(horizons))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2 + horizons
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from variantfit.data import (
     to_csv_string,
 )
 from variantfit.datasets import load_bundled
-from variantfit.multivariant import read_multi_csv
+from variantfit.multivariant import load_multi_csv, read_multi_csv
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,
@@ -227,6 +227,21 @@ def test_negative_count_is_a_parse_error_in_both_schemas(read):
     rows = "1,a,10,1,,\n2,b,20,-5,,\n" if read is read_csv else "1,a,10,1\n2,b,20,-5\n"
     with pytest.raises(ParseError, match="^row 3: negative count$"):
         read(io.StringIO(header + rows))
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [(load_csv, HEADER + "1,a,10,1,,\n2,b,20,5,30,\n"),
+     (load_multi_csv, MULTI_HEADER + "1,a,10,1\n2,b,20,5\n")],
+    ids=["two-variant", "multi"],
+)
+def test_loaders_read_a_binary_file_as_they_read_a_path(tmp_path, load, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text, encoding="utf-8-sig")  # with a byte-order mark
+    with open(path, "rb") as fh:
+        assert load(fh, period_days=1.0) == load(str(path), period_days=1.0)
+        assert not fh.closed  # a file passed in is left open
+    assert load(io.BytesIO(path.read_bytes())) == load(path)
 
 
 def test_cells_are_read_without_surrounding_whitespace():

@@ -115,3 +115,24 @@ def test_stability_csv_format():
     assert float(fields[0]) == 0.25
     assert float(fields[1]) == pytest.approx(1.0 / (0.25 + 2.0 * 0.75))
     assert text.endswith("\n")
+
+
+def test_reproduction_numbers_too_large_for_a_float_raise():
+    with pytest.raises(OverflowError, match="^R_variant is too large"):
+        infer_variant_R(1e308, Proportion(0.0), Advantage(1e308, 4.7))
+    with pytest.raises(OverflowError, match="^R_incumbent is too large"):
+        infer_variant_R(1e10, Proportion(1.0), Advantage(1e-320, 4.7))
+
+
+@pytest.mark.parametrize(
+    "estimate, lam",
+    [
+        (AdvantageEstimate(Advantage(1e-320, 4.7), 1e-320, 1e-320, 0.95), 0.0),
+        # The lower end makes lambda + g (1 - lambda) zero.
+        (AdvantageEstimate(Advantage(2.0, 4.7), -1.0, 2.2, 0.95), 0.5),
+    ],
+    ids=["tiny-advantage", "zero-denominator"],
+)
+def test_stability_threshold_too_large_for_a_float_raises(estimate, lam):
+    with pytest.raises(OverflowError, match="too large for a float"):
+        stability_region(estimate, [Proportion(lam)])

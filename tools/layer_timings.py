@@ -32,7 +32,6 @@ times: the script measures, it does not gate. Warm file cache only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -41,7 +40,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +94,8 @@ def median_ms(stage, repeats: int):
 
 
 def json_report(report, lines) -> str:
-    sink = io.StringIO()
-    with redirect_stdout(sink):
-        cli._emit(report, True, lines)
-    return sink.getvalue()
+    """The run report as --json prints it, without the final newline."""
+    return cli.json_text(report())
 
 
 def startup_ms(repeats: int) -> dict:
