@@ -27,7 +27,7 @@ from .dynamics import (
     Proportion,
     check_level,
 )
-from .errors import UsageError, VariantFitError, WindowOutOfRange
+from .errors import InvalidValue, UsageError, VariantFitError, WindowOutOfRange
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
 
 # Largest --contour grid and --horizons count; 0:1:1e-4 is the finest grid it admits.
@@ -357,6 +357,9 @@ def cmd_infer_r(args):
         digest = {"gamma_gen": args.gamma_gen}
         point = Advantage(args.gamma_gen, args.gen_days)
         lo, hi = (args.gamma_ci if args.gamma_ci else (args.gamma_gen, args.gamma_gen))
+        if lo <= 0:
+            # Not in AdvantageEstimate: compose_advantages may give ci_low = 0.
+            raise InvalidValue(f"--gamma-ci lower end must be positive, got {lo:g}")
         gamma_est = AdvantageEstimate(gamma=point, ci_low=lo, ci_high=hi, level=args.level)
 
     inference = rows = None

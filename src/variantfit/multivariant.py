@@ -1,4 +1,4 @@
-"""Competition among m variants: simplex dynamics, fit with variance, CSV input/output.
+"""Competition among m variants: the fit with its variance, CSV input/output.
 
 Variant 1 is the numeraire (advantage fixed at 1). Proportions follow
 
@@ -14,28 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .data import SurveillanceSeries, _open_text, csv_columns, int_column
-from .errors import InvalidIndex, InvalidValue, ParseError
+from .errors import InvalidIndex, ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
-
-
-def step_lambda_multi(
-    lambdas: Sequence[float], gammas: Sequence[float]
-) -> np.ndarray:
-    """Advance simplex proportions one period; gammas exclude the numeraire."""
-    lam = np.asarray(lambdas, dtype=float)
-    g = np.concatenate([[1.0], np.asarray(gammas, dtype=float)])
-    if len(g) != len(lam):
-        raise InvalidValue("need one gamma per non-numeraire variant")
-    if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
-        raise InvalidValue("lambdas must be a probability simplex vector")
-    weighted = g * lam
-    return weighted / weighted.sum()
 
 
 def fit_multi(

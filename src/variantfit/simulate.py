@@ -1,9 +1,10 @@
 """Synthetic surveillance series under the model's data-generating process.
 
 Serves as the independent oracle for estimator-recovery and invariance
-tests: proportions follow the deterministic recursion exactly and counts
-are drawn binomially (multinomially for m > 2) with numpy's PCG64
-generator, so identical (seed, replication) pairs give identical series.
+tests: shares follow the model's closed form, the multinomial-logistic
+curve in t, and counts are drawn binomially (multinomially for m > 2) in
+one call of numpy's PCG64 generator, so identical (seed, replication) pairs
+give identical series.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .data import SurveillanceSeries
+from .data import TWO_VARIANT_NAMES, SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
 from .estimate import fit
 from .inference import hac_sandwich, fisher_information, interval_for_gamma
-from .multivariant import step_lambda_multi
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,16 @@ class SimConfig:
 
 
 def expected_path(config: SimConfig) -> np.ndarray:
-    """Deterministic simplex path, rows t=1..T."""
-    lam = np.asarray(config.initial_proportions, dtype=float)
-    path = []
-    for _ in config.sequenced:
-        lam = step_lambda_multi(lam, config.gammas)
-        path.append(lam)
-    return np.array(path)
+    """Deterministic simplex path, rows t=1..T: the row-wise softmax of
+    log lam0 + t log g, where g = (1, gammas). A zero initial share stays an
+    exact zero column."""
+    lam0 = np.asarray(config.initial_proportions, dtype=float)
+    log_g = np.log((1.0, *config.gammas))
+    log_lam0 = np.log(lam0, out=np.full_like(lam0, -np.inf), where=lam0 > 0)
+    t = np.arange(1.0, len(config.sequenced) + 1.0)
+    logits = log_lam0 + t[:, None] * log_g
+    shares = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shares / shares.sum(axis=1, keepdims=True)
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
@@ -71,37 +74,31 @@ def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
         raise InvalidConfig(f"replication must be non-negative, got {replication}")
     rng = np.random.default_rng([config.seed, replication])
     path = expected_path(config)
-    T = len(config.sequenced)
+    n = np.asarray(config.sequenced, dtype=np.int64)
+    T, m = path.shape
+    if m == 2:
+        x = rng.binomial(n, path[:, 1])
+        counts, names = np.column_stack([n - x, x]), TWO_VARIANT_NAMES
+    else:
+        counts = rng.multinomial(n, path)
+        names = tuple(f"variant_{j}" for j in range(1, m + 1))
 
-    totals = None
+    total_cases = None
     if config.growth is not None:
         cases = np.asarray(config.initial_proportions) * config.base_cases
-        g = np.concatenate([[1.0], np.asarray(config.gammas)])
-        totals = []
-        for a in config.growth:
+        g = np.array((1.0, *config.gammas))
+        total_cases = []
+        for a, n_t in zip(config.growth, config.sequenced):
             cases = cases * g * a
-            totals.append(int(round(cases.sum())))
+            total_cases.append(max(int(round(cases.sum())), n_t))
 
-    if config.n_variants == 2:
-        rows = []
-        for i in range(T):
-            n = config.sequenced[i]
-            x = int(rng.binomial(n, path[i, 1])) if n > 0 else 0
-            cases = None if totals is None else max(totals[i], n)
-            rows.append((i + 1, f"t{i + 1}", n, x, cases, None))
-        return SurveillanceSeries.two_variant(rows, period_days=config.period_days)
-
-    counts = np.zeros((T, config.n_variants), dtype=int)
-    for i in range(T):
-        n = config.sequenced[i]
-        if n > 0:
-            counts[i] = rng.multinomial(n, path[i])
     return SurveillanceSeries(
         t_values=tuple(range(1, T + 1)),
         labels=tuple(f"t{i}" for i in range(1, T + 1)),
         counts=counts,
-        variant_names=tuple(f"variant_{j}" for j in range(1, config.n_variants + 1)),
+        variant_names=names,
         period_days=config.period_days,
+        total_cases=total_cases,
     )
 
 

@@ -430,13 +430,28 @@ def test_help_and_version_exit_zero(capsys, argv):
         ("infer-r", "--R", "1e308", "--lambda", "0", "--gamma-gen", "1e308", "--json"),
         ("infer-r", "--R", "1e10", "--lambda", "1", "--gamma-gen", "1e-320"),
         ("infer-r", "--gamma-gen", "1e-320", "--contour", "0:1:0.5"),
-        ("infer-r", "--gamma-gen", "2", "--gamma-ci", "-1", "2.2", "--contour", "0:1:0.5"),
     ],
-    ids=["estimate-gen-days", "R-variant", "R-incumbent", "threshold",
-         "threshold-zero-denominator"],
+    ids=["estimate-gen-days", "R-variant", "R-incumbent", "threshold"],
 )
 def test_overflow_is_one_error_line(capsys, argv):
     assert_one_error_line(*run(capsys, *argv), kind="OverflowError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Printed negative thresholds with exit 0.
+        ("--gamma-gen", "2", "--gamma-ci", "-1", "2.2", "--contour", "0:0.4:0.2"),
+        # Ended in OverflowError where lambda + g (1 - lambda) reaches zero.
+        ("--gamma-ci", "0", "2.2", "--gamma-gen", "2", "--contour", "0:1:0.25"),
+        ("--gamma-gen", "2", "--gamma-ci", "-1", "2.2", "--contour", "0:1:0.5"),
+    ],
+    ids=["negative", "zero", "zero-denominator"],
+)
+def test_non_positive_gamma_ci_lower_end_is_invalid(capsys, argv):
+    code, out, err = run(capsys, "infer-r", *argv)
+    assert_one_error_line(code, out, err, kind="InvalidValue")
+    assert "--gamma-ci lower end must be positive" in err
 
 
 def test_adjusted_r_zero_period_is_one_error_line(capsys):

@@ -13,7 +13,6 @@ from variantfit.multivariant import (
     fit_multi,
     marginalize,
     read_multi_csv,
-    step_lambda_multi,
     to_multi_csv_string,
 )
 from variantfit.simulate import SimConfig, simulate
@@ -132,16 +131,6 @@ def test_relabeling_numeraire_preserves_pairwise_advantages():
     assert other_gammas[0] == pytest.approx(1.0 / base_gammas[0], rel=1e-6)
     assert other_gammas[1] == pytest.approx(ratio_base, rel=1e-6)
     assert ratio_other == pytest.approx(base_gammas[1] / base_gammas[0], rel=1e-6)
-
-
-def test_step_preserves_simplex_and_matches_softmax():
-    lam = np.array([0.90, 0.07, 0.03])
-    gammas = np.array([1.0, math.exp(0.3), math.exp(0.5)])
-    stepped = step_lambda_multi(lam, tuple(gammas[1:]))
-    assert stepped.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.all(stepped >= 0)
-    expected = lam * gammas / np.dot(lam, gammas)
-    assert np.allclose(stepped, expected, atol=1e-14)
 
 
 def test_score_and_hessian_match_finite_differences():

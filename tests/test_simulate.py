@@ -1,11 +1,14 @@
+import hashlib
 import importlib
+import math
 
 import numpy as np
 import pytest
 
-from variantfit.data import SurveillanceSeries
+from variantfit.data import SurveillanceSeries, to_csv_string
 from variantfit.dynamics import Advantage, Proportion, step_lambda
 from variantfit.errors import InvalidConfig
+from variantfit.multivariant import to_multi_csv_string
 from variantfit.simulate import RecoveryReport, SimConfig, expected_path, recovery_report, simulate
 
 
@@ -28,6 +31,82 @@ def test_expected_path_matches_scalar_recursion():
         lam = step_lambda(lam, Advantage(1.6))
         assert row[1] == pytest.approx(lam.value, abs=1e-14)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expected_path_preserves_simplex_and_matches_one_step():
+    lam0 = np.array([0.90, 0.07, 0.03])
+    gammas = np.array([1.0, math.exp(0.3), math.exp(0.5)])
+    config = SimConfig(gammas=tuple(gammas[1:]), initial_proportions=tuple(lam0),
+                       sequenced=(1000,) * 12)
+    path = expected_path(config)
+    assert path.shape == (12, 3)
+    assert np.all(path >= 0)
+    assert np.allclose(path.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    previous = np.vstack([lam0, path[:-1]])
+    stepped = previous * gammas / (previous * gammas).sum(axis=1, keepdims=True)
+    assert np.allclose(path, stepped, rtol=0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_initial_share_stays_exactly_zero():
+    config = SimConfig(gammas=(1.4, 2.0), initial_proportions=(0.9, 0.1, 0.0),
+                       sequenced=(2000,) * 6, seed=3)
+    path = expected_path(config)
+    assert np.all(path[:, 2] == 0.0)
+    assert np.allclose(path.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.all(simulate(config).counts[:, 2] == 0)
+
+
+# SHA-256 of the CSV text of simulated series, recorded before the share path
+# moved from the one-period recursion to its closed form: the counts drawn for
+# a (seed, replication) pair must not change.
+SIMULATED_CSV_SHA256 = {
+    "m2-zero-rows": (
+        dict(gammas=(1.6,), initial_proportions=(0.98, 0.02),
+             sequenced=(100, 0, 250, 0, 4000, 0), seed=11), 0,
+        "d9f40fbe7abfb3356d1ebc6b3005436c88efdad88cbca7b00f12f3b99c487b5f"),
+    "m2-growth": (
+        dict(gammas=(1.6,), initial_proportions=(0.98, 0.02),
+             sequenced=(100, 300, 0, 500, 800, 1000),
+             growth=(1.0, 1.1, 0.9, 1.2, 1.0, 0.8), seed=5), 1,
+        "bee29ebfebc9fc134c5c780ad4bd26e311398f4da420c64550b8ef8ee287ddee"),
+    "m3-zero-row": (
+        dict(gammas=(1.4, 2.0), initial_proportions=(0.9, 0.07, 0.03),
+             sequenced=(2000, 0, 2000, 500, 3000), seed=2), 0,
+        "4525f5e2b0593b9c3a2fe2793987ee6acc3d0f3f14a66236b51e313f0063e78b"),
+    "m3-zero-share": (
+        dict(gammas=(1.4, 2.0), initial_proportions=(0.9, 0.1, 0.0),
+             sequenced=(2000,) * 6, seed=3), 0,
+        "e0097fc28cc90d03e9fd8b0819c4a81e6e6960409948b09ad289637fa4fb9f71"),
+}
+# The recovery-study design of the benchmark's replicates: T = 18 weekly
+# periods of N = 2000, advantage 1.5 from a 1 % initial share, seed 1.
+REPLICATE_DESIGN = dict(gammas=(1.5,), initial_proportions=(0.99, 0.01),
+                        sequenced=(2000,) * 18, seed=1, period_days=7.0)
+REPLICATE_CSV_SHA256 = (
+    "6d5a960466cb28d03cb953bf7e35a52da07cdca2bd16601e8013195dfd0d8ce5",
+    "5ffb99bdbda17a2911e6b06d90ef68c5a7aa034baf0558fd8a297c217f9fb888",
+    "ab5bf2022963c498eadcc07255a962891ceace76463103bd71ad78a9b1468087",
+    "ccbc469af125093ca382850a6cb8eb5bdc961523178f732a9ae0d28712b14bd3",
+    "7725c36c4f2e387a115684edffb3e61c36e8e345e98796c68de10a7da3a69414",
+)
+
+
+def _csv_sha256(series):
+    text = to_csv_string(series) if series.n_variants == 2 else to_multi_csv_string(series)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATED_CSV_SHA256))
+def test_simulated_bytes_are_pinned(case):
+    fields, replication, digest = SIMULATED_CSV_SHA256[case]
+    assert _csv_sha256(simulate(SimConfig(**fields), replication=replication)) == digest
+
+
+@pytest.mark.parametrize("replication", range(len(REPLICATE_CSV_SHA256)))
+def test_replicate_design_bytes_are_pinned(replication):
+    series = simulate(SimConfig(**REPLICATE_DESIGN), replication=replication)
+    assert _csv_sha256(series) == REPLICATE_CSV_SHA256[replication]
 
 
 def test_same_seed_reproduces_identical_series():

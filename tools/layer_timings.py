@@ -7,6 +7,8 @@ At each point a seeded simulated series with 3 000 sequenced cases per
 period is written as CSV to a temporary directory. Then each stage runs
 --repeats times and its median wall time (time.perf_counter) is reported:
 
+- simulate_ms: `simulate` of the point's configuration, the share path and
+  the draw of all counts, as the benchmark's inputs and replicates make them
 - load_ms: read the CSV, with load_csv for m = 2 and load_multi_csv
   otherwise, as the CLI does
 - fit_ms: `fit` of the loaded series, the damped Newton iteration plus the
@@ -67,20 +69,18 @@ STARTUP_ARGV = (
 )
 
 
-def series_csv(T: int, m: int, seed: int) -> str:
+def sim_config(T: int, m: int, seed: int) -> SimConfig:
     rng = np.random.default_rng([seed, m, T])
     # Each log-odds against the numeraire moves by at most 3 over the window,
     # from roughly equal shares, so no variant vanishes at any T.
     gammas = tuple(float(g) for g in np.exp(rng.uniform(-3.0, 3.0, size=m - 1) / T))
     start = rng.uniform(0.5, 1.5, size=m)
-    config = SimConfig(
+    return SimConfig(
         gammas=gammas,
         initial_proportions=tuple(float(p) for p in start / start.sum()),
         sequenced=(SEQUENCED,) * T,
         seed=seed,
     )
-    series = simulate(config)
-    return to_csv_string(series) if m == 2 else to_multi_csv_string(series)
 
 
 def median_ms(stage, repeats: int):
@@ -110,8 +110,11 @@ def startup_ms(repeats: int) -> dict:
 
 
 def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict:
+    config = sim_config(T, m, seed)
+    simulate_ms, simulated = median_ms(lambda: simulate(config), repeats)
     path = directory / f"series-T{T}-m{m}.csv"
-    path.write_text(series_csv(T, m, seed), encoding="utf-8")
+    text = to_csv_string(simulated) if m == 2 else to_multi_csv_string(simulated)
+    path.write_text(text, encoding="utf-8")
     load = load_csv if m == 2 else load_multi_csv
     load_ms, series = median_ms(lambda: load(str(path)), repeats)
     fit_ms, result = median_ms(lambda: fit(series), repeats)
@@ -120,8 +123,8 @@ def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict
         return sandwich(result.information, result.scores, series.columns, bandwidth)
 
     fisher_ms, fisher = median_ms(lambda: variance(None), repeats)
-    point = {"T": T, "m": m, "iterations": result.iterations, "load_ms": load_ms,
-             "fit_ms": fit_ms, "fisher_ms": fisher_ms}
+    point = {"T": T, "m": m, "iterations": result.iterations, "simulate_ms": simulate_ms,
+             "load_ms": load_ms, "fit_ms": fit_ms, "fisher_ms": fisher_ms}
     try:
         point["hac4_ms"], _ = median_ms(lambda: variance(4), repeats)
     except VariantFitError as exc:
