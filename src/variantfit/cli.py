@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable, Optional
 
@@ -32,6 +33,8 @@ from .repro import adjusted_R, infer_variant_R, stability_region, stability_regi
 
 # Largest --contour grid and --horizons count; 0:1:1e-4 is the finest grid it admits.
 MAX_GRID_POINTS = 10_001
+# Thread-count variables of numpy's bundled OpenBLAS and of OpenMP and MKL builds.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
@@ -593,6 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    Called without `argv`, as the console script and `python -m
+    variantfit.cli` call it, this is the entry of a process. It then limits
+    BLAS to one thread before numpy loads, by defaulting each of
+    BLAS_THREAD_VARIABLES to 1; a count the user exported is kept. The
+    largest matrix the tool builds is the 2(m - 1) square information, and
+    the worker threads that OpenBLAS starts at import only spin, burning CPU
+    without saving wall time. Called with a list, as by tests and library
+    users, it leaves `os.environ` alone.
+    """
+    if argv is None:
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
     try:
         args = build_parser().parse_args(argv)
         if "level" in args:  # checked before any input is read

@@ -11,7 +11,7 @@ with a the log initial odds and b = log(g) the per-period log advantage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidValue, NonPositivePeriod
 
@@ -25,60 +25,82 @@ def check_level(level: float) -> None:
         raise InvalidValue(f"level must lie in (0,1), got {level}")
 
 
-@dataclass(frozen=True)
-class Proportion:
+class Record(tuple):
+    """Base of the immutable value classes, which are namedtuples that
+    validate their fields in `__new__`: an instance equals only an instance
+    of its own class with equal fields, as a frozen dataclass does. It is
+    listed before the namedtuple, so that its methods win.
+
+    They are not dataclasses because `dataclasses` imports `inspect`, `ast`
+    and `dis`, ~10 ms of the start-up of the CLI commands that load no numpy.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        """The namedtuple constructor from an iterable, here through `__new__`,
+        so that `_replace` validates as well."""
+        return cls(*iterable)
+
+
+class Proportion(Record, namedtuple("Proportion", "value")):
     """Fraction of cases belonging to the new variant."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise InvalidValue(f"proportion must lie in [0,1], got {self.value}")
+    def __new__(cls, value: float):
+        if not 0.0 <= value <= 1.0:
+            raise InvalidValue(f"proportion must lie in [0,1], got {value}")
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class Advantage:
+class Advantage(Record, namedtuple("Advantage", "value period_days")):
     """Multiplicative growth advantage per `period_days` calendar days."""
 
-    value: float
-    period_days: float = 7.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value <= 0:
-            raise InvalidValue(f"advantage must be positive, got {self.value}")
-        if self.period_days <= 0:
-            raise NonPositivePeriod(f"period_days must be positive, got {self.period_days}")
+    def __new__(cls, value: float, period_days: float = 7.0):
+        if value <= 0:
+            raise InvalidValue(f"advantage must be positive, got {value}")
+        if period_days <= 0:
+            raise NonPositivePeriod(f"period_days must be positive, got {period_days}")
+        return super().__new__(cls, value, period_days)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record, namedtuple("ModelParams", "alpha beta")):
     """Logistic-curve parameters: alpha = log initial odds, beta = log advantage."""
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __new__(cls, alpha: float, beta: float):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise InvalidValue("parameters must be finite")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def gamma(self) -> float:
         return math.exp(self.beta)
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(Record, namedtuple("AdvantageEstimate", "gamma ci_low ci_high level")):
     """Point estimate of the advantage with a confidence interval."""
 
-    gamma: Advantage
-    ci_low: float
-    ci_high: float
-    level: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_level(self.level)
-        if not self.ci_low <= self.gamma.value <= self.ci_high:
+    def __new__(cls, gamma: Advantage, ci_low: float, ci_high: float, level: float):
+        check_level(level)
+        if not ci_low <= gamma.value <= ci_high:
             raise InvalidValue("interval must contain the point estimate")
+        return super().__new__(cls, gamma, ci_low, ci_high, level)
 
 
 def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:

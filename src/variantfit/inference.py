@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -93,7 +92,10 @@ def sandwich(
 
     `columns` are the fit's (t, counts) arrays. At the optimum the scores sum
     to zero, so J_K has rank below the number of periods with counts; the
-    sandwich needs more such periods than parameters.
+    sandwich needs more such periods than parameters. It also needs scores
+    that do not all vanish: where the model fits every period exactly, J_K is
+    ~0 and would give a zero-width interval, so a sandwich variance at or
+    below 1e-12 of the Fisher one, for any parameter, is Singular.
     """
     t_values, counts = columns
     if bandwidth is not None:
@@ -115,6 +117,9 @@ def sandwich(
     else:
         kind = f"sandwich({bandwidth})"
         cov = info_inv @ kernel_weighted_outer(t_values, scores, bandwidth) @ info_inv
+        if (cov.diagonal() <= 1e-12 * info_inv.diagonal()).any():
+            raise Singular("the scores vanish at the fit, so they cannot estimate "
+                           "a sandwich variance")
     return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T))
 
 
@@ -142,6 +147,8 @@ def normal_quantile(level: float) -> float:
     check_level(level)
     if abs(level - 0.95) < 1e-12:
         return 1.96
+    from statistics import NormalDist  # loads fractions and decimal, so only here
+
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 

@@ -8,21 +8,19 @@ which gives R_B = R * (lam + g * (1 - lam)) and R_A = R_B / g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .dynamics import GENERATION_DAYS, Advantage, AdvantageEstimate, Proportion
+from .dynamics import GENERATION_DAYS, Advantage, AdvantageEstimate, Proportion, Record
 from .errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 
 TEST_INTENSITY_EXPONENT = 0.7  # surveillance-practice adjustment for testing volume
 
 
-@dataclass(frozen=True)
-class ReproInference:
-    R_all: float
-    lam: Proportion
-    gamma_gen: Advantage
-    R_variant: float
+class ReproInference(Record, namedtuple("ReproInference", "R_all lam gamma_gen R_variant")):
+    """The aggregate R, the variant's share and advantage, and the variant's R."""
+
+    __slots__ = ()
 
     @property
     def R_incumbent(self) -> float:

@@ -581,6 +581,26 @@ def test_exactly_identified_fit_refuses_the_sandwich(tmp_path, capsys):
     assert code == 0 and "gamma per 7 days: 4.0000" in out
 
 
+@pytest.mark.parametrize("bandwidth", ["0", "2"])
+def test_exact_fit_refuses_the_sandwich(tmp_path, capsys, bandwidth):
+    # The logits of 3/10, 5/10 and 7/10 lie on a line, so every score at the
+    # fit is 0; the HAC interval had zero width, [2.3333, 2.3333].
+    path = two_variant_csv(tmp_path, [(10, 3), (10, 5), (10, 7)])
+    assert_one_error_line(*run(capsys, "estimate", path, "--hac", bandwidth), kind="Singular")
+    code, out, _ = run(capsys, "estimate", path, "--fisher")
+    assert code == 0 and "gamma per 7 days: 2.3333  [0.8967, 6.0720]" in out
+
+
+def test_multi_exact_fit_refuses_the_sandwich(tmp_path, capsys):
+    # Counts 1 : 2^t : 3^t follow the multinomial-logistic curve exactly.
+    path = tmp_path / "multi.csv"
+    path.write_text("t,label,count_a,count_b,count_c\n" + "".join(
+        f"{t},w{t},1,{2 ** t},{3 ** t}\n" for t in range(1, 7)))
+    assert_one_error_line(*run(capsys, "multi", "--file", str(path), "--hac", "2"),
+                          kind="Singular")
+    assert run(capsys, "multi", "--file", str(path), "--fisher")[0] == 0
+
+
 # --- the CLI contract for random command lines and CSV text -----------------
 
 

@@ -6,7 +6,13 @@ import pytest
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage
-from variantfit.errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch
+from variantfit.errors import (
+    BandwidthTooLarge,
+    InvalidIndex,
+    InvalidValue,
+    PeriodMismatch,
+    Singular,
+)
 from variantfit.estimate import fit, model_derivatives
 from variantfit.inference import (
     AdvantageEstimate,
@@ -181,6 +187,18 @@ def test_degenerate_interval_when_se_zero():
     zero = type(variance)(kind="fisher", matrix=np.zeros((2, 2)))
     est = interval_for_gamma(zero, result, 4.7)
     assert est.ci_low == est.gamma.value == est.ci_high
+
+
+@pytest.mark.parametrize("bandwidth", [0, 2])
+def test_sandwich_refuses_scores_that_vanish_at_the_fit(bandwidth):
+    # The logits of 3/10, 5/10 and 7/10 lie on a line: the fit is exact, every
+    # score is 0 and J_K ~ 1e-27, so the interval would have zero width.
+    series = SurveillanceSeries.two_variant(
+        [(t, f"w{t}", 10, x, None, None) for t, x in [(1, 3), (2, 5), (3, 7)]])
+    result = fit(series)
+    with pytest.raises(Singular, match="scores vanish"):
+        hac_sandwich(series, result, bandwidth)
+    assert fisher_information(series, result).matrix[1, 1] > 0.1
 
 
 def test_compose_advantages_points_and_endpoints():

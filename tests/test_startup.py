@@ -201,3 +201,91 @@ def test_report_builders_work_right_after_import():
     done = python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[('crude', 19), ('multi', 3)]\n"
+
+
+# Runs main() as the process entry does, with the argv given after the probe,
+# and prints what the process holds afterwards: the command's stdout is kept
+# apart so that the probe's JSON is the only line printed.
+ENTRY = """
+import contextlib, hashlib, io, json, os, sys
+from variantfit.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        code = main()
+    except SystemExit as exc:  # --version leaves through argparse
+        code = exc.code
+print(json.dumps({
+    "code": code,
+    "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    "environ": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+    "modules": [name for name in ("dataclasses", "statistics") if name in sys.modules],
+    "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None,
+}))
+"""
+
+
+def without_thread_counts(**environ) -> dict:
+    """This process's environment with no `*_NUM_THREADS` variable but those given."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    return {**env, **environ, "PYTHONPATH": str(SRC)}
+
+
+def run_entry(*argv, **environ):
+    """The ENTRY probe's report, run in an environment with the given thread counts."""
+    done = subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, text=True,
+                          env=without_thread_counts(**environ))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_entry_limits_blas_to_one_thread():
+    report = run_entry("estimate", "alpha", "--json")
+    assert report["code"] == 0
+    assert report["environ"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                 "MKL_NUM_THREADS": "1"}
+
+
+def test_entry_keeps_a_thread_count_the_user_set():
+    report = run_entry("estimate", "alpha", "--json", OPENBLAS_NUM_THREADS="3")
+    assert report["code"] == 0
+    assert report["environ"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                                 "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_array_command_through_the_entry_runs_on_one_thread():
+    report = run_entry("estimate", "alpha", "--json")
+    assert report["code"] == 0 and report["threads"] == 1
+
+
+def test_main_with_a_list_leaves_the_environment_alone():
+    probe = (
+        "import contextlib, io, os\n"
+        "from variantfit.cli import main\n"
+        "before = dict(os.environ)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['estimate', 'alpha', '--json']) == 0\n"
+        "assert dict(os.environ) == before\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=without_thread_counts())
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [("--version",), ADJUSTED], ids=" ".join)
+def test_scalar_commands_load_no_dataclasses(argv):
+    report = run_entry(*argv)
+    code, stdout_sha, _ = SCALAR_CALLS[argv]
+    assert (report["code"], report["stdout_sha256"]) == (code, stdout_sha)
+    assert "dataclasses" not in report["modules"]
+
+
+def test_default_level_loads_no_statistics():
+    report = run_entry("estimate", "alpha", "--json")
+    assert report["code"] == 0 and "statistics" not in report["modules"]
+    # A non-default level still takes its quantile from statistics.NormalDist:
+    # these are the bytes the CLI printed when it imported statistics up front.
+    report = run_entry("estimate", "alpha", "--json", "--level", "0.9")
+    assert report["stdout_sha256"] == (
+        "ecc24cc3614b5baba0a37307ff4e3a53deae1abe82c437753a26db48bbe968bc")
+    assert "statistics" in report["modules"]

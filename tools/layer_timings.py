@@ -26,6 +26,9 @@ Start-up is timed apart from the grid, as `startup_ms`: the median wall time
 of --repeats whole `python -m variantfit.cli` processes for each of
 `--version`, `adjusted-r ...` and `estimate alpha --json`, that is
 interpreter start, imports and the command. The first two load no numpy.
+`startup_cpu_ms` beside it is the median CPU time (user + system) of the
+same processes, from the change in resource.getrusage(RUSAGE_CHILDREN)
+across each one. CPU above wall time means the process ran threads.
 
 The result is one JSON object on stdout. Nothing is asserted about the
 times: the script measures, it does not gate. Warm file cache only.
@@ -37,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -98,15 +102,24 @@ def json_report(report, lines) -> str:
     return cli.json_text(report())
 
 
-def startup_ms(repeats: int) -> dict:
-    """Median wall time in ms of a whole CLI process, per argv of STARTUP_ARGV."""
+def startup_ms(repeats: int) -> tuple[dict, dict]:
+    """Median wall and CPU time in ms of a whole CLI process, each as a dict
+    keyed by the argv of STARTUP_ARGV."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def run(argv):
-        subprocess.run([sys.executable, "-m", "variantfit.cli", *argv], env=env,
-                       stdout=subprocess.DEVNULL, check=True)
-
-    return {" ".join(argv): median_ms(lambda: run(argv), repeats)[0] for argv in STARTUP_ARGV}
+    wall, cpu = {}, {}
+    for argv in STARTUP_ARGV:
+        walls, cpus = [], []
+        for _ in range(repeats):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "variantfit.cli", *argv], env=env,
+                           stdout=subprocess.DEVNULL, check=True)
+            walls.append(time.perf_counter() - start)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpus.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+        key = " ".join(argv)
+        wall[key], cpu[key] = 1e3 * statistics.median(walls), 1e3 * statistics.median(cpus)
+    return wall, cpu
 
 
 def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict:
@@ -150,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         points = [time_point(T, m, args.seed, args.repeats, Path(tmp))
                   for m in args.variants for T in args.periods]
+    wall, cpu = startup_ms(args.repeats)
     print(json.dumps({
         "statistic": f"median of {args.repeats} calls, ms",
         "seed": args.seed,
@@ -157,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "startup_ms": startup_ms(args.repeats),
+        "startup_ms": wall,
+        "startup_cpu_ms": cpu,
         "points": points,
     }, indent=2))
     return 0
