@@ -31,7 +31,7 @@ from .dynamics import (
 from .errors import InvalidValue, UsageError, VariantFitError, WindowOutOfRange
 from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
 
-# Largest --contour grid and --horizons count; 0:1:1e-4 is the finest grid it admits.
+# Largest --contour grid and --horizons or --t count; 0:1:1e-4 is the finest grid.
 MAX_GRID_POINTS = 10_001
 # Thread-count variables of numpy's bundled OpenBLAS and of OpenMP and MKL builds.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -338,14 +338,15 @@ def _grid(spec: str) -> list[float]:
     return values
 
 
-def _horizons(text: str) -> int:
-    """The parser's type for --horizons: an integer from 1 to MAX_GRID_POINTS."""
+def _grid_count(text: str, noun: str, low: int) -> int:
+    """The parser's type for a count of `noun`: an integer from `low` to MAX_GRID_POINTS."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(f"expected 1 to {MAX_GRID_POINTS} horizons, got {value}")
+    if not low <= value <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"expected {low} to {MAX_GRID_POINTS} {noun}, got {value}")
     return value
 
 
@@ -542,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first t_index of the training window")
     p.add_argument("--train-through", type=int, default=None,
                    help="last t_index of the training window (default: last record)")
-    p.add_argument("--horizons", type=_horizons, default=10,
-                   help="number of periods to forecast ahead (default 10)")
+    p.add_argument("--horizons", type=functools.partial(_grid_count, noun="horizons", low=1),
+                   default=10, help="number of periods to forecast ahead (default 10)")
     p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="band half-width in standard deviations; repeatable (default 2)")
     p.set_defaults(func=cmd_forecast)
@@ -581,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=_finite_float, action="append", required=True,
                    help="initial proportion of each non-numeraire variant")
     p.add_argument("--n", type=int, required=True, help="sequenced count per period")
-    p.add_argument("--t", type=int, required=True, help="number of periods")
+    p.add_argument("--t", type=functools.partial(_grid_count, noun="periods", low=0),
+                   required=True, help=f"number of periods, at most {MAX_GRID_POINTS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replication", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -18,6 +18,9 @@ CSV_HEADER = ["t", "label", "sequenced", "variant_count", "total_cases", "tested
 # Variant names of a two-variant series; neither CSV schema for it stores names.
 TWO_VARIANT_NAMES = ("incumbent", "variant")
 REQUIRED = "t, sequenced and variant_count are required"
+# Largest |t_index|: the model time is a float, and above 2**53 distinct
+# integers can round to one float.
+MAX_T = 2**53
 
 
 def check_periods(t_values: Sequence[int], period_days: float) -> None:
@@ -96,6 +99,9 @@ class SurveillanceSeries:
             if values is not None and len(values) != T:
                 raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
         t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
+        if max(-t_values[0], t_values[-1]) > MAX_T:
+            raise InvalidValue(f"t_index must lie within -2**53..2**53, where floats hold every "
+                               f"integer; got {t_values[0]}..{t_values[-1]}")
         t = np.array(t_values, dtype=float)
         model_counts = counts.astype(float)
         counts.flags.writeable = t.flags.writeable = model_counts.flags.writeable = False

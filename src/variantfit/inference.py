@@ -81,23 +81,19 @@ def kernel_weighted_outer(
     return j
 
 
-def sandwich(
-    info: np.ndarray,
-    scores: np.ndarray,
-    columns: tuple[np.ndarray, np.ndarray],
-    bandwidth: int | None,
-) -> VarianceEstimate:
+def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     """Fisher variance inv(I) when bandwidth is None, else the HAC sandwich
-    inv(I) J_K inv(I) from the per-period scores at the optimum.
+    inv(I) J_K inv(I), from the fit's information I and per-period scores.
 
-    `columns` are the fit's (t, counts) arrays. At the optimum the scores sum
-    to zero, so J_K has rank below the number of periods with counts; the
-    sandwich needs more such periods than parameters. It also needs scores
-    that do not all vanish: where the model fits every period exactly, J_K is
-    ~0 and would give a zero-width interval, so a sandwich variance at or
-    below 1e-12 of the Fisher one, for any parameter, is Singular.
+    At the optimum the scores sum to zero, so J_K has rank below the number
+    of periods with counts; the sandwich needs more such periods than
+    parameters. It also needs scores that do not all vanish: where the model
+    fits every period exactly, J_K is ~0 and would give a zero-width
+    interval, so a sandwich variance at or below 1e-12 of the Fisher one, for
+    any parameter, is Singular.
     """
-    t_values, counts = columns
+    info, scores = fit.information, fit.scores
+    t_values, counts = fit.series.columns
     if bandwidth is not None:
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
@@ -131,7 +127,7 @@ def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:
 def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
     """Model-based variance, inverse of the observed information at the fit."""
     _own_series(series, fit)
-    return sandwich(fit.information, fit.scores, series.columns, None)
+    return sandwich(fit, None)
 
 
 def hac_sandwich(
@@ -139,7 +135,7 @@ def hac_sandwich(
 ) -> VarianceEstimate:
     """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
     _own_series(series, fit)
-    return sandwich(fit.information, fit.scores, series.columns, bandwidth)
+    return sandwich(fit, bandwidth)
 
 
 def normal_quantile(level: float) -> float:

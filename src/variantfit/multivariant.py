@@ -29,7 +29,7 @@ def fit_multi(
 ) -> tuple[FitResult, VarianceEstimate]:
     """The fit and its variance: Fisher or, given a bandwidth, HAC sandwich."""
     result = fit(series)
-    return result, sandwich(result.information, result.scores, series.columns, bandwidth)
+    return result, sandwich(result, bandwidth)
 
 
 def marginalize(series: SurveillanceSeries, keep: tuple[int, int]) -> SurveillanceSeries:

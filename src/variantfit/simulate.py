@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import TWO_VARIANT_NAMES, SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
-from .estimate import fit
-from .inference import hac_sandwich, fisher_information, interval_for_gamma
+from .inference import interval_for_gamma
+from .multivariant import fit_multi
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,7 @@ def recovery_report(
     for rep in range(n_replications):
         series = simulate(config, replication=rep)
         try:
-            result = fit(series)
-            variance = (
-                fisher_information(series, result)
-                if bandwidth is None
-                else hac_sandwich(series, result, bandwidth)
-            )
+            result, variance = fit_multi(series, bandwidth)
         except VariantFitError:
             failed += 1
             continue

@@ -368,6 +368,8 @@ R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
                      id="simulate-gamma-inf"),
         pytest.param(("simulate", "--gamma", "1.5", "--lambda0", "0.1", "--n", "10", "--t", "3",
                       "--period-days", "1"), id="simulate-period-days"),
+        *(pytest.param(("simulate", "--gamma", "1.5", "--lambda0", "0.1", "--n", "10", "--t", value),
+                       id=f"simulate-t-{value}") for value in ("10002", "1000000000")),
     ],
 )
 def test_usage_errors_are_one_error_line(capsys, argv):
@@ -541,6 +543,29 @@ def test_horizons_at_the_bounds_are_forecast(capsys, horizons):
     code, out, err = run(capsys, "forecast", "alpha", "--horizons", str(horizons))
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 2 + horizons
+
+
+def test_simulate_at_the_period_bound_prints_every_period(capsys):
+    code, out, err = run(capsys, "simulate", "--gamma", "1.001", "--lambda0", "0.1",
+                         "--n", "10", "--t", "10001")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 10_001
+
+
+# Above 2**53 distinct integers can round to one float, so the model time
+# would merge periods.
+BEYOND_FLOAT_T = 2**53
+
+
+def test_periods_beyond_float_precision_are_one_error_line(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text(TWO_VARIANT_HEADER + "".join(
+        f"{BEYOND_FLOAT_T + i},w{i},1000,{10 + 30 * i},,\n" for i in range(3)))
+    assert_one_error_line(*run(capsys, "crude", str(path)), kind="InvalidValue")
+    multi = tmp_path / "multi.csv"
+    multi.write_text("t,label,count_a,count_b,count_c\n" + "".join(
+        f"{BEYOND_FLOAT_T + i},w{i},900,{50 + 30 * i},{50 + 10 * i}\n" for i in range(3)))
+    assert_one_error_line(*run(capsys, "multi", "--file", str(multi)), kind="InvalidValue")
 
 
 @pytest.mark.parametrize(

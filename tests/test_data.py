@@ -55,6 +55,23 @@ def test_count_violation():
         two_variant([(1, "", -1, 0, None, None)])
 
 
+@pytest.mark.parametrize("t", [[2**53 - 1, 2**53, 2**53 + 1], [-(2**53) - 1, 0, 1],
+                               [10**17, 10**17 + 1, 10**17 + 2]])
+def test_periods_beyond_float_precision_are_refused(t):
+    # The model time is a float: above 2**53 distinct t can become one float.
+    with pytest.raises(InvalidValue, match="2\\*\\*53"):
+        two_variant([rec(v, 100, 10) for v in t])
+    with pytest.raises(InvalidValue):
+        read_multi_csv(io.StringIO("t,label,count_a,count_b\n"
+                                   + "".join(f"{v},p,90,10\n" for v in t)))
+
+
+def test_periods_up_to_float_precision_are_kept_exactly():
+    series = two_variant([rec(t, 100, 10 * i) for i, t in enumerate([-(2**53), 0, 2**53])])
+    assert series.t_values == (-(2**53), 0, 2**53)
+    assert series.columns[0].tolist() == [-(2.0**53), 0.0, 2.0**53]
+
+
 def test_duplicate_period():
     with pytest.raises(DuplicatePeriod):
         two_variant([rec(1, 10, 1), rec(1, 20, 2)], 7.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -338,7 +339,8 @@ def test_variance_from_the_fit_equals_recomputed_at_theta(m, bandwidth):
     series = _simulated(m)
     result = fit(series)
     scores, h = model_derivatives(np.array(result.theta), *series.columns)
-    expected = sandwich(-h, scores, series.columns, bandwidth).matrix
+    recomputed = dataclasses.replace(result, scores=scores, information=-h)
+    expected = sandwich(recomputed, bandwidth).matrix
     if bandwidth is None:
         got = fisher_information(series, result).matrix
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -281,3 +282,21 @@ def test_fit_multi_is_fit_plus_variance(m, bandwidth):
     )
     assert variance.kind == expected.kind
     assert np.array_equal(variance.matrix, expected.matrix)
+
+
+# SHA-256 of fit_multi's covariance bytes for one seeded m = 3 series,
+# recorded before the variance took the fit whole: it must not change by a bit.
+FIT_MULTI_COVARIANCE_SHA256 = {
+    None: "135aef8f35ab0724fc8182c78d936f3516244c02a272d1a9531893a10a540804",
+    4: "282cac229d36244b452564add89acc43c137b4d3eae927b9abbc56496be911d0",
+}
+
+
+@pytest.mark.parametrize("bandwidth", [None, 4])
+def test_fit_multi_covariance_is_pinned(bandwidth):
+    config = SimConfig(gammas=(1.2, 1.3), initial_proportions=(0.9, 0.05, 0.05),
+                       sequenced=(3000,) * 18, seed=13)
+    _, variance = fit_multi(simulate(config), bandwidth)
+    assert variance.kind == ("fisher" if bandwidth is None else f"sandwich({bandwidth})")
+    digest = hashlib.sha256(variance.matrix.tobytes()).hexdigest()
+    assert digest == FIT_MULTI_COVARIANCE_SHA256[bandwidth]

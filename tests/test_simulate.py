@@ -198,6 +198,27 @@ def test_recovery_report_bias_and_coverage():
     assert report.mean_ci_width > 0
 
 
+# recovery_report of _config() over 8 replications, as float.hex() of
+# (mean_gamma, bias, coverage, mean_ci_width), recorded before the variance
+# step moved into fit_multi: the reports must not change by a bit.
+RECOVERY_REPORT_HEX = {
+    None: ("0x1.999aa12770e36p+0", "0x1.078dd749c0000p-16", "0x1.0000000000000p+0",
+           "0x1.00825fbb1b4e4p-5"),
+    0: ("0x1.999aa12770e36p+0", "0x1.078dd749c0000p-16", "0x1.0000000000000p+0",
+        "0x1.f263427356fd0p-6"),
+    4: ("0x1.999aa12770e36p+0", "0x1.078dd749c0000p-16", "0x1.c000000000000p-1",
+        "0x1.8d7eaf4efbe48p-6"),
+}
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0, 4])
+def test_recovery_report_is_pinned(bandwidth):
+    report = recovery_report(_config(), n_replications=8, bandwidth=bandwidth)
+    assert (report.n_replications, report.n_failed, report.true_gamma) == (8, 0, 1.6)
+    got = (report.mean_gamma, report.bias, report.coverage, report.mean_ci_width)
+    assert tuple(map(float.hex, got)) == RECOVERY_REPORT_HEX[bandwidth]
+
+
 def test_recovery_report_rejects_multivariant_config():
     config = SimConfig(
         gammas=(1.4, 2.0),
@@ -228,11 +249,11 @@ def test_growth_schedule_needs_two_variants():
 
 def test_recovery_report_propagates_programming_errors(monkeypatch):
     # Only model failures count as failed replications; a bug must surface.
-    def broken_fit(series):
+    def broken_fit(*args):
         raise TypeError("broken fit")
 
     # The package's `simulate` attribute is the function, so fetch the module.
-    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit", broken_fit)
+    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit_multi", broken_fit)
     with pytest.raises(TypeError, match="broken fit"):
         recovery_report(_config(), n_replications=3)
 

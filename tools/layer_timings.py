@@ -11,8 +11,8 @@ period is written as CSV to a temporary directory. Then each stage runs
   the draw of all counts, as the benchmark's inputs and replicates make them
 - load_ms: read the CSV, with load_csv for m = 2 and load_multi_csv
   otherwise, as the CLI does
-- fit_ms: `fit` of the loaded series, the damped Newton iteration plus the
-  fitted shares
+- fit_ms: `fit` of the loaded series, the damped Newton iteration; the
+  fitted shares are worked out on first use, not here
 - fisher_ms, hac4_ms: the variance step from the fit's own scores and
   information, Fisher and HAC with bandwidth 4;
   hac4_ms is null, with the error in hac4_error, where the sandwich is not
@@ -131,15 +131,11 @@ def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict
     load = load_csv if m == 2 else load_multi_csv
     load_ms, series = median_ms(lambda: load(str(path)), repeats)
     fit_ms, result = median_ms(lambda: fit(series), repeats)
-
-    def variance(bandwidth):
-        return sandwich(result.information, result.scores, series.columns, bandwidth)
-
-    fisher_ms, fisher = median_ms(lambda: variance(None), repeats)
+    fisher_ms, fisher = median_ms(lambda: sandwich(result, None), repeats)
     point = {"T": T, "m": m, "iterations": result.iterations, "simulate_ms": simulate_ms,
              "load_ms": load_ms, "fit_ms": fit_ms, "fisher_ms": fisher_ms}
     try:
-        point["hac4_ms"], _ = median_ms(lambda: variance(4), repeats)
+        point["hac4_ms"], _ = median_ms(lambda: sandwich(result, 4), repeats)
     except VariantFitError as exc:
         # No more periods with counts than the 2(m - 1) parameters.
         point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
