@@ -16,8 +16,8 @@ _EXPORTS = {
     "data": ("SurveillanceSeries", "load_csv", "to_csv_string", "write_csv"),
     "datasets": ("BUNDLED_NAMES", "load_bundled"),
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
-                 "Proportion", "from_log_odds", "step_lambda"),
-    "estimate": ("FitResult", "fit"),
+                 "Proportion", "step_lambda"),
+    "estimate": ("FitResult", "fit", "log_softmax"),
     "forecast": ("ForecastBand", "forecast"),
     "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",
                   "hac_sandwich", "interval_for_gamma", "parzen_kernel"),

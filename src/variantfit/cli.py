@@ -10,6 +10,7 @@ output. Error paths exit nonzero with a single `error:`-prefixed line.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import io
 import json
@@ -122,12 +123,18 @@ def _emit(report: Callable[[], dict], as_json: bool, lines: Callable[[], list[st
             print(line)
 
 
-def _load_input(source: str, period_days: float, multi: bool = False):
+def _load_input(source: str, period_days: Optional[float], multi: bool = False):
     """The series and its report digest: a bundled dataset, or a CSV file of the
     two-variant schema or, under `multi`, of the m-variant one. A file is read
     once, so a pipe works and the digest is that of the bytes parsed, and before
-    the array layers load, so a missing file fails without them."""
+    the array layers load, so a missing file fails without them.
+
+    `period_days` is --period-days, None when not given: 7 for a CSV file, and
+    a UsageError for a bundled dataset, which has its own."""
     if not multi and source.lower() in BUNDLED_NAMES:
+        if period_days is not None:
+            raise UsageError(f"argument --period-days: applies to CSV input only, "
+                             f"not to the bundled dataset {source.lower()}")
         _load_array_layers()
         return load_bundled(source), {"dataset": source.lower()}
     import hashlib  # loads OpenSSL, which only file inputs need
@@ -137,7 +144,7 @@ def _load_input(source: str, period_days: float, multi: bool = False):
     _load_array_layers()
     load = load_multi_csv if multi else load_csv
     digest = {"path": source, "sha256": hashlib.sha256(data).hexdigest()}
-    return load(io.BytesIO(data), period_days=period_days), digest
+    return load(io.BytesIO(data), period_days=7.0 if period_days is None else period_days), digest
 
 
 def _fit(series, args):
@@ -163,12 +170,12 @@ def _report_header(command: str, digest: dict, **options) -> dict:
             "input": digest, "options": options}
 
 
-def _fit_report(command: str, digest: dict, series, variance, gen_days: float,
+def _fit_report(command: str, digest: dict, result, variance, gen_days: float,
                 level: float) -> dict:
-    """The header, options and covariance of a fit's report."""
-    header = _report_header(command, digest, period_days=series.period_days, gen_days=gen_days,
-                            variance=variance.kind, level=level)
-    return header | {"covariance": variance.matrix.tolist()}
+    """The header, options and covariance (at t = 0) of a fit's report."""
+    header = _report_header(command, digest, period_days=result.series.period_days,
+                            gen_days=gen_days, variance=variance.kind, level=level)
+    return header | {"covariance": result.at_zero(variance.matrix).tolist()}
 
 
 def cmd_estimate(args):
@@ -179,7 +186,7 @@ def cmd_estimate(args):
     per_week = interval_for_gamma(variance, result, 7.0, args.level)
 
     def report():
-        return _fit_report("estimate", digest, series, variance, args.gen_days, args.level) | {
+        return _fit_report("estimate", digest, result, variance, args.gen_days, args.level) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -248,11 +255,11 @@ def cmd_forecast(args):
         raise WindowOutOfRange(
             f"--train-through {train_through} outside data range [{t_all[0]}, {t_all[-1]}]"
         )
-    t = series.columns[0]
-    window = t <= train_through
-    if args.train_from is not None:
-        window &= t >= args.train_from
-    if window.sum() < 2:
+    # The user's integer t, which is sorted: the window is the rows in
+    # [--train-from, train_through].
+    first = 0 if args.train_from is None else bisect.bisect_left(t_all, args.train_from)
+    window = slice(first, bisect.bisect_right(t_all, train_through))
+    if window.stop - window.start < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
     result, variance = _fit(series.select(periods=window), args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
@@ -358,6 +365,8 @@ def cmd_infer_r(args):
         result, variance = _fit(series, args)
         gamma_est = interval_for_gamma(variance, result, args.gen_days, args.level)
     else:
+        if args.period_days is not None:
+            raise UsageError("argument --period-days: not allowed with argument --gamma-gen")
         digest = {"gamma_gen": args.gamma_gen}
         point = Advantage(args.gamma_gen, args.gen_days)
         lo, hi = (args.gamma_ci if args.gamma_ci else (args.gamma_gen, args.gamma_gen))
@@ -411,16 +420,17 @@ def cmd_infer_r(args):
 
 
 def cmd_adjusted_r(args):
+    period_days = 7.0 if args.period_days is None else args.period_days
     value = adjusted_R(
         args.cases, args.cases_prev, args.tested, args.tested_prev,
-        gen_days=args.gen_days, period_days=args.period_days,
+        gen_days=args.gen_days, period_days=period_days,
         exponent=args.exponent,
     )
 
     def report():
         digest = {"cases": args.cases, "cases_prev": args.cases_prev}
         header = _report_header("adjusted-r", digest, gen_days=args.gen_days,
-                                period_days=args.period_days, exponent=args.exponent)
+                                period_days=period_days, exponent=args.exponent)
         return header | {"R_all": value}
 
     return report, lambda: [f"R_all = {value:.6g}"]
@@ -466,7 +476,7 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
         )
 
     def report():
-        return _fit_report("multi", digest, series, variance, gen_days, level) | {
+        return _fit_report("multi", digest, result, variance, gen_days, level) | {
             "numeraire": series.variant_names[0],
             "variants": variants,
         }
@@ -511,8 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common, level, gen, variance = (_Parser(add_help=False) for _ in range(4))
-    common.add_argument("--period-days", type=_finite_float, default=7.0,
-                        help="calendar days per t_index unit for CSV input (default 7)")
+    # None when not given, as a bundled dataset and --gamma-gen require.
+    common.add_argument("--period-days", type=_finite_float, default=None,
+                        help="calendar days per t_index unit, for CSV input and "
+                             "adjusted-r only (default 7)")
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
     level.add_argument("--level", type=_finite_float, default=0.95,
                        help="confidence level (default 0.95)")

@@ -108,10 +108,3 @@ def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:
     g, x = gamma.value, lam.value
     return Proportion(g * x / ((1.0 - x) + g * x))
 
-
-def from_log_odds(value: float) -> Proportion:
-    """The proportion whose log-odds is `value`, expit(value); total on finite inputs."""
-    if value >= 0:
-        return Proportion(1.0 / (1.0 + math.exp(-value)))
-    e = math.exp(value)
-    return Proportion(e / (1.0 + e))

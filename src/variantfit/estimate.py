@@ -21,6 +21,9 @@ Sign convention: model_derivatives() returns the per-period gradient
 contributions of the log-likelihood, for m = 2 (X_t - N_t * lam_t) * (1, t);
 they and the Hessian are checked against central finite differences in
 the test suite.
+
+The fit counts time from the first period, t - t_1 + 1 (see model_time), and
+reports alpha at the user's t = 0 through one linear map (FitResult.at_zero).
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class FitResult:
     the (T, 2(m-1)) per-period scores and `information` the observed
     information -H, both at theta as the Newton iteration last evaluated
     them; the variance estimators read these and evaluate nothing. Every
-    array is read-only.
+    array is read-only. All of them are in model time, t - `origin`, so each
+    a_j is the log-odds at the user's t = `origin`; `params` and `at_zero`
+    give them at t = 0.
     """
 
     theta: np.ndarray
@@ -64,18 +69,32 @@ class FitResult:
     @cached_property
     def shares(self) -> np.ndarray:
         """The (T, m) fitted shares, worked out on first use."""
-        t, counts = self.series.columns
-        shares = np.exp(_log_softmax(self.theta, t, counts.shape[1]))
+        shares = np.exp(_log_softmax(self.theta, model_time(self.series), self.series.n_variants))
         shares.flags.writeable = False
         return shares
 
     @property
+    def origin(self) -> int:
+        """t_1 - 1: the user's t at model time 0."""
+        return self.series.t_values[0] - 1
+
+    def at_zero(self, x: np.ndarray) -> np.ndarray:
+        """`theta`, or a covariance of it, moved from model time to the user's
+        t = 0 by the one linear map a_j = a'_j - b_j * origin."""
+        if not self.origin:
+            return x
+        shift = np.kron(np.eye(len(self.theta) // 2), [[1.0, -self.origin], [0.0, 1.0]])
+        moved = shift @ x
+        return moved if moved.ndim == 1 else moved @ shift.T
+
+    @property
     def params(self) -> ModelParams:
-        """(alpha, beta) of a two-variant fit; InvalidValue for m != 2."""
+        """(alpha, beta) of a two-variant fit, alpha at t = 0; InvalidValue for m != 2."""
         m = self.series.n_variants
         if m != 2:
             raise InvalidValue(f"need a two-variant fit, got {m} variants")
-        return ModelParams(alpha=float(self.theta[0]), beta=float(self.theta[1]))
+        alpha, beta = self.at_zero(self.theta).tolist()
+        return ModelParams(alpha=alpha, beta=beta)
 
     @property
     def gamma(self) -> float:
@@ -83,12 +102,32 @@ class FitResult:
         return self.params.gamma
 
 
+def model_time(series: SurveillanceSeries) -> np.ndarray:
+    """The fit's time axis, t - t_1 + 1, which starts at 1.
+
+    The model is invariant to a shift of t, which moves only each a_j, but
+    the arithmetic is not: at date-code t such as 202045, the information
+    in (a, b) is too ill-conditioned to invert. Worked out from the integer
+    periods, so exact; a series that starts at t = 1 keeps its own column.
+    """
+    origin = series.t_values[0] - 1
+    if not origin:
+        return series.columns[0]
+    return (np.array(series.t_values, dtype=np.int64) - origin).astype(float)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """The log-softmax over the last axis, the package's one logistic map: for
+    logits (0, x), exp of column 1 is expit(x). A -inf logit gives a share of 0."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
     # Rows: periods; columns: variants (column 0 is the numeraire).
     eta = np.zeros((len(t), m))
     eta[:, 1:] = theta[0::2] + t[:, None] * theta[1::2]
-    eta -= eta.max(axis=1, keepdims=True)
-    return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
+    return log_softmax(eta)
 
 
 def _log_likelihood(
@@ -218,9 +257,8 @@ def newton(t: np.ndarray, counts: np.ndarray):
 
 
 def fit(series: SurveillanceSeries) -> FitResult:
-    """Maximum likelihood fit of the m-variant model by damped Newton."""
-    t, counts = series.columns
-    theta, ll, iterations, scores, h = newton(t, counts)
+    """Maximum likelihood fit of the m-variant model by damped Newton, in model time."""
+    theta, ll, iterations, scores, h = newton(model_time(series), series.columns[1])
     information = -h
     for array in (theta, scores, information):
         array.flags.writeable = False

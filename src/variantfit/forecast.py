@@ -10,13 +10,13 @@ so the band reflects parameter uncertainty only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynamics import from_log_odds
+import numpy as np
+
 from .errors import NegativeC
-from .estimate import FitResult
+from .estimate import FitResult, log_softmax
 from .inference import VarianceEstimate
 
 
@@ -41,23 +41,20 @@ def forecast(
     horizons: Sequence[float],
     c: float,
 ) -> ForecastBand:
-    """Band over absolute t values (the CLI converts '+h periods' to these)."""
+    """Band over absolute t values (the CLI converts '+h periods' to these),
+    worked out in the fit's model time, where theta and the variance are."""
     if c < 0:
         raise NegativeC(f"c must be >= 0, got {c}")
-    alpha, beta = fit.params.alpha, fit.params.beta
+    beta = fit.params.beta  # InvalidValue unless the fit has two variants
+    t_values = tuple(float(t) for t in horizons)
+    t = np.array(t_values) - fit.origin
     cov = variance.matrix
-    points, lowers, uppers = [], [], []
-    for t in horizons:
-        eta = alpha + beta * t
-        v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
-        half = c * math.sqrt(max(v, 0.0))
-        points.append(from_log_odds(eta).value)
-        lowers.append(from_log_odds(eta - half).value)
-        uppers.append(from_log_odds(eta + half).value)
-    return ForecastBand(
-        t_values=tuple(float(t) for t in horizons),
-        point=tuple(points),
-        lower=tuple(lowers),
-        upper=tuple(uppers),
-        c=float(c),
-    )
+    eta = fit.theta[0] + beta * t
+    v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
+    half = c * np.sqrt(np.maximum(v, 0.0))
+    # The logits (0, x) of every band end and point, in one logistic map; the
+    # sort undoes rounding that misorders shares of logits a few ulps apart.
+    logits = np.stack([np.zeros((3, len(t))), [eta - half, eta, eta + half]], axis=-1)
+    shares = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
+    lower, point, upper = map(tuple, shares.tolist())
+    return ForecastBand(t_values=t_values, point=point, lower=lower, upper=upper, c=float(c))

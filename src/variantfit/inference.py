@@ -23,7 +23,7 @@ from .data import SurveillanceSeries
 # scalar commands import without numpy; callers also import them from here.
 from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
 from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
-from .estimate import FitResult
+from .estimate import FitResult, model_time
 
 DEFAULT_LEVEL = 0.95
 
@@ -93,7 +93,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     any parameter, is Singular.
     """
     info, scores = fit.information, fit.scores
-    t_values, counts = fit.series.columns
+    t_values, counts = model_time(fit.series), fit.series.columns[1]
     if bandwidth is not None:
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")

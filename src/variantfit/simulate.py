@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import TWO_VARIANT_NAMES, SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
+from .estimate import log_softmax
 from .inference import interval_for_gamma
 from .multivariant import fit_multi
 
@@ -63,9 +64,7 @@ def expected_path(config: SimConfig) -> np.ndarray:
     log_g = np.log((1.0, *config.gammas))
     log_lam0 = np.log(lam0, out=np.full_like(lam0, -np.inf), where=lam0 > 0)
     t = np.arange(1.0, len(config.sequenced) + 1.0)
-    logits = log_lam0 + t[:, None] * log_g
-    shares = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shares / shares.sum(axis=1, keepdims=True)
+    return np.exp(log_softmax(log_lam0 + t[:, None] * log_g))
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:

@@ -812,3 +812,99 @@ def test_json_text_equals_json_dumps_of_the_rounded_report(value):
 def test_json_text_refuses_what_json_cannot_write():
     with pytest.raises(TypeError, match="not JSON serializable"):
         json_text({"a": [np.int64(1)]})
+
+
+# Alpha's counts at t = base + 1 ... base + 18: day counts since 1970, ISO
+# yyyyww and yyyymmdd codes, and beyond. The fit counts time from the first
+# period, so each gives the unshifted advantage and reports alpha at t = 0.
+TIME_ORIGINS = [0, 5_000, 7_000, 18_962, 202_045, 1_000_000, 20_211_130, 10**9]
+
+
+def shifted_csv(path, text, base):
+    """`text`, a CSV of either schema, with `base` added to every t."""
+    header, *rows = text.splitlines()
+    rows = [f"{int(t) + base},{rest}" for t, rest in (row.split(",", 1) for row in rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+def alpha_at(tmp_path, base):
+    text = variantfit.to_csv_string(variantfit.load_bundled("alpha"))
+    return shifted_csv(tmp_path / f"alpha-{base}.csv", text, base)
+
+
+@pytest.mark.parametrize("base", TIME_ORIGINS)
+def test_estimate_does_not_depend_on_where_t_starts(tmp_path, capsys, base):
+    code, out, err = run(capsys, "estimate", alpha_at(tmp_path, base))
+    assert code == 0 and err == ""
+    assert "gamma per 7 days: 1.8564  [1.8240, 1.8893]" in out
+    _, unshifted, _ = run(capsys, "estimate", alpha_at(tmp_path, 0), "--json")
+    _, shifted, _ = run(capsys, "estimate", alpha_at(tmp_path, base), "--json")
+    unshifted, shifted = json.loads(unshifted), json.loads(shifted)
+    assert shifted["advantage"] == unshifted["advantage"]
+    alpha, beta = unshifted["fit"]["alpha"], unshifted["fit"]["beta"]
+    assert shifted["fit"]["alpha"] == pytest.approx(alpha - beta * base, rel=1e-9)
+
+
+def test_multi_does_not_depend_on_where_t_starts(tmp_path, capsys):
+    code, text, _ = run(capsys, "simulate", "--gamma", "1.3", "--gamma", "1.6",
+                        "--lambda0", "0.05", "--lambda0", "0.02", "--n", "2000", "--t", "12")
+    assert code == 0
+    reports = {}
+    for base in (0, 202_045):
+        path = shifted_csv(tmp_path / f"multi-{base}.csv", text, base)
+        code, out, err = run(capsys, "multi", "--file", path, "--json")
+        assert code == 0 and err == ""
+        reports[base] = json.loads(out)
+    assert reports[202_045]["variants"] == reports[0]["variants"]
+    # Entries (1, 1) and (3, 3) are the variances of b_2 and b_3, which no shift of t moves.
+    for j in (1, 3):
+        assert reports[202_045]["covariance"][j][j] == reports[0]["covariance"][j][j]
+
+
+def test_forecast_does_not_depend_on_where_t_starts(tmp_path, capsys):
+    bands = {}
+    for base in (0, 202_045):
+        code, out, err = run(capsys, "forecast", alpha_at(tmp_path, base), "--json",
+                             "--train-from", str(base + 2), "--train-through", str(base + 8),
+                             "--c", "2", "--c", "4")
+        assert code == 0 and err == ""
+        bands[base] = json.loads(out)["bands"]
+    for shifted, unshifted in zip(bands[202_045], bands[0]):
+        assert shifted["c"] == unshifted["c"]
+        for a, b in zip(shifted["rows"], unshifted["rows"]):
+            assert a["t"] == b["t"] + 202_045
+            for key in ("point", "lower", "upper"):
+                assert a[key] == pytest.approx(b[key], rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crude", "omicron", "--period-days", "-3", "--json"),
+        ("estimate", "alpha", "--period-days", "3"),
+        ("forecast", "delta", "--period-days", "7"),
+        ("infer-r", "--from-fit", "alpha", "--R", "1", "--lambda", "0.5", "--period-days", "7"),
+    ],
+    ids=["crude", "estimate", "forecast", "infer-r-from-fit"],
+)
+def test_period_days_with_a_bundled_dataset_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err, "UsageError")
+    assert "--period-days: applies to CSV input only" in err
+
+
+def test_period_days_with_gamma_gen_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "infer-r", "--gamma-gen", "2", "--R", "1", "--lambda", "0.5",
+                         "--period-days", "0")
+    assert_one_error_line(code, out, err, "UsageError")
+
+
+@pytest.mark.parametrize("c", ["5e-17", "3e-16", "1e-15"])
+def test_forecast_with_a_band_of_a_few_ulps_keeps_its_order(capsys, c):
+    # Band ends that lie a few ulps from the point used to round to shares on
+    # the wrong side of it, and fail ForecastBand's ordering check.
+    for name, through in (("alpha", "6"), ("omicron", "4"), ("omicron", "6")):
+        code, out, err = run(capsys, "forecast", name, "--c", c, "--horizons", "60",
+                             "--train-through", through, "--fisher")
+        assert code == 0 and err == ""

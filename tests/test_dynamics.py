@@ -1,13 +1,21 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from variantfit.datasets import load_bundled
-from variantfit.dynamics import Advantage, Proportion, from_log_odds, step_lambda
+from variantfit.dynamics import Advantage, Proportion, step_lambda
 from variantfit.errors import NonPositivePeriod
-from variantfit.estimate import fit
+from variantfit.estimate import fit, log_softmax
 from variantfit.inference import hac_sandwich, interval_for_gamma
+
+
+def from_log_odds(value: float) -> Proportion:
+    """expit(value) through the package's one logistic map, the log-softmax
+    of the two-variant logits (0, value)."""
+    return Proportion(float(np.exp(log_softmax(np.array([0.0, value])))[1]))
 
 
 def _log_odds(p: float) -> float:
@@ -81,9 +89,31 @@ def test_log_odds_round_trip(p):
 
 def test_boundary_odds():
     # Log-odds far beyond the double range of exp still give the boundary
-    # proportions, without overflow.
-    assert from_log_odds(800.0).value == 1.0
-    assert from_log_odds(-800.0).value == 0.0
+    # proportions, without overflow or any other warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert from_log_odds(800.0).value == 1.0
+        assert from_log_odds(-800.0).value == 0.0
+
+
+def test_minus_infinite_logit_gives_an_exact_zero_share():
+    logits = np.array([[-np.inf, 0.0, 1.0], [2.0, -np.inf, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shares = np.exp(log_softmax(logits))
+    assert shares[0, 0] == 0.0 and shares[1, 1] == 0.0
+    assert shares[0, 1:] == pytest.approx([1 / (1 + math.e), math.e / (1 + math.e)], rel=1e-15)
+    assert shares.sum(axis=1) == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+def test_log_softmax_maps_the_last_axis_of_any_shape():
+    logits = np.random.default_rng(7).normal(scale=5.0, size=(3, 4, 5))
+    before = logits.copy()
+    out = log_softmax(logits)
+    assert out.shape == logits.shape and np.array_equal(logits, before)
+    for index in np.ndindex(3, 4):
+        row = logits[index]
+        assert out[index] == pytest.approx(row - math.log(sum(map(math.exp, row))), abs=1e-12)
 
 
 def test_monotone_progression_to_one():

@@ -8,7 +8,8 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
-from variantfit.estimate import FitResult, fit, model_derivatives, model_log_likelihood
+from variantfit.estimate import (FitResult, fit, model_derivatives, model_log_likelihood,
+                                 model_time)
 from variantfit.inference import hac_sandwich
 from variantfit.simulate import SimConfig, simulate
 
@@ -243,6 +244,42 @@ def test_time_shift_covariance():
     assert moved.params.alpha == pytest.approx(
         base.params.alpha - base.params.beta * shift, abs=1e-8
     )
+
+
+def _shifted(series, base):
+    return SurveillanceSeries(tuple(t + base for t in series.t_values), series.labels,
+                              series.counts, series.variant_names, series.period_days)
+
+
+@pytest.mark.parametrize("base", [-7, 5_000, 7_000, 18_962, 202_045, 20_211_130, 10**9])
+def test_fit_is_made_in_model_time_and_reported_at_t_zero(base):
+    series = load_bundled("alpha")
+    base_fit, moved = fit(series), fit(_shifted(series, base))
+    # Model time t - t_1 + 1 is the same array for both, and so is the fit.
+    assert base_fit.origin == 0 and moved.origin == base
+    assert np.array_equal(model_time(_shifted(series, base)), series.columns[0])
+    assert np.array_equal(moved.theta, base_fit.theta)
+    assert np.array_equal(moved.shares, base_fit.shares)
+    alpha, beta = base_fit.params
+    assert moved.params.beta == beta
+    assert moved.params.alpha == pytest.approx(alpha - beta * base, rel=1e-10)
+    # The covariance at t = 0 is A cov A' for a = a' - b * base.
+    cov = hac_sandwich(series, base_fit, 4).matrix
+    moved_cov = moved.at_zero(hac_sandwich(moved.series, moved, 4).matrix)
+    expected = [[cov[0, 0] - 2 * base * cov[0, 1] + base**2 * cov[1, 1],
+                 cov[0, 1] - base * cov[1, 1]],
+                [cov[0, 1] - base * cov[1, 1], cov[1, 1]]]
+    assert moved_cov == pytest.approx(np.array(expected), rel=1e-9)
+
+
+def test_at_zero_moves_every_intercept_of_any_m():
+    series = _simulated(3)
+    result = fit(_shifted(series, 1_000))
+    a2, b2, a3, b3 = result.theta
+    assert result.at_zero(result.theta) == pytest.approx(
+        [a2 - 1_000 * b2, b2, a3 - 1_000 * b3, b3], rel=1e-14)
+    unshifted = fit(series)
+    assert unshifted.at_zero(unshifted.theta) is unshifted.theta
 
 
 def test_zero_weight_period_has_no_effect():

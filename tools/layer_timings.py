@@ -21,6 +21,9 @@ period is written as CSV to a temporary directory. Then each stage runs
   report builder and formatted as `multi --json` does
 - crude_ms, crude_report_ms: at m = 2 only (null otherwise), crude_gammas of
   the loaded series and its run report formatted as `crude --json` does
+- forecast_ms: at m = 2 only (null otherwise), `forecast` of the fit with
+  its Fisher variance over the 10 periods after the series at c = 2, the
+  `forecast` command's defaults
 
 Start-up is timed apart from the grid, as `startup_ms`: the median wall time
 of --repeats whole `python -m variantfit.cli` processes for each of
@@ -57,6 +60,7 @@ from variantfit import cli  # noqa: E402
 from variantfit.data import load_csv, to_csv_string  # noqa: E402
 from variantfit.errors import VariantFitError  # noqa: E402
 from variantfit.estimate import fit  # noqa: E402
+from variantfit.forecast import forecast  # noqa: E402
 from variantfit.inference import sandwich  # noqa: E402
 from variantfit.multivariant import load_multi_csv, to_multi_csv_string  # noqa: E402
 from variantfit.simulate import SimConfig, simulate  # noqa: E402
@@ -141,8 +145,10 @@ def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict
         point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
     point["report_ms"], _ = median_ms(lambda: json_report(*cli.multi_report(
         DIGEST, result, fisher, cli.GENERATION_DAYS, 0.95)), repeats)
-    point["crude_ms"] = point["crude_report_ms"] = None
+    point["crude_ms"] = point["crude_report_ms"] = point["forecast_ms"] = None
     if m == 2:
+        point["forecast_ms"], _ = median_ms(
+            lambda: forecast(result, fisher, range(T + 1, T + 11), 2.0), repeats)
         point["crude_ms"], measures = median_ms(lambda: cli.crude_gammas(series), repeats)
         point["crude_report_ms"], _ = median_ms(lambda: json_report(*cli.crude_report(
             DIGEST, series, measures, 0.95)), repeats)
