@@ -10,7 +10,6 @@ output. Error paths exit nonzero with a single `error:`-prefixed line.
 from __future__ import annotations
 
 import argparse
-import bisect
 import functools
 import io
 import json
@@ -170,12 +169,12 @@ def _report_header(command: str, digest: dict, **options) -> dict:
             "input": digest, "options": options}
 
 
-def _fit_report(command: str, digest: dict, result, variance, gen_days: float,
+def _fit_report(command: str, digest: dict, series, variance, gen_days: float,
                 level: float) -> dict:
     """The header, options and covariance (at t = 0) of a fit's report."""
-    header = _report_header(command, digest, period_days=result.series.period_days,
-                            gen_days=gen_days, variance=variance.kind, level=level)
-    return header | {"covariance": result.at_zero(variance.matrix).tolist()}
+    header = _report_header(command, digest, period_days=series.period_days, gen_days=gen_days,
+                            variance=variance.kind, level=level)
+    return header | {"covariance": variance.matrix_at_zero.tolist()}
 
 
 def cmd_estimate(args):
@@ -186,7 +185,7 @@ def cmd_estimate(args):
     per_week = interval_for_gamma(variance, result, 7.0, args.level)
 
     def report():
-        return _fit_report("estimate", digest, result, variance, args.gen_days, args.level) | {
+        return _fit_report("estimate", digest, series, variance, args.gen_days, args.level) | {
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
@@ -255,11 +254,11 @@ def cmd_forecast(args):
         raise WindowOutOfRange(
             f"--train-through {train_through} outside data range [{t_all[0]}, {t_all[-1]}]"
         )
-    # The user's integer t, which is sorted: the window is the rows in
-    # [--train-from, train_through].
-    first = 0 if args.train_from is None else bisect.bisect_left(t_all, args.train_from)
-    window = slice(first, bisect.bisect_right(t_all, train_through))
-    if window.stop - window.start < 2:
+    t = series.columns[0]
+    window = t <= train_through
+    if args.train_from is not None:
+        window &= t >= args.train_from
+    if window.sum() < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
     result, variance = _fit(series.select(periods=window), args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
@@ -476,7 +475,7 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
         )
 
     def report():
-        return _fit_report("multi", digest, result, variance, gen_days, level) | {
+        return _fit_report("multi", digest, series, variance, gen_days, level) | {
             "numeraire": series.variant_names[0],
             "variants": variants,
         }

@@ -23,7 +23,7 @@ they and the Hessian are checked against central finite differences in
 the test suite.
 
 The fit counts time from the first period, t - t_1 + 1 (see model_time), and
-reports alpha at the user's t = 0 through one linear map (FitResult.at_zero).
+reports alpha at the user's t = 0 through one linear map (at_zero).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class FitResult:
     information -H, both at theta as the Newton iteration last evaluated
     them; the variance estimators read these and evaluate nothing. Every
     array is read-only. All of them are in model time, t - `origin`, so each
-    a_j is the log-odds at the user's t = `origin`; `params` and `at_zero`
-    give them at t = 0.
+    a_j is the log-odds at the user's t = `origin`; `params` gives them at
+    t = 0.
     """
 
     theta: np.ndarray
@@ -78,22 +78,13 @@ class FitResult:
         """t_1 - 1: the user's t at model time 0."""
         return self.series.t_values[0] - 1
 
-    def at_zero(self, x: np.ndarray) -> np.ndarray:
-        """`theta`, or a covariance of it, moved from model time to the user's
-        t = 0 by the one linear map a_j = a'_j - b_j * origin."""
-        if not self.origin:
-            return x
-        shift = np.kron(np.eye(len(self.theta) // 2), [[1.0, -self.origin], [0.0, 1.0]])
-        moved = shift @ x
-        return moved if moved.ndim == 1 else moved @ shift.T
-
     @property
     def params(self) -> ModelParams:
         """(alpha, beta) of a two-variant fit, alpha at t = 0; InvalidValue for m != 2."""
         m = self.series.n_variants
         if m != 2:
             raise InvalidValue(f"need a two-variant fit, got {m} variants")
-        alpha, beta = self.at_zero(self.theta).tolist()
+        alpha, beta = at_zero(self.theta, self.origin).tolist()
         return ModelParams(alpha=alpha, beta=beta)
 
     @property
@@ -107,13 +98,21 @@ def model_time(series: SurveillanceSeries) -> np.ndarray:
 
     The model is invariant to a shift of t, which moves only each a_j, but
     the arithmetic is not: at date-code t such as 202045, the information
-    in (a, b) is too ill-conditioned to invert. Worked out from the integer
-    periods, so exact; a series that starts at t = 1 keeps its own column.
+    in (a, b) is too ill-conditioned to invert. Exact for a series that
+    spans less than 2^53 periods, and t itself for one that starts at 1.
     """
-    origin = series.t_values[0] - 1
-    if not origin:
-        return series.columns[0]
-    return (np.array(series.t_values, dtype=np.int64) - origin).astype(float)
+    t = series.columns[0]
+    return t - t[0] + 1
+
+
+def at_zero(x: np.ndarray, origin: int) -> np.ndarray:
+    """Model-time `theta`, or a covariance of it, moved to the user's t = 0 by
+    the one linear map a_j = a'_j - b_j * origin."""
+    moved = np.array(x, dtype=float)
+    moved[0::2] -= origin * moved[1::2]
+    if moved.ndim == 2:
+        moved[:, 0::2] -= origin * moved[:, 1::2]
+    return moved
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -51,10 +51,14 @@ def forecast(
     cov = variance.matrix
     eta = fit.theta[0] + beta * t
     v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
-    half = c * np.sqrt(np.maximum(v, 0.0))
-    # The logits (0, x) of every band end and point, in one logistic map; the
-    # sort undoes rounding that misorders shares of logits a few ulps apart.
-    logits = np.stack([np.zeros((3, len(t))), [eta - half, eta, eta + half]], axis=-1)
+    with np.errstate(over="ignore"):  # a huge c gives an infinite half-width
+        half = c * np.sqrt(np.maximum(v, 0.0))
+    # The logits (0, x) of every band end and point, in one logistic map.
+    # Beyond +-800 a share is exactly 0 or 1, so clipping there changes no
+    # share and keeps an infinite band end out of the map. The sort undoes
+    # rounding that misorders shares of logits a few ulps apart.
+    ends = np.clip([eta - half, eta, eta + half], -800.0, 800.0)
+    logits = np.stack([np.zeros((3, len(t))), ends], axis=-1)
     shares = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
     lower, point, upper = map(tuple, shares.tolist())
     return ForecastBand(t_values=t_values, point=point, lower=lower, upper=upper, c=float(c))

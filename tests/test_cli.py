@@ -908,3 +908,12 @@ def test_forecast_with_a_band_of_a_few_ulps_keeps_its_order(capsys, c):
         code, out, err = run(capsys, "forecast", name, "--c", c, "--horizons", "60",
                              "--train-through", through, "--fisher")
         assert code == 0 and err == ""
+
+
+def test_forecast_with_a_band_wider_than_the_float_range(capsys):
+    # c * se overflows to inf; each band is then [0, 1], with no warning.
+    code, out, err = run(capsys, "forecast", "alpha", "--c", "1e308", "--train-through", "5",
+                         "--horizons", "30", "--fisher")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[2:]
+    assert len(rows) == 30 and all(row.endswith(",0,1") for row in rows)

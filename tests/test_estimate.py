@@ -8,8 +8,8 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
-from variantfit.estimate import (FitResult, fit, model_derivatives, model_log_likelihood,
-                                 model_time)
+from variantfit.estimate import (FitResult, at_zero, fit, model_derivatives,
+                                 model_log_likelihood, model_time)
 from variantfit.inference import hac_sandwich
 from variantfit.simulate import SimConfig, simulate
 
@@ -265,7 +265,7 @@ def test_fit_is_made_in_model_time_and_reported_at_t_zero(base):
     assert moved.params.alpha == pytest.approx(alpha - beta * base, rel=1e-10)
     # The covariance at t = 0 is A cov A' for a = a' - b * base.
     cov = hac_sandwich(series, base_fit, 4).matrix
-    moved_cov = moved.at_zero(hac_sandwich(moved.series, moved, 4).matrix)
+    moved_cov = hac_sandwich(moved.series, moved, 4).matrix_at_zero
     expected = [[cov[0, 0] - 2 * base * cov[0, 1] + base**2 * cov[1, 1],
                  cov[0, 1] - base * cov[1, 1]],
                 [cov[0, 1] - base * cov[1, 1], cov[1, 1]]]
@@ -276,10 +276,10 @@ def test_at_zero_moves_every_intercept_of_any_m():
     series = _simulated(3)
     result = fit(_shifted(series, 1_000))
     a2, b2, a3, b3 = result.theta
-    assert result.at_zero(result.theta) == pytest.approx(
+    assert at_zero(result.theta, result.origin) == pytest.approx(
         [a2 - 1_000 * b2, b2, a3 - 1_000 * b3, b3], rel=1e-14)
     unshifted = fit(series)
-    assert unshifted.at_zero(unshifted.theta) is unshifted.theta
+    assert np.array_equal(at_zero(unshifted.theta, 0), unshifted.theta)
 
 
 def test_zero_weight_period_has_no_effect():

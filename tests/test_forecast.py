@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import NegativeC
 from variantfit.estimate import fit
@@ -104,3 +105,28 @@ def test_band_stays_inside_unit_interval():
     band = forecast(result, variance, horizons=range(-20, 80), c=5.0)
     assert np.all(np.asarray(band.lower) >= 0.0)
     assert np.all(np.asarray(band.upper) <= 1.0)
+
+
+@pytest.mark.parametrize("base", [0, 1_000])
+def test_params_pair_with_the_variance_at_t_zero_at_any_origin(base):
+    # `theta` and `matrix` are in model time, t - origin; `params` and
+    # `matrix_at_zero` are at the user's t = 0. Either pair, each at its own
+    # t, gives the band at the user's t.
+    series = load_bundled("alpha")
+    shifted = SurveillanceSeries(tuple(t + base for t in series.t_values), series.labels,
+                                 series.counts, series.variant_names, series.period_days)
+    result = fit(shifted)
+    variance = hac_sandwich(shifted, result, 4)
+    assert variance.origin == result.origin == base
+    c = 2.0
+    band = forecast(result, variance, horizons=[base + 3, base + 10, base + 25], c=c)
+    frames = [
+        (result.params.alpha, result.params.beta, variance.matrix_at_zero, 0),
+        (*result.theta, variance.matrix, base),
+    ]
+    for a, b, sigma, origin in frames:
+        for t, lo, hi in zip(band.t_values, band.lower, band.upper):
+            t = t - origin
+            v = sigma[0, 0] + 2 * t * sigma[0, 1] + t * t * sigma[1, 1]
+            assert lo == pytest.approx(expit(a + b * t - c * math.sqrt(v)), rel=1e-8)
+            assert hi == pytest.approx(expit(a + b * t + c * math.sqrt(v)), rel=1e-8)
