@@ -255,9 +255,9 @@ def cmd_forecast(args):
             f"--train-through {train_through} outside data range [{t_all[0]}, {t_all[-1]}]"
         )
     t = series.columns[0]
-    window = t <= train_through
+    window = t <= train_through - series.origin
     if args.train_from is not None:
-        window &= t >= args.train_from
+        window &= t >= args.train_from - series.origin
     if window.sum() < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
     result, variance = _fit(series.select(periods=window), args)

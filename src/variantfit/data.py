@@ -18,8 +18,8 @@ CSV_HEADER = ["t", "label", "sequenced", "variant_count", "total_cases", "tested
 # Variant names of a two-variant series; neither CSV schema for it stores names.
 TWO_VARIANT_NAMES = ("incumbent", "variant")
 REQUIRED = "t, sequenced and variant_count are required"
-# Largest |t_index|: the model time is a float, and above 2**53 distinct
-# integers can round to one float.
+# Largest |t_index| and the bound on the span t_T - t_1: the model time is a
+# float, and above 2**53 distinct integers can round to one float.
 MAX_T = 2**53
 
 
@@ -54,9 +54,9 @@ def _raise_count_violation(t, n, x, cases, tested) -> None:
 class SurveillanceSeries:
     """Per-period counts of m >= 2 variants, held as columns.
 
-    Row i is period `t_values[i]`, the model time: data-driven rather than
-    row position, so series with missing periods are representable. Column j
-    of `counts` is variant j + 1; column 0 is the numeraire. `labels` are
+    Row i is period `t_values[i]`: data-driven rather than row position, so
+    series with missing periods are representable. Column j of `counts` is
+    variant j + 1; column 0 is the numeraire. `labels` are
     opaque period names (ISO week, date); no calendar arithmetic is done on
     them. `period_days` is the calendar length of one unit of t (7 for weekly
     data, 1 for daily). `total_cases` and `tested` hold one int or None per
@@ -68,6 +68,10 @@ class SurveillanceSeries:
 
     `counts` is a read-only integer copy of the array passed in, so the
     series is immutable and safe to share.
+
+    `columns` are the model's arrays: the model time t - `origin`, which starts
+    at 1 (date-code t such as 202045 is too ill-conditioned to fit), and `counts`
+    itself; |t| <= 2**53 and a span below 2**53 keep every period exact in it.
     """
 
     t_values: tuple[int, ...]
@@ -77,8 +81,9 @@ class SurveillanceSeries:
     period_days: float = 7.0
     total_cases: Optional[tuple[Optional[int], ...]] = None
     tested: Optional[tuple[Optional[int], ...]] = None
-    # Read-only model arrays, built once: t (T,) and counts (T, m) as floats.
+    # Read-only model arrays: model time (T,) and counts (T, m).
     columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    origin: int = field(init=False, repr=False)  # t_1 - 1: the user's t at model time 0
 
     def __post_init__(self):
         check_periods(self.t_values, self.period_days)
@@ -99,12 +104,12 @@ class SurveillanceSeries:
             if values is not None and len(values) != T:
                 raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
         t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
-        if max(-t_values[0], t_values[-1]) > MAX_T:
-            raise InvalidValue(f"t_index must lie within -2**53..2**53, where floats hold every "
-                               f"integer; got {t_values[0]}..{t_values[-1]}")
-        t = np.array(t_values, dtype=float)
-        model_counts = counts.astype(float)
-        counts.flags.writeable = t.flags.writeable = model_counts.flags.writeable = False
+        if max(-t_values[0], t_values[-1]) > MAX_T or t_values[-1] - t_values[0] >= MAX_T:
+            raise InvalidValue(f"t_index must lie within -2**53..2**53 and span less than 2**53 "
+                               f"periods, where floats hold every integer; "
+                               f"got {t_values[0]}..{t_values[-1]}")
+        t = np.array(t_values, dtype=float) - t_values[0] + 1  # exact within those bounds
+        counts.flags.writeable = t.flags.writeable = False
         set_field = partial(object.__setattr__, self)
         set_field("t_values", t_values)
         set_field("labels", tuple(self.labels))
@@ -112,7 +117,8 @@ class SurveillanceSeries:
         set_field("variant_names", tuple(self.variant_names))
         set_field("total_cases", tuple(self.total_cases or (None,) * T))
         set_field("tested", tuple(self.tested or (None,) * T))
-        set_field("columns", (t, model_counts))
+        set_field("columns", (t, counts))
+        set_field("origin", t_values[0] - 1)
 
     @classmethod
     def two_variant(cls, rows: Iterable[Sequence], period_days: float = 7.0) -> SurveillanceSeries:

@@ -22,7 +22,7 @@ contributions of the log-likelihood, for m = 2 (X_t - N_t * lam_t) * (1, t);
 they and the Hessian are checked against central finite differences in
 the test suite.
 
-The fit counts time from the first period, t - t_1 + 1 (see model_time), and
+The fit works in the series' model time t - t_1 + 1 (`columns[0]`) and
 reports alpha at the user's t = 0 through one linear map (at_zero).
 """
 
@@ -53,9 +53,9 @@ class FitResult:
     the (T, 2(m-1)) per-period scores and `information` the observed
     information -H, both at theta as the Newton iteration last evaluated
     them; the variance estimators read these and evaluate nothing. Every
-    array is read-only. All of them are in model time, t - `origin`, so each
-    a_j is the log-odds at the user's t = `origin`; `params` gives them at
-    t = 0.
+    array is read-only. All of them are in the series' model time,
+    t - `series.origin`, so each a_j is the log-odds at the user's
+    t = `series.origin`; `params` gives them at t = 0.
     """
 
     theta: np.ndarray
@@ -69,14 +69,10 @@ class FitResult:
     @cached_property
     def shares(self) -> np.ndarray:
         """The (T, m) fitted shares, worked out on first use."""
-        shares = np.exp(_log_softmax(self.theta, model_time(self.series), self.series.n_variants))
+        t = self.series.columns[0]
+        shares = np.exp(_log_softmax(self.theta, t, self.series.n_variants))
         shares.flags.writeable = False
         return shares
-
-    @property
-    def origin(self) -> int:
-        """t_1 - 1: the user's t at model time 0."""
-        return self.series.t_values[0] - 1
 
     @property
     def params(self) -> ModelParams:
@@ -84,25 +80,13 @@ class FitResult:
         m = self.series.n_variants
         if m != 2:
             raise InvalidValue(f"need a two-variant fit, got {m} variants")
-        alpha, beta = at_zero(self.theta, self.origin).tolist()
+        alpha, beta = at_zero(self.theta, self.series.origin).tolist()
         return ModelParams(alpha=alpha, beta=beta)
 
     @property
     def gamma(self) -> float:
         """Estimated per-period advantage, exp(beta), of a two-variant fit."""
         return self.params.gamma
-
-
-def model_time(series: SurveillanceSeries) -> np.ndarray:
-    """The fit's time axis, t - t_1 + 1, which starts at 1.
-
-    The model is invariant to a shift of t, which moves only each a_j, but
-    the arithmetic is not: at date-code t such as 202045, the information
-    in (a, b) is too ill-conditioned to invert. Exact for a series that
-    spans less than 2^53 periods, and t itself for one that starts at 1.
-    """
-    t = series.columns[0]
-    return t - t[0] + 1
 
 
 def at_zero(x: np.ndarray, origin: int) -> np.ndarray:
@@ -257,7 +241,7 @@ def newton(t: np.ndarray, counts: np.ndarray):
 
 def fit(series: SurveillanceSeries) -> FitResult:
     """Maximum likelihood fit of the m-variant model by damped Newton, in model time."""
-    theta, ll, iterations, scores, h = newton(model_time(series), series.columns[1])
+    theta, ll, iterations, scores, h = newton(*series.columns)
     information = -h
     for array in (theta, scores, information):
         array.flags.writeable = False

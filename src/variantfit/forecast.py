@@ -47,7 +47,7 @@ def forecast(
         raise NegativeC(f"c must be >= 0, got {c}")
     beta = fit.params.beta  # InvalidValue unless the fit has two variants
     t_values = tuple(float(t) for t in horizons)
-    t = np.array(t_values) - fit.origin
+    t = np.array(t_values) - fit.series.origin
     cov = variance.matrix
     eta = fit.theta[0] + beta * t
     v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]

@@ -23,7 +23,7 @@ from .data import SurveillanceSeries
 # scalar commands import without numpy; callers also import them from here.
 from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
 from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
-from .estimate import FitResult, at_zero, model_time
+from .estimate import FitResult, at_zero
 
 DEFAULT_LEVEL = 0.95
 
@@ -32,7 +32,7 @@ DEFAULT_LEVEL = 0.95
 class VarianceEstimate:
     """Covariance of the fit's theta estimates, tagged with its estimator.
 
-    `matrix` is in the fit's model time, t - `origin`, as `FitResult.theta`
+    `matrix` is in the series' model time, t - `origin`, as `FitResult.theta`
     is; `matrix_at_zero` is at the user's t = 0, as `FitResult.params` is.
     For a series that starts at t = 1 the origin is 0 and the two are equal.
     """
@@ -103,7 +103,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     any parameter, is Singular.
     """
     info, scores = fit.information, fit.scores
-    t_values, counts = model_time(fit.series), fit.series.columns[1]
+    t_values, counts = fit.series.columns
     if bandwidth is not None:
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
@@ -126,7 +126,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
         if (cov.diagonal() <= 1e-12 * info_inv.diagonal()).any():
             raise Singular("the scores vanish at the fit, so they cannot estimate "
                            "a sandwich variance")
-    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), origin=fit.origin)
+    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), origin=fit.series.origin)
 
 
 def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:

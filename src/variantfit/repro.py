@@ -56,20 +56,27 @@ def adjusted_R(
     """Per-generation aggregate R from the test-intensity-adjusted case ratio.
 
     Cases are deflated by (tested/baseline)^exponent; the baseline cancels
-    in the ratio, so only the two periods' counts are needed.
+    in the ratio, so only the two periods' counts are needed. NonPositivePeriod
+    unless gen_days and period_days are positive; OverflowError unless R_all
+    is a positive finite float.
     """
-    for name, v in [
-        ("cases_t", cases_t),
-        ("cases_prev", cases_prev),
-        ("tested_t", tested_t),
-        ("tested_prev", tested_prev),
-    ]:
+    for name, v in (("cases_t", cases_t), ("cases_prev", cases_prev),
+                    ("tested_t", tested_t), ("tested_prev", tested_prev)):
         if v <= 0:
             raise NonPositiveCount(f"{name} must be positive, got {v}")
-    if period_days <= 0:
-        raise NonPositivePeriod(f"period_days must be positive, got {period_days}")
-    log_ratio = math.log(cases_t / cases_prev) - exponent * math.log(tested_t / tested_prev)
-    return math.exp((gen_days / period_days) * log_ratio)
+    for name, days in (("gen_days", gen_days), ("period_days", period_days)):
+        if days <= 0:
+            raise NonPositivePeriod(f"{name} must be positive, got {days}")
+    log_cases = math.log(cases_t) - math.log(cases_prev)
+    log_tested = math.log(tested_t) - math.log(tested_prev)
+    log_r = (gen_days / period_days) * (log_cases - exponent * log_tested)
+    try:
+        r_all = math.exp(log_r)
+    except OverflowError:
+        r_all = math.inf
+    if not 0.0 < r_all < math.inf:
+        raise OverflowError(f"R_all = exp({log_r:g}) is not a positive finite float")
+    return r_all
 
 
 def stability_region(

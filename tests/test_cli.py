@@ -461,6 +461,36 @@ def test_adjusted_r_zero_period_is_one_error_line(capsys):
                           kind="NonPositivePeriod")
 
 
+@pytest.mark.parametrize("gen_days", ["-4.7", "0"])
+def test_adjusted_r_non_positive_generation_is_one_error_line(capsys, gen_days):
+    # It printed R_all = 0.869689 and 1, as if a generation could last -4.7 or 0 days.
+    assert_one_error_line(*run(capsys, *ADJUSTED_R, "--gen-days", gen_days),
+                          kind="NonPositivePeriod")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cases", "1e-300", "--cases-prev", "1e300", "--tested", "1", "--tested-prev", "1"),
+    ("--cases", "1e300", "--cases-prev", "1e-300", "--tested", "1", "--tested-prev", "1"),
+    ("--cases", "1e300", "--cases-prev", "1e-300", "--tested", "1", "--tested-prev", "1",
+     "--json"),
+], ids=["underflow", "overflow", "overflow-json"])
+def test_adjusted_r_beyond_a_float_is_one_error_line(capsys, argv):
+    # The case ratio 1e-600 is 0 as a float: math.log raised a ValueError
+    # traceback. Its inverse printed R_all = inf, or Infinity under --json.
+    assert_one_error_line(*run(capsys, "adjusted-r", *argv), kind="OverflowError")
+
+
+@pytest.mark.parametrize("tested, tested_prev, sign", [("1e-300", "1e300", 1),
+                                                       ("1e300", "1e-300", -1)])
+def test_adjusted_r_takes_extreme_ratios_as_log_differences(capsys, tested, tested_prev, sign):
+    # R_all = (tested ratio)^(-0.7 * 4.7 / 7) = 10^(+-282): finite, though the
+    # ratio itself is not. It was a ValueError traceback, or R_all = 0.
+    code, out, err = run(capsys, "adjusted-r", "--cases", "1", "--cases-prev", "1",
+                         "--tested", tested, "--tested-prev", tested_prev, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["R_all"] == pytest.approx(10.0 ** (sign * 282), rel=1e-9, abs=0)
+
+
 def test_multi_zero_gen_days_is_one_error_line(tmp_path, capsys):
     # As for `estimate`: no advantage exists per generation of zero days.
     path = tmp_path / "multi.csv"
@@ -639,8 +669,8 @@ def mostly(common, rare):
 
 def numbers(low, high):
     """Option text: mostly a number in [low, high], sometimes an edge case."""
-    edges = st.sampled_from(["0", "-1", "1e10", "1e-10", "1e308", "-1e308", "inf", "-inf",
-                             "nan", "abc", ""])
+    edges = st.sampled_from(["0", "-1", "1e10", "1e-10", "1e300", "1e-300", "1e308", "-1e308",
+                             "inf", "-inf", "nan", "abc", ""])
     return mostly(st.floats(low, high).map(repr), edges)
 
 
@@ -751,7 +781,8 @@ def multi_row(t):
     multi=csv_bytes("t,label,count_a,count_b,count_c", multi_row),
 )
 def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, multi):
-    """Exit 0, or exit 1 with empty stdout and exactly one `error:` line."""
+    """Exit 0, or exit 1 with empty stdout and exactly one `error:` line; a
+    JSON report of a run that exits 0 holds only finite numbers."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.csv").write_bytes(two)
     (tmp_path / "multi.csv").write_bytes(multi)
@@ -760,6 +791,12 @@ def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, m
         code = main(argv)
     if code != 0:
         assert_one_error_line(code, out.getvalue(), err.getvalue())
+    elif "--json" in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
+
+
+def _refuse_non_finite(constant):
+    raise AssertionError(f"the JSON report holds {constant}")
 
 
 # --- the JSON report writer against json.dumps --------------------------------

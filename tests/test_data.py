@@ -56,7 +56,11 @@ def test_count_violation():
 
 
 @pytest.mark.parametrize("t", [[2**53 - 1, 2**53, 2**53 + 1], [-(2**53) - 1, 0, 1],
-                               [10**17, 10**17 + 1, 10**17 + 2]])
+                               [10**17, 10**17 + 1, 10**17 + 2],
+                               # Spans of 2**53 or more: [-2**53, 2**53 - 1, 2**53]
+                               # would give its last two periods one model time.
+                               [-(2**53), 0, 2**53], [-(2**53), 2**53 - 1, 2**53],
+                               [0, 2**53], [-(2**53), 0]])
 def test_periods_beyond_float_precision_are_refused(t):
     # The model time is a float: above 2**53 distinct t can become one float.
     with pytest.raises(InvalidValue, match="2\\*\\*53"):
@@ -66,10 +70,19 @@ def test_periods_beyond_float_precision_are_refused(t):
                                    + "".join(f"{v},p,90,10\n" for v in t)))
 
 
-def test_periods_up_to_float_precision_are_kept_exactly():
-    series = two_variant([rec(t, 100, 10 * i) for i, t in enumerate([-(2**53), 0, 2**53])])
-    assert series.t_values == (-(2**53), 0, 2**53)
-    assert series.columns[0].tolist() == [-(2.0**53), 0.0, 2.0**53]
+@pytest.mark.parametrize("t, model_time", [
+    ([2**53 - 2, 2**53 - 1, 2**53], [1, 2, 3]),
+    ([-(2**53), -(2**53) + 1, -(2**53) + 5], [1, 2, 6]),
+    ([-(2**53), -1], [1, 2**53]),
+    ([1, 2, 2**53], [1, 2, 2**53]),
+])
+def test_periods_up_to_float_precision_are_kept_exactly(t, model_time):
+    # Out to |t| = 2**53, and over a span below 2**53, the model time
+    # t - t_1 + 1 holds every period exactly.
+    series = two_variant([rec(v, 100, 10 * i) for i, v in enumerate(t)])
+    assert series.t_values == tuple(t)
+    assert series.origin == t[0] - 1
+    assert series.columns[0].tolist() == [float(v) for v in model_time]
 
 
 def test_duplicate_period():
@@ -157,10 +170,10 @@ def test_counts_are_a_read_only_copy():
     series = three_variant(counts)
     counts[0, 0] = 999
     assert series.counts[0, 0] == 10
-    assert series.columns[1][0, 0] == 10.0
+    assert series.columns[1] is series.counts
     with pytest.raises(ValueError):
         series.counts[0, 0] = 999
-    assert not series.columns[0].flags.writeable and not series.columns[1].flags.writeable
+    assert not series.columns[0].flags.writeable
 
 
 def test_periods_are_checked_before_the_counts():

@@ -9,7 +9,7 @@ from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
 from variantfit.errors import InvalidValue, Separation, Singular
 from variantfit.estimate import (FitResult, at_zero, fit, model_derivatives,
-                                 model_log_likelihood, model_time)
+                                 model_log_likelihood)
 from variantfit.inference import hac_sandwich
 from variantfit.simulate import SimConfig, simulate
 
@@ -256,8 +256,8 @@ def test_fit_is_made_in_model_time_and_reported_at_t_zero(base):
     series = load_bundled("alpha")
     base_fit, moved = fit(series), fit(_shifted(series, base))
     # Model time t - t_1 + 1 is the same array for both, and so is the fit.
-    assert base_fit.origin == 0 and moved.origin == base
-    assert np.array_equal(model_time(_shifted(series, base)), series.columns[0])
+    assert base_fit.series.origin == 0 and moved.series.origin == base
+    assert np.array_equal(moved.series.columns[0], series.columns[0])
     assert np.array_equal(moved.theta, base_fit.theta)
     assert np.array_equal(moved.shares, base_fit.shares)
     alpha, beta = base_fit.params
@@ -272,11 +272,23 @@ def test_fit_is_made_in_model_time_and_reported_at_t_zero(base):
     assert moved_cov == pytest.approx(np.array(expected), rel=1e-9)
 
 
+@pytest.mark.parametrize("base", [0, 202_045, 10**9])
+def test_the_series_columns_pair_with_the_fit_at_any_origin(base):
+    # `columns` are the arrays the fit was made from, so the model evaluated
+    # on them at theta gives the fit's log-likelihood and zero summed scores.
+    series = _shifted(load_bundled("alpha"), base)
+    result = fit(series)
+    assert model_log_likelihood(result.theta, *series.columns) == result.log_likelihood
+    scores = model_derivatives(result.theta, *series.columns)[0]
+    assert np.array_equal(scores, result.scores)
+    assert scores.sum(axis=0) == pytest.approx([0.0, 0.0], abs=1e-6)
+
+
 def test_at_zero_moves_every_intercept_of_any_m():
     series = _simulated(3)
     result = fit(_shifted(series, 1_000))
     a2, b2, a3, b3 = result.theta
-    assert at_zero(result.theta, result.origin) == pytest.approx(
+    assert at_zero(result.theta, result.series.origin) == pytest.approx(
         [a2 - 1_000 * b2, b2, a3 - 1_000 * b3, b3], rel=1e-14)
     unshifted = fit(series)
     assert np.array_equal(at_zero(unshifted.theta, 0), unshifted.theta)

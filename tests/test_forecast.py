@@ -117,7 +117,7 @@ def test_params_pair_with_the_variance_at_t_zero_at_any_origin(base):
                                  series.counts, series.variant_names, series.period_days)
     result = fit(shifted)
     variance = hac_sandwich(shifted, result, 4)
-    assert variance.origin == result.origin == base
+    assert variance.origin == result.series.origin == base
     c = 2.0
     band = forecast(result, variance, horizons=[base + 3, base + 10, base + 25], c=c)
     frames = [

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from variantfit.dynamics import Advantage, Proportion
-from variantfit.errors import NonPositiveCount, NonPositiveR
+from variantfit.errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 from variantfit.inference import AdvantageEstimate
 from variantfit.repro import (
     adjusted_R,
@@ -75,6 +75,12 @@ def test_adjusted_R_rejects_nonpositive():
         adjusted_R(0, 5000, 400000, 400000)
     with pytest.raises(NonPositiveCount):
         adjusted_R(5000, 5000, 400000, -1)
+
+
+@pytest.mark.parametrize("gen_days", [-4.7, 0.0])
+def test_adjusted_R_rejects_a_non_positive_generation(gen_days):
+    with pytest.raises(NonPositivePeriod, match="gen_days"):
+        adjusted_R(8000, 4000, 600000, 300000, gen_days=gen_days)
 
 
 def _estimate(value, lo, hi):
