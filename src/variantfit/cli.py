@@ -427,7 +427,8 @@ def cmd_adjusted_r(args):
     )
 
     def report():
-        digest = {"cases": args.cases, "cases_prev": args.cases_prev}
+        digest = {"cases": args.cases, "cases_prev": args.cases_prev,
+                  "tested": args.tested, "tested_prev": args.tested_prev}
         header = _report_header("adjusted-r", digest, gen_days=args.gen_days,
                                 period_days=period_days, exponent=args.exponent)
         return header | {"R_all": value}

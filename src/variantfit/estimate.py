@@ -134,27 +134,40 @@ def model_derivatives(
     `log_shares` is that log-softmax at theta when the caller has it already.
     Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
     """
-    m = counts.shape[1]
-    k = m - 1
     if log_shares is None:
-        log_shares = _log_softmax(theta, t, m)
-    p = np.exp(log_shares)[:, 1:]
-    n = counts.sum(axis=1)
-    # Row t of xx holds x_ta x_tb for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1),
-    # with x_t = (1, t); its first two columns are x_t.
+        log_shares = _log_softmax(theta, t, counts.shape[1])
+    return _derivatives(log_shares, *_design(t, counts))
+
+
+def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the derivatives need of the data, whatever theta: the counts as
+    floats, the row totals n_t and the products x_ta x_tb of x_t = (1, t), row t
+    of xx holding (a, b) = (0, 0), (0, 1), (1, 0), (1, 1); its first two
+    columns are x_t."""
+    counts = counts.astype(float)
     xx = np.empty((len(t), 4))
     xx[:, 0] = 1.0
     xx[:, 1] = xx[:, 2] = t
     xx[:, 3] = t * t
+    return counts, counts.sum(axis=1), xx
+
+
+def _derivatives(
+    log_shares: np.ndarray, counts: np.ndarray, n: np.ndarray, xx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # model_derivatives from the log-softmax at theta and the series' _design.
+    T, m = counts.shape
+    k = m - 1
+    p = np.exp(log_shares)[:, 1:]
     resid = counts[:, 1:] - n[:, None] * p
-    scores = (resid[:, :, None] * xx[:, None, :2]).reshape(len(t), -1)
+    scores = (resid[:, :, None] * xx[:, None, :2]).reshape(T, -1)
     # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
     # With w = n p, every (j, k) block of sum_t w_tj p_tk x_t x_t' comes from
     # one matmul. The diagonal blocks are then set to sum_t w_tj (p_tj - 1)
     # x_t x_t': subtracting sum_t w_tj x_t x_t' instead would cancel when a
     # share nears 1.
     w = n[:, None] * p
-    h = ((w[:, :, None] * xx[:, None, :]).reshape(len(t), -1).T @ p).reshape(k, 2, 2, k)
+    h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
     h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
     diagonal = np.arange(k)
     h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
@@ -212,13 +225,15 @@ def newton(t: np.ndarray, counts: np.ndarray):
     Stops once the Newton decrement is at most DECREMENT_TOLERANCE. Returns
     (theta, log-likelihood, steps taken, per-period scores, Hessian), the
     last two at theta. The softmax is evaluated once per theta: the
-    derivatives at an accepted step reuse the line search's.
+    derivatives at an accepted step reuse the line search's. What they need
+    of the data, the float counts among it, is worked out once.
     """
     _check_identified(t, counts)
     theta = _initial_theta(t, counts)
+    counts, n, xx = _design(t, counts)
     ll, log_shares = _log_likelihood(theta, t, counts)
     for iterations in range(MAX_ITERATIONS):
-        scores, h = model_derivatives(theta, t, counts, log_shares)
+        scores, h = _derivatives(log_shares, counts, n, xx)
         g = scores.sum(axis=0)
         try:
             step = np.linalg.solve(h, -g)

@@ -42,12 +42,14 @@ def forecast(
     c: float,
 ) -> ForecastBand:
     """Band over absolute t values (the CLI converts '+h periods' to these),
-    worked out in the fit's model time, where theta and the variance are."""
+    worked out in the fit's model time, where theta and the variance are.
+    Integer horizons map to model time h - origin exactly, in Python ints, as
+    the series' own model time is built."""
     if c < 0:
         raise NegativeC(f"c must be >= 0, got {c}")
     beta = fit.params.beta  # InvalidValue unless the fit has two variants
     t_values = tuple(float(t) for t in horizons)
-    t = np.array(t_values) - fit.series.origin
+    t = np.array([h - fit.series.origin for h in horizons], dtype=float)
     cov = variance.matrix
     eta = fit.theta[0] + beta * t
     v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]

@@ -49,7 +49,9 @@ class VarianceEstimate:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape[0] != m.shape[1]:
             raise InvalidValue("covariance matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
+        # The exact test settles what `sandwich` builds; allclose, the rule,
+        # only runs for a matrix that is not exactly symmetric.
+        if not (m == m.T).all() and not np.allclose(m, m.T, atol=1e-12):
             raise InvalidValue("covariance matrix must be symmetric")
 
 
@@ -78,15 +80,22 @@ def kernel_weighted_outer(
     `t_values` are distinct integers in increasing order. The kernel
     argument is lag / (bandwidth + 1), so lags 1..bandwidth carry weight
     and bandwidth 0 reduces to the plain sum of outer products. Only those
-    lags are visited: O(T * bandwidth).
+    lags are visited: O(T * bandwidth). A series without gaps, where
+    t_T - t_1 = T - 1, pairs lag L's rows [0, T - L) with [L, T) as slices;
+    one with gaps finds each row's partner L periods later by search.
     """
     t = np.asarray(t_values)
+    T = len(t)
+    contiguous = T == 0 or t[-1] - t[0] == T - 1
     j = scores.T @ scores
     for lag in range(1, bandwidth + 1):
-        later = np.searchsorted(t, t + lag)
-        paired = later < len(t)
-        paired[paired] = t[later[paired]] == t[paired] + lag
-        cross = scores[paired].T @ scores[later[paired]]
+        if contiguous:
+            cross = scores[:max(T - lag, 0)].T @ scores[lag:]
+        else:
+            later = np.searchsorted(t, t + lag)
+            paired = later < T
+            paired[paired] = t[later[paired]] == t[paired] + lag
+            cross = scores[paired].T @ scores[later[paired]]
         j = j + parzen_kernel(lag / (bandwidth + 1)) * (cross + cross.T)
     return j
 

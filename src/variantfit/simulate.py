@@ -10,6 +10,7 @@ give identical series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,16 +56,24 @@ class SimConfig:
     def n_variants(self) -> int:
         return len(self.gammas) + 1
 
+    @cached_property
+    def path(self) -> np.ndarray:
+        """Deterministic simplex path, rows t=1..T: the row-wise softmax of
+        log lam0 + t log g, where g = (1, gammas). A zero initial share stays
+        an exact zero column. Worked out on first use, once per config, and
+        read-only."""
+        lam0 = np.asarray(self.initial_proportions, dtype=float)
+        log_g = np.log((1.0, *self.gammas))
+        log_lam0 = np.log(lam0, out=np.full_like(lam0, -np.inf), where=lam0 > 0)
+        t = np.arange(1.0, len(self.sequenced) + 1.0)
+        path = np.exp(log_softmax(log_lam0 + t[:, None] * log_g))
+        path.flags.writeable = False
+        return path
+
 
 def expected_path(config: SimConfig) -> np.ndarray:
-    """Deterministic simplex path, rows t=1..T: the row-wise softmax of
-    log lam0 + t log g, where g = (1, gammas). A zero initial share stays an
-    exact zero column."""
-    lam0 = np.asarray(config.initial_proportions, dtype=float)
-    log_g = np.log((1.0, *config.gammas))
-    log_lam0 = np.log(lam0, out=np.full_like(lam0, -np.inf), where=lam0 > 0)
-    t = np.arange(1.0, len(config.sequenced) + 1.0)
-    return np.exp(log_softmax(log_lam0 + t[:, None] * log_g))
+    """The config's share path, `config.path`."""
+    return config.path
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
@@ -72,7 +81,7 @@ def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
     if replication < 0:
         raise InvalidConfig(f"replication must be non-negative, got {replication}")
     rng = np.random.default_rng([config.seed, replication])
-    path = expected_path(config)
+    path = config.path
     n = np.asarray(config.sequenced, dtype=np.int64)
     T, m = path.shape
     if m == 2:

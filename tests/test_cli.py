@@ -155,6 +155,20 @@ def test_adjusted_r(capsys):
     assert report["R_all"] == pytest.approx((2.0 * 2.0**-0.7) ** (4.7 / 7.0), rel=1e-9)
 
 
+def test_adjusted_r_report_names_the_tested_counts(capsys):
+    argv = ("adjusted-r", "--cases", "8000", "--cases-prev", "4000", "--tested-prev", "300000")
+    reports = []
+    for tested in ("600000", "900000"):
+        code, out, _ = run(capsys, *argv, "--tested", tested, "--json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [r["input"] for r in reports] == [
+        {"cases": 8000.0, "cases_prev": 4000.0, "tested": tested, "tested_prev": 300000.0}
+        for tested in (600000.0, 900000.0)
+    ]
+    assert reports[0]["R_all"] != reports[1]["R_all"]
+
+
 def test_simulate_estimate_round_trip(tmp_path, capsys):
     path = tmp_path / "sim.csv"
     code, _, _ = run(

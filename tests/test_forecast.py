@@ -130,3 +130,20 @@ def test_params_pair_with_the_variance_at_t_zero_at_any_origin(base):
             v = sigma[0, 0] + 2 * t * sigma[0, 1] + t * t * sigma[1, 1]
             assert lo == pytest.approx(expit(a + b * t - c * math.sqrt(v)), rel=1e-8)
             assert hi == pytest.approx(expit(a + b * t + c * math.sqrt(v)), rel=1e-8)
+
+
+def test_horizons_far_from_zero_map_exactly_to_model_time():
+    # At t_1 = -2**53 the origin t_1 - 1 is not a float; horizons taken to
+    # model time in floats landed one period early.
+    series = load_bundled("alpha")
+    far = SurveillanceSeries(tuple(t - series.t_values[0] - 2**53 for t in series.t_values),
+                             series.labels, series.counts, series.variant_names,
+                             series.period_days)
+    bands = []
+    for s in (series, far):
+        result = fit(s)
+        horizons = [t + s.t_values[0] for t in (0, 5, len(s) - 1, len(s) + 3)]
+        bands.append(forecast(result, hac_sandwich(s, result, 4), horizons, c=2.0))
+    near, moved = bands
+    # One model time, so one fit and the same shares, to the bit.
+    assert (moved.point, moved.lower, moved.upper) == (near.point, near.lower, near.upper)

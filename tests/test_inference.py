@@ -17,6 +17,7 @@ from variantfit.errors import (
 from variantfit.estimate import fit, model_derivatives
 from variantfit.inference import (
     AdvantageEstimate,
+    VarianceEstimate,
     advantage_interval,
     compose_advantages,
     fisher_information,
@@ -87,6 +88,52 @@ def test_banded_kernel_sum_matches_all_pairs(bandwidth):
     want = all_pairs_kernel_sum(t, scores, bandwidth)
     got = kernel_weighted_outer(t, scores, bandwidth)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def searched_kernel_sum(t, scores, bandwidth):
+    """Reference: each lag's pairs found by search, whether or not t has gaps."""
+    j = scores.T @ scores
+    for lag in range(1, bandwidth + 1):
+        later = np.searchsorted(t, t + lag)
+        paired = later < len(t)
+        paired[paired] = t[later[paired]] == t[paired] + lag
+        cross = scores[paired].T @ scores[later[paired]]
+        j = j + parzen_kernel(lag / (bandwidth + 1)) * (cross + cross.T)
+    return j
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 4, 7])
+def test_contiguous_kernel_sum_equals_the_search_bitwise(bandwidth):
+    # Without gaps, lag L pairs row slices [0, T - L) and [L, T): the same
+    # rows, in the same order, as the search finds.
+    series = load_bundled("alpha")
+    t, scores = series.columns[0], fit(series).scores
+    assert t.tolist() == list(range(1, len(t) + 1))
+    random = np.random.default_rng(5).normal(size=(len(t), 4))
+    for s in (scores, random):
+        assert kernel_weighted_outer(t, s, bandwidth).tobytes() == \
+            searched_kernel_sum(t, s, bandwidth).tobytes()
+
+
+def test_variance_symmetry_check_is_allclose():
+    inf, nan = math.inf, math.nan
+    cases = [
+        ([[1.0, 0.5], [0.5, 2.0]], True),
+        ([[1.0, 0.5], [0.5 * (1 + 5e-6), 2.0]], True),  # within rtol 1e-5
+        ([[1.0, 0.5], [0.6, 2.0]], False),
+        ([[1.0, inf], [inf, 2.0]], True),  # matching infinities are close
+        ([[1.0, inf], [-inf, 2.0]], False),
+        ([[1.0, inf], [0.5, 2.0]], False),
+        ([[1.0, nan], [nan, 2.0]], False),
+    ]
+    for matrix, symmetric in cases:
+        matrix = np.array(matrix)
+        assert np.allclose(matrix, matrix.T, atol=1e-12) == symmetric
+        if symmetric:
+            VarianceEstimate(kind="fisher", matrix=matrix)
+        else:
+            with pytest.raises(InvalidValue, match="symmetric"):
+                VarianceEstimate(kind="fisher", matrix=matrix)
 
 
 @pytest.mark.parametrize("name", ["alpha", "delta"])
@@ -351,15 +398,17 @@ def test_variance_from_the_fit_equals_recomputed_at_theta(m, bandwidth):
 def test_fit_and_variance_evaluate_the_derivatives_once_per_newton_step(monkeypatch):
     # Newton evaluates the derivatives once per step and once more at the
     # optimum, where the fit keeps them; the variance evaluates nothing.
+    # Every evaluation, model_derivatives' too, goes through _derivatives.
     import variantfit.estimate as estimate
 
     calls = []
+    derivatives = estimate._derivatives
 
     def counted(*args):
         calls.append(1)
-        return model_derivatives(*args)
+        return derivatives(*args)
 
-    monkeypatch.setattr(estimate, "model_derivatives", counted)
+    monkeypatch.setattr(estimate, "_derivatives", counted)
     series = load_bundled("alpha")
     result = fit(series)
     fisher_information(series, result)

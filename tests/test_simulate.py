@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -55,6 +56,27 @@ def test_zero_initial_share_stays_exactly_zero():
     assert np.all(path[:, 2] == 0.0)
     assert np.allclose(path.sum(axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.all(simulate(config).counts[:, 2] == 0)
+
+
+def test_path_is_worked_out_once_per_config_and_read_only():
+    config = _config()
+    path = config.path
+    assert config.path is path and expected_path(config) is path
+    assert not path.flags.writeable
+    with pytest.raises(ValueError):
+        path[0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.path = np.zeros_like(path)
+    simulate(config, replication=3)
+    assert config.path is path
+
+
+def test_configs_that_differ_in_gammas_get_their_own_paths():
+    slow, fast = _config(), _config(gammas=(2.0,))
+    assert slow == _config() and slow != fast
+    assert not np.array_equal(slow.path, fast.path)
+    assert fast.path[-1, 1] > slow.path[-1, 1]
+    assert np.array_equal(slow.path, _config().path)
 
 
 # SHA-256 of the CSV text of simulated series, recorded before the share path

@@ -34,14 +34,15 @@ ADJUSTED = ("adjusted-r", "--cases", "8000", "--cases-prev", "4000",
             "--tested", "600000", "--tested-prev", "300000")
 
 # argv -> (exit code, sha256 of stdout, stderr) as the CLI printed them when
-# it imported every layer up front.
+# it imported every layer up front; `adjusted-r --json`'s since its `input`
+# block names the tested counts too.
 SCALAR_CALLS = {
     ("--version",): (
         0, "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67", ""),
     ADJUSTED: (
         0, "f2345b3dec91f522004efdf0ab0af0a65284306b5e4066c337fcaec6ab4f81b8", ""),
     ADJUSTED + ("--json",): (
-        0, "2b656c2b2fe834fe9ac17c60ab0fc0d1affb46af71e33f3c83cd0d9120a552d9", ""),
+        0, "1338805618ba3fb750ced03c48be62483291a21e9cb576e444671a7b906d9be8", ""),
     ("infer-r", "--gamma-gen", "2", "--gamma-ci", "1.8", "2.2", "--contour", "0:1:0.05",
      "--json"): (
         0, "8ad0c25e5e74774fe98e2a1e046b66498248a265b9e7b35817409cb6a328b820", ""),
