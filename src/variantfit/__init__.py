@@ -21,7 +21,7 @@ _EXPORTS = {
     "forecast": ("ForecastBand", "forecast"),
     "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",
                   "hac_sandwich", "interval_for_gamma", "parzen_kernel"),
-    "multivariant": ("fit_multi", "load_multi_csv", "marginalize"),
+    "multivariant": ("fit_multi", "load_multi_csv"),
     "repro": ("ReproInference", "adjusted_R", "infer_variant_R", "stability_region"),
     "simulate": ("RecoveryReport", "SimConfig", "recovery_report", "simulate"),
 }

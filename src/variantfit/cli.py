@@ -50,7 +50,7 @@ def _load_array_layers() -> None:
     from .estimate import fit
     from .forecast import forecast as forecast_band
     from .inference import fisher_information, hac_sandwich, interval_for_gamma
-    # fit_multi is not called here: it stays bound for callers that wrap it.
+    # fit_multi is not called here: it stays bound for the benchmark's tracer.
     from .multivariant import fit_multi, load_multi_csv, write_multi_csv
     from .simulate import SimConfig, simulate
 

@@ -127,16 +127,13 @@ def model_log_likelihood(theta: np.ndarray, t: np.ndarray, counts: np.ndarray) -
 
 
 def model_derivatives(
-    theta: np.ndarray, t: np.ndarray, counts: np.ndarray, log_shares: np.ndarray | None = None
+    theta: np.ndarray, t: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-period scores (T, 2(m-1)) and the Hessian at theta, from one softmax.
 
-    `log_shares` is that log-softmax at theta when the caller has it already.
     Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
     """
-    if log_shares is None:
-        log_shares = _log_softmax(theta, t, counts.shape[1])
-    return _derivatives(log_shares, *_design(t, counts))
+    return _derivatives(_log_softmax(theta, t, counts.shape[1]), *_design(t, counts))
 
 
 def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

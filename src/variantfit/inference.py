@@ -138,13 +138,13 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), origin=fit.series.origin)
 
 
-def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:
+def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # kept for the wrappers below
     if series is not fit.series and series != fit.series:
         raise InvalidValue("the variance needs the series the fit was made from, got another")
 
 
 def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEstimate:
-    """Model-based variance, inverse of the observed information at the fit."""
+    """Fisher variance, `sandwich(fit, None)`; kept because the CLI and benchmark call it."""
     _own_series(series, fit)
     return sandwich(fit, None)
 
@@ -152,7 +152,7 @@ def fisher_information(series: SurveillanceSeries, fit: FitResult) -> VarianceEs
 def hac_sandwich(
     series: SurveillanceSeries, fit: FitResult, bandwidth: int = DEFAULT_BANDWIDTH
 ) -> VarianceEstimate:
-    """Autocorrelation-robust sandwich variance with the given Parzen bandwidth."""
+    """HAC variance, `sandwich(fit, bandwidth)`; kept because the CLI and benchmark call it."""
     _own_series(series, fit)
     return sandwich(fit, bandwidth)
 
@@ -164,7 +164,8 @@ def normal_quantile(level: float) -> float:
         return 1.96
     from statistics import NormalDist  # loads fractions and decimal, so only here
 
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
+    # (1 - level) / 2 is exact, where 0.5 + level / 2 can round to 1.0.
+    return -NormalDist().inv_cdf((1.0 - level) / 2.0)
 
 
 def advantage_interval(
@@ -180,7 +181,11 @@ def advantage_interval(
     """
     z = normal_quantile(level)
     se = np.sqrt(np.maximum(variance, 0.0))
-    point, low, high = np.multiply(scale, [beta, beta - z * se, beta + z * se]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf scale times 0 is nan
+        scaled = np.multiply(scale, [beta, beta - z * se, beta + z * se])
+    if not np.isfinite(scaled).all():  # math.exp(inf) would return inf, not raise
+        raise OverflowError("a log advantage times its scale is not a finite float")
+    point, low, high = scaled.tolist()
     if np.ndim(beta):
         return list(map(math.exp, point)), list(map(math.exp, low)), list(map(math.exp, high))
     return math.exp(point), math.exp(low), math.exp(high)

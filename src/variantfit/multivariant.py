@@ -14,35 +14,21 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from typing import Optional
 
 import numpy as np
 
 from .data import SurveillanceSeries, _open_text, csv_columns, int_column
-from .errors import InvalidIndex, ParseError
+from .errors import ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
 
 
 def fit_multi(
-    series: SurveillanceSeries, bandwidth: Optional[int] = None
+    series: SurveillanceSeries, bandwidth: int | None = None
 ) -> tuple[FitResult, VarianceEstimate]:
-    """The fit and its variance: Fisher or, given a bandwidth, HAC sandwich."""
+    """`sandwich(fit(series), bandwidth)`; kept because the benchmark calls and traces it."""
     result = fit(series)
     return result, sandwich(result, bandwidth)
-
-
-def marginalize(series: SurveillanceSeries, keep: tuple[int, int]) -> SurveillanceSeries:
-    """Reduce to the two-variant series for 1-based variant indices (a, b).
-
-    Variant b plays the emerging role: X_t = counts of b,
-    N_t = counts of a + counts of b.
-    """
-    a, b = keep
-    m = series.n_variants
-    if a == b or not (1 <= a <= m) or not (1 <= b <= m):
-        raise InvalidIndex(f"keep indices must be distinct and in 1..{m}, got {keep}")
-    return series.select(variants=[a - 1, b - 1])
 
 
 def read_multi_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .data import TWO_VARIANT_NAMES, SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
-from .estimate import log_softmax
-from .inference import interval_for_gamma
-from .multivariant import fit_multi
+from .estimate import fit, log_softmax
+from .inference import interval_for_gamma, sandwich
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ class SimConfig:
         path = np.exp(log_softmax(log_lam0 + t[:, None] * log_g))
         path.flags.writeable = False
         return path
-
-
-def expected_path(config: SimConfig) -> np.ndarray:
-    """The config's share path, `config.path`."""
-    return config.path
 
 
 def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
@@ -142,7 +136,8 @@ def recovery_report(
     for rep in range(n_replications):
         series = simulate(config, replication=rep)
         try:
-            result, variance = fit_multi(series, bandwidth)
+            result = fit(series)
+            variance = sandwich(result, bandwidth)
         except VariantFitError:
             failed += 1
             continue

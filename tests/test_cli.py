@@ -241,6 +241,15 @@ def test_out_of_range_value_is_one_error_line(capsys, argv):
     assert_one_invalid_value_line(*run(capsys, *argv))
 
 
+def test_level_next_to_one_gives_a_finite_interval(capsys):
+    # 1 - 2**-53 lies in (0, 1), but 0.5 + level / 2 rounded to 1.0 and the
+    # normal quantile raised StatisticsError: a traceback.
+    code, out, err = run(capsys, "estimate", "alpha", "--level", "0.9999999999999999", "--json")
+    assert (code, err) == (0, "")
+    week = json.loads(out, parse_constant=_refuse_non_finite)["advantage"]["per_week"]
+    assert 0 < week["ci_low"] < week["point"] < week["ci_high"]
+
+
 @pytest.mark.parametrize(
     "command, text, extra, error",
     [
@@ -261,6 +270,27 @@ def test_out_of_range_input_is_one_error_line(tmp_path, capsys, command, text, e
     code, out, err = run(capsys, command, *argv, *extra)
     assert_one_error_line(code, out, err)
     assert err.startswith("error: " + error)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "two.csv", "--period-days", "1e-320", "--json"),
+        ("estimate", "two.csv", "--gen-days", "1e308", "--period-days", "0.5"),
+        ("multi", "--file", "three.csv", "--period-days", "1e-320"),
+        ("infer-r", "--from-fit", "two.csv", "--period-days", "1e-320", "--contour", "0:0.5:0.5",
+         "--json"),
+    ],
+    ids=["estimate-json", "estimate-gen-days", "multi", "infer-r-from-fit"],
+)
+def test_infinite_advantage_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # target_days / period_days overflows to inf, and math.exp(inf) returns inf:
+    # each of these printed inf or Infinity and exited 0.
+    monkeypatch.chdir(tmp_path)
+    for name, extra in (("two.csv", []), ("three.csv", ["--gamma", "1.3", "--lambda0", "0.05"])):
+        assert main(["simulate", "--gamma", "1.6", "--lambda0", "0.02", *extra, "--n", "500",
+                     "--t", "12", "--out", name]) == 0
+    assert_one_error_line(*run(capsys, *argv), kind="OverflowError")
 
 
 def test_import_loads_no_scipy():
@@ -684,7 +714,7 @@ def mostly(common, rare):
 def numbers(low, high):
     """Option text: mostly a number in [low, high], sometimes an edge case."""
     edges = st.sampled_from(["0", "-1", "1e10", "1e-10", "1e300", "1e-300", "1e308", "-1e308",
-                             "inf", "-inf", "nan", "abc", ""])
+                             "1e-320", "5e-324", "inf", "-inf", "nan", "abc", ""])
     return mostly(st.floats(low, high).map(repr), edges)
 
 

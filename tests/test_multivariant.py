@@ -7,12 +7,11 @@ import pytest
 
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
-from variantfit.errors import EmptySeries, InvalidIndex, ParseError, Separation
+from variantfit.errors import EmptySeries, ParseError, Separation
 from variantfit.estimate import fit, model_derivatives, model_log_likelihood
 from variantfit.inference import fisher_information, hac_sandwich
 from variantfit.multivariant import (
     fit_multi,
-    marginalize,
     read_multi_csv,
     to_multi_csv_string,
 )
@@ -91,25 +90,18 @@ def test_marginalization_consistency():
     series = _three_variant_series()
     joint, _ = fit_multi(series)
     for j in (2, 3):
-        reduced = marginalize(series, (1, j))
+        reduced = series.select(variants=[0, j - 1])
         pairwise = fit(reduced)
         assert pairwise.params.beta == pytest.approx(_betas(joint)[j - 2], abs=1e-5)
 
 
-def test_marginalize_counts_and_roles():
+def test_select_pair_counts_and_roles():
     series = _three_variant_series(n=1000, t_max=5)
-    reduced = marginalize(series, (2, 3))
+    reduced = series.select(variants=[1, 2])
     sequenced, variant_count = reduced.binomial_counts()
     for n, x, i in zip(sequenced, variant_count, range(5)):
         assert x == series.counts[i, 2]
         assert n == series.counts[i, 1] + series.counts[i, 2]
-
-
-def test_marginalize_bad_indices():
-    series = _three_variant_series(n=1000, t_max=5)
-    for keep in [(0, 1), (1, 4), (2, 2)]:
-        with pytest.raises(InvalidIndex):
-            marginalize(series, keep)
 
 
 def test_relabeling_numeraire_preserves_pairwise_advantages():

@@ -10,7 +10,7 @@ from variantfit.data import SurveillanceSeries, to_csv_string
 from variantfit.dynamics import Advantage, Proportion, step_lambda
 from variantfit.errors import InvalidConfig
 from variantfit.multivariant import to_multi_csv_string
-from variantfit.simulate import RecoveryReport, SimConfig, expected_path, recovery_report, simulate
+from variantfit.simulate import RecoveryReport, SimConfig, recovery_report, simulate
 
 
 def _config(**overrides):
@@ -26,7 +26,7 @@ def _config(**overrides):
 
 def test_expected_path_matches_scalar_recursion():
     config = _config()
-    path = expected_path(config)
+    path = config.path
     lam = Proportion(0.02)
     for row in path:
         lam = step_lambda(lam, Advantage(1.6))
@@ -39,7 +39,7 @@ def test_expected_path_preserves_simplex_and_matches_one_step():
     gammas = np.array([1.0, math.exp(0.3), math.exp(0.5)])
     config = SimConfig(gammas=tuple(gammas[1:]), initial_proportions=tuple(lam0),
                        sequenced=(1000,) * 12)
-    path = expected_path(config)
+    path = config.path
     assert path.shape == (12, 3)
     assert np.all(path >= 0)
     assert np.allclose(path.sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -52,7 +52,7 @@ def test_expected_path_preserves_simplex_and_matches_one_step():
 def test_zero_initial_share_stays_exactly_zero():
     config = SimConfig(gammas=(1.4, 2.0), initial_proportions=(0.9, 0.1, 0.0),
                        sequenced=(2000,) * 6, seed=3)
-    path = expected_path(config)
+    path = config.path
     assert np.all(path[:, 2] == 0.0)
     assert np.allclose(path.sum(axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.all(simulate(config).counts[:, 2] == 0)
@@ -61,7 +61,7 @@ def test_zero_initial_share_stays_exactly_zero():
 def test_path_is_worked_out_once_per_config_and_read_only():
     config = _config()
     path = config.path
-    assert config.path is path and expected_path(config) is path
+    assert config.path is path
     assert not path.flags.writeable
     with pytest.raises(ValueError):
         path[0, 0] = 0.5
@@ -158,7 +158,7 @@ def test_counts_respect_schedule():
 
 def test_empirical_mean_tracks_expected_path():
     config = _config(sequenced=tuple([5000] * 8), seed=5)
-    path = expected_path(config)
+    path = config.path
     sums = np.zeros(8)
     n_rep = 300
     for rep in range(n_rep):
@@ -275,7 +275,7 @@ def test_recovery_report_propagates_programming_errors(monkeypatch):
         raise TypeError("broken fit")
 
     # The package's `simulate` attribute is the function, so fetch the module.
-    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit_multi", broken_fit)
+    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit", broken_fit)
     with pytest.raises(TypeError, match="broken fit"):
         recovery_report(_config(), n_replications=3)
 
