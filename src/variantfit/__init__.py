@@ -12,15 +12,15 @@ __version__ = "0.1.0"
 
 # Home submodule -> the public names it defines.
 _EXPORTS = {
-    "crude": ("CrudeMeasure", "crude_gammas", "mean_crude_gamma"),
-    "data": ("SurveillanceSeries", "load_csv", "to_csv_string", "write_csv"),
+    "crude": ("CrudeMeasure", "crude_gammas"),
+    "data": ("SurveillanceSeries", "load_csv", "to_csv_string"),
     "datasets": ("BUNDLED_NAMES", "load_bundled"),
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
                  "Proportion", "step_lambda"),
     "estimate": ("FitResult", "fit", "log_softmax"),
     "forecast": ("ForecastBand", "forecast"),
     "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",
-                  "hac_sandwich", "interval_for_gamma", "parzen_kernel"),
+                  "hac_sandwich", "interval_for_gamma", "parzen_kernel", "sandwich"),
     "multivariant": ("fit_multi", "load_multi_csv"),
     "repro": ("ReproInference", "adjusted_R", "infer_variant_R", "stability_region"),
     "simulate": ("RecoveryReport", "SimConfig", "recovery_report", "simulate"),

@@ -46,12 +46,12 @@ def _load_array_layers() -> None:
     call whatever this module holds.
     """
     from .crude import crude_gammas, crude_mean
-    from .data import load_csv, write_csv
+    from .data import load_csv, to_csv_string
     from .estimate import fit
     from .forecast import forecast as forecast_band
     from .inference import fisher_information, hac_sandwich, interval_for_gamma
     # fit_multi is not called here: it stays bound for the benchmark's tracer.
-    from .multivariant import fit_multi, load_multi_csv, write_multi_csv
+    from .multivariant import fit_multi, load_multi_csv, to_multi_csv_string
     from .simulate import SimConfig, simulate
 
     for name, value in locals().items():
@@ -272,7 +272,7 @@ def cmd_forecast(args):
             "fit": {
                 "alpha": result.params.alpha,
                 "beta": result.params.beta,
-                "gamma_per_period": result.gamma,
+                "gamma_per_period": result.params.gamma,
             },
             "bands": [
                 {
@@ -288,7 +288,7 @@ def cmd_forecast(args):
 
     def lines():
         lines = [
-            f"in-sample gamma per {series.period_days:g} days: {result.gamma:.4f} "
+            f"in-sample gamma per {series.period_days:g} days: {result.params.gamma:.4f} "
             f"(window through t={train_through}, {len(result.series)} records)",
             "c,t,point,lower,upper",
         ]
@@ -448,12 +448,11 @@ def cmd_simulate(args):
         seed=args.seed,
     )
     series = simulate(config, replication=args.replication)
-    text = io.StringIO()
-    (write_csv if config.n_variants == 2 else write_multi_csv)(series, text)
+    text = (to_csv_string if config.n_variants == 2 else to_multi_csv_string)(series)
     if not args.out:  # simulate has no --json: its lines are the CSV's
-        return None, text.getvalue().splitlines
+        return None, text.splitlines
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text.getvalue())
+        fh.write(text)
     return None, lambda: []
 
 

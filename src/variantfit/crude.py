@@ -49,7 +49,3 @@ def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeM
 def crude_mean(measures: list[CrudeMeasure]) -> float:
     """Arithmetic mean of the per-period measures' values."""
     return sum(m.value for m in measures) / len(measures)
-
-
-def mean_crude_gamma(series: SurveillanceSeries) -> float:
-    return crude_mean(crude_gammas(series))

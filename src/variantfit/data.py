@@ -301,17 +301,13 @@ def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     return SurveillanceSeries.two_variant(rows, period_days=period_days)
 
 
-def write_csv(series: SurveillanceSeries, fh) -> None:
+def to_csv_string(series: SurveillanceSeries) -> str:
     n, x = series.binomial_counts()
-    writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     rows = zip(series.t_values, series.labels, n.tolist(), x.tolist(), series.total_cases,
                series.tested)
     for row in rows:
         writer.writerow(["" if value is None else value for value in row])
-
-
-def to_csv_string(series: SurveillanceSeries) -> str:
-    buf = io.StringIO()
-    write_csv(series, buf)
     return buf.getvalue()

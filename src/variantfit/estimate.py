@@ -83,11 +83,6 @@ class FitResult:
         alpha, beta = at_zero(self.theta, self.series.origin).tolist()
         return ModelParams(alpha=alpha, beta=beta)
 
-    @property
-    def gamma(self) -> float:
-        """Estimated per-period advantage, exp(beta), of a two-variant fit."""
-        return self.params.gamma
-
 
 def at_zero(x: np.ndarray, origin: int) -> np.ndarray:
     """Model-time `theta`, or a covariance of it, moved to the user's t = 0 by

@@ -67,14 +67,10 @@ def load_multi_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
     return read_multi_csv(_open_text(source), period_days=period_days)
 
 
-def write_multi_csv(series: SurveillanceSeries, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+def to_multi_csv_string(series: SurveillanceSeries) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "label"] + [f"count_{n}" for n in series.variant_names])
     for i, (t, label) in enumerate(zip(series.t_values, series.labels)):
         writer.writerow([t, label] + [int(c) for c in series.counts[i]])
-
-
-def to_multi_csv_string(series: SurveillanceSeries) -> str:
-    buf = io.StringIO()
-    write_multi_csv(series, buf)
     return buf.getvalue()

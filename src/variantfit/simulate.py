@@ -9,6 +9,7 @@ give identical series.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -28,28 +29,26 @@ class SimConfig:
     sequenced: tuple[int, ...]  # N_t schedule, length T
     seed: int = 0
     period_days: float = 7.0
-    growth: Optional[tuple[float, ...]] = None  # numeraire growth a_t, length T
-    base_cases: float = 10_000.0  # total cases at t=0 when growth is given
 
     def __post_init__(self):
         lam = np.asarray(self.initial_proportions, dtype=float)
         if len(lam) != len(self.gammas) + 1:
             raise InvalidConfig("need one initial proportion per variant")
-        if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
-            raise InvalidConfig("initial proportions must form a simplex")
-        if any(g <= 0 for g in self.gammas):
-            raise InvalidConfig("advantages must be positive")
+        # Written so that a nan or an inf fails each test.
+        if not (np.all(lam >= 0) and abs(lam.sum() - 1.0) <= 1e-9):
+            raise InvalidConfig("initial proportions must form a finite simplex")
+        if not all(0 < g < np.inf for g in self.gammas):
+            raise InvalidConfig("advantages must be finite and positive")
+        try:
+            list(map(operator.index, self.sequenced))
+        except TypeError as exc:
+            raise InvalidConfig(f"sequenced counts must be integers: {exc}") from None
         if any(n < 0 for n in self.sequenced):
             raise InvalidConfig("sequenced counts must be non-negative")
         if len(self.sequenced) == 0:
             raise InvalidConfig("empty sequencing schedule")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
-        if self.growth is not None:
-            if len(self.gammas) != 1:
-                raise InvalidConfig("a growth schedule needs exactly two variants")
-            if len(self.growth) != len(self.sequenced):
-                raise InvalidConfig("growth schedule must match the sequencing schedule")
 
     @property
     def n_variants(self) -> int:
@@ -85,22 +84,12 @@ def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
         counts = rng.multinomial(n, path)
         names = tuple(f"variant_{j}" for j in range(1, m + 1))
 
-    total_cases = None
-    if config.growth is not None:
-        cases = np.asarray(config.initial_proportions) * config.base_cases
-        g = np.array((1.0, *config.gammas))
-        total_cases = []
-        for a, n_t in zip(config.growth, config.sequenced):
-            cases = cases * g * a
-            total_cases.append(max(int(round(cases.sum())), n_t))
-
     return SurveillanceSeries(
         t_values=tuple(range(1, T + 1)),
         labels=tuple(f"t{i}" for i in range(1, T + 1)),
         counts=counts,
         variant_names=names,
         period_days=config.period_days,
-        total_cases=total_cases,
     )
 
 

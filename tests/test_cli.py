@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import variantfit
@@ -817,6 +817,10 @@ def multi_row(t):
     return st.tuples(*[st.integers(0, 60).map(str)] * 3).map(lambda c: (str(t), f"w{t}") + c)
 
 
+FITTING_TWO_CSV = (b"t,label,sequenced,variant_count,total_cases,tested\n"
+                   b"1,w1,50,5,,\n2,w2,50,12,,\n3,w3,50,20,,\n4,w4,50,31,,\n5,w5,50,38,,\n")
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(
@@ -824,9 +828,15 @@ def multi_row(t):
     two=csv_bytes("t,label,sequenced,variant_count,total_cases,tested", two_variant_row),
     multi=csv_bytes("t,label,count_a,count_b,count_c", multi_row),
 )
+# A fitting series with the option values that make a scale overflow, which
+# the random draw never puts together.
+@example(argv=["estimate", "two.csv", "--gen-days", "1e308", "--period-days", "0.5"],
+         two=FITTING_TWO_CSV, multi=b"")
+@example(argv=["estimate", "two.csv", "--period-days", "1e-320", "--json"],
+         two=FITTING_TWO_CSV, multi=b"")
 def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, multi):
-    """Exit 0, or exit 1 with empty stdout and exactly one `error:` line; a
-    JSON report of a run that exits 0 holds only finite numbers."""
+    """Exit 0, or exit 1 with empty stdout and exactly one `error:` line; a run
+    that exits 0 prints only finite numbers, in a JSON report or in text."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.csv").write_bytes(two)
     (tmp_path / "multi.csv").write_bytes(multi)
@@ -837,6 +847,9 @@ def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, m
         assert_one_error_line(code, out.getvalue(), err.getvalue())
     elif "--json" in argv:
         json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
+    else:
+        # Labels are w<t> and variant names a, b and c, so no input puts these words in.
+        assert not re.search(r"\b(?:inf|nan)\b", out.getvalue(), re.IGNORECASE), out.getvalue()
 
 
 def _refuse_non_finite(constant):

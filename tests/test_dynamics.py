@@ -143,7 +143,7 @@ def test_rescale_day_to_week():
     series = load_bundled("omicron")
     result = fit(series)
     g = interval_for_gamma(hac_sandwich(series, result, 4), result, 7.0)
-    assert g.gamma.value == pytest.approx(result.gamma**7, rel=1e-12)
+    assert g.gamma.value == pytest.approx(result.params.gamma**7, rel=1e-12)
     # the unrounded daily estimate reproduces the printed weekly value
     assert g.gamma.value == pytest.approx(5.52, abs=0.005)
 
@@ -151,7 +151,7 @@ def test_rescale_day_to_week():
 def test_rescale_identity_and_composition():
     result, variance = _alpha_fit()
     own = interval_for_gamma(variance, result)
-    assert own.gamma.value == pytest.approx(result.gamma, rel=1e-14)
+    assert own.gamma.value == pytest.approx(result.params.gamma, rel=1e-14)
     # Rescaling is a power of the point and of both endpoints: the interval
     # over 11 days is the one over 3 days raised to 11/3.
     three = interval_for_gamma(variance, result, 3.0)

@@ -175,7 +175,7 @@ def test_saturated_two_point_fit():
 
 def test_published_point_estimates():
     assert fit(load_bundled("alpha")).params.beta == pytest.approx(0.619, abs=0.002)
-    assert fit(load_bundled("delta")).gamma == pytest.approx(3.16, abs=0.02)
+    assert fit(load_bundled("delta")).params.gamma == pytest.approx(3.16, abs=0.02)
     omicron = fit(load_bundled("omicron"))
     assert omicron.params.alpha == pytest.approx(-4.11, abs=0.02)
     assert omicron.params.beta == pytest.approx(0.244, abs=0.002)
@@ -369,8 +369,6 @@ def test_params_view_needs_two_variants():
     assert result.theta.shape == (4,)
     with pytest.raises(InvalidValue, match="two-variant"):
         result.params
-    with pytest.raises(InvalidValue, match="two-variant"):
-        result.gamma
 
 
 def _simulated(m, T=18):

@@ -65,7 +65,7 @@ def test_two_variant_fit_reduces_to_binary(name):
     result, variance = fit_multi(_binary_multi(series))
     assert result.params.alpha == pytest.approx(binary.params.alpha, abs=1e-8)
     assert result.params.beta == pytest.approx(binary.params.beta, abs=1e-8)
-    assert result.gamma == pytest.approx(binary.params.gamma, rel=1e-8)
+    assert result.params.gamma == pytest.approx(binary.params.gamma, rel=1e-8)
 
 
 def test_two_variant_hac_variance_matches_binary():

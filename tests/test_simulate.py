@@ -87,11 +87,10 @@ SIMULATED_CSV_SHA256 = {
         dict(gammas=(1.6,), initial_proportions=(0.98, 0.02),
              sequenced=(100, 0, 250, 0, 4000, 0), seed=11), 0,
         "d9f40fbe7abfb3356d1ebc6b3005436c88efdad88cbca7b00f12f3b99c487b5f"),
-    "m2-growth": (
+    "m2-replication-1": (
         dict(gammas=(1.6,), initial_proportions=(0.98, 0.02),
-             sequenced=(100, 300, 0, 500, 800, 1000),
-             growth=(1.0, 1.1, 0.9, 1.2, 1.0, 0.8), seed=5), 1,
-        "bee29ebfebc9fc134c5c780ad4bd26e311398f4da420c64550b8ef8ee287ddee"),
+             sequenced=(100, 300, 0, 500, 800, 1000), seed=5), 1,
+        "0a14f0936b6cdf31005bc3df0854eb41999c66bd1f91bfbd1fcc12da6a14774a"),
     "m3-zero-row": (
         dict(gammas=(1.4, 2.0), initial_proportions=(0.9, 0.07, 0.03),
              sequenced=(2000, 0, 2000, 500, 3000), seed=2), 0,
@@ -183,30 +182,22 @@ def test_three_variant_simulation_shape():
     assert np.array_equal(series.totals, np.full(6, 2000))
 
 
-def test_total_cases_from_growth_schedule():
-    config = _config(
-        sequenced=tuple([100] * 4),
-        growth=tuple([1.0] * 4),
-        base_cases=10_000.0,
-    )
-    series = simulate(config)
-    # numeraire flat, variant grows by 1.6 each period from 200 cases
-    expected = 9800 + 200 * 1.6
-    assert series.total_cases[0] == round(expected)
-    assert all(cases is not None for cases in series.total_cases)
-
-
-def test_invalid_configs_rejected():
+@pytest.mark.parametrize("overrides", [
+    dict(initial_proportions=(0.5, 0.2)),
+    dict(gammas=(0.0,), initial_proportions=(0.9, 0.1)),
+    dict(sequenced=()),
+    dict(sequenced=(100, -1)),
+    # A nan fails every comparison, and the draw would truncate a float count.
+    dict(initial_proportions=(math.nan, math.nan)),
+    dict(initial_proportions=(1.0, math.inf)),
+    dict(gammas=(math.nan,)),
+    dict(gammas=(math.inf,)),
+    dict(sequenced=(10.7, 20.2, 30.9)),
+    dict(sequenced=(10, 20.0)),
+])
+def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfig):
-        _config(initial_proportions=(0.5, 0.2))
-    with pytest.raises(InvalidConfig):
-        _config(gammas=(0.0,), initial_proportions=(0.9, 0.1))
-    with pytest.raises(InvalidConfig):
-        _config(sequenced=())
-    with pytest.raises(InvalidConfig):
-        _config(sequenced=(100, -1))
-    with pytest.raises(InvalidConfig):
-        _config(growth=(1.0,))
+        _config(**overrides)
 
 
 def test_recovery_report_bias_and_coverage():
@@ -257,16 +248,6 @@ def test_more_sequencing_tightens_recovery():
     sparse = recovery_report(_config(sequenced=tuple([500] * 10), seed=23), 60)
     dense = recovery_report(_config(sequenced=tuple([8000] * 10), seed=23), 60)
     assert dense.mean_ci_width < sparse.mean_ci_width
-
-
-def test_growth_schedule_needs_two_variants():
-    with pytest.raises(InvalidConfig):
-        SimConfig(
-            gammas=(1.4, 2.0),
-            initial_proportions=(0.9, 0.07, 0.03),
-            sequenced=(2000,) * 4,
-            growth=(1.0,) * 4,
-        )
 
 
 def test_recovery_report_propagates_programming_errors(monkeypatch):
