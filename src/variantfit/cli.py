@@ -47,7 +47,7 @@ def _load_array_layers() -> None:
     """
     from .crude import crude_gammas, crude_mean
     from .data import load_csv, to_csv_string
-    from .estimate import fit
+    from .estimate import at_zero, fit
     from .forecast import forecast as forecast_band
     from .inference import fisher_information, hac_sandwich, interval_for_gamma
     # fit_multi is not called here: it stays bound for the benchmark's tracer.
@@ -174,7 +174,7 @@ def _fit_report(command: str, digest: dict, series, variance, gen_days: float,
     """The header, options and covariance (at t = 0) of a fit's report."""
     header = _report_header(command, digest, period_days=series.period_days, gen_days=gen_days,
                             variance=variance.kind, level=level)
-    return header | {"covariance": variance.matrix_at_zero.tolist()}
+    return header | {"covariance": at_zero(variance.matrix, series.origin).tolist()}
 
 
 def cmd_estimate(args):
@@ -333,15 +333,7 @@ def _grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid has {points} points, at most {MAX_GRID_POINTS} are allowed"
         )
-    values = []
-    v = start
-    # The points are accumulated, so they can differ from start + i * step in
-    # the last bits. The length bound also ends the loop where v has grown so
-    # far past the start that the step no longer changes it.
-    while v <= stop + 1e-12 and len(values) <= points:
-        values.append(min(max(v, 0.0), 1.0))
-        v += step
-    return values
+    return [min(max(start + i * step, 0.0), 1.0) for i in range(points)]
 
 
 def _grid_count(text: str, noun: str, low: int) -> int:

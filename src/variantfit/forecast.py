@@ -28,7 +28,6 @@ class ForecastBand:
     point: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    c: float
 
     def __post_init__(self):
         for lo, pt, hi in zip(self.lower, self.point, self.upper):
@@ -63,4 +62,4 @@ def forecast(
     logits = np.stack([np.zeros((3, len(t))), ends], axis=-1)
     shares = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
     lower, point, upper = map(tuple, shares.tolist())
-    return ForecastBand(t_values=t_values, point=point, lower=lower, upper=upper, c=float(c))
+    return ForecastBand(t_values=t_values, point=point, lower=lower, upper=upper)

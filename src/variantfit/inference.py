@@ -23,7 +23,7 @@ from .data import SurveillanceSeries
 # scalar commands import without numpy; callers also import them from here.
 from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
 from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
-from .estimate import FitResult, at_zero
+from .estimate import FitResult
 
 DEFAULT_LEVEL = 0.95
 
@@ -32,18 +32,12 @@ DEFAULT_LEVEL = 0.95
 class VarianceEstimate:
     """Covariance of the fit's theta estimates, tagged with its estimator.
 
-    `matrix` is in the series' model time, t - `origin`, as `FitResult.theta`
-    is; `matrix_at_zero` is at the user's t = 0, as `FitResult.params` is.
-    For a series that starts at t = 1 the origin is 0 and the two are equal.
+    `matrix` is in the series' model time, as `FitResult.theta` is;
+    `estimate.at_zero(matrix, series.origin)` moves it to the user's t = 0.
     """
 
     kind: str  # "fisher" or "sandwich(K)"
     matrix: np.ndarray
-    origin: int = 0
-
-    @property
-    def matrix_at_zero(self) -> np.ndarray:
-        return at_zero(self.matrix, self.origin)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -135,7 +129,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
         if (cov.diagonal() <= 1e-12 * info_inv.diagonal()).any():
             raise Singular("the scores vanish at the fit, so they cannot estimate "
                            "a sandwich variance")
-    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), origin=fit.series.origin)
+    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T))
 
 
 def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # kept for the wrappers below

@@ -31,9 +31,12 @@ class SimConfig:
     period_days: float = 7.0
 
     def __post_init__(self):
+        """Refuse once per config what `simulate` would refuse on every replicate."""
         lam = np.asarray(self.initial_proportions, dtype=float)
         if len(lam) != len(self.gammas) + 1:
             raise InvalidConfig("need one initial proportion per variant")
+        if len(lam) < 2:
+            raise InvalidConfig("need at least 2 variants")
         # Written so that a nan or an inf fails each test.
         if not (np.all(lam >= 0) and abs(lam.sum() - 1.0) <= 1e-9):
             raise InvalidConfig("initial proportions must form a finite simplex")
@@ -41,14 +44,17 @@ class SimConfig:
             raise InvalidConfig("advantages must be finite and positive")
         try:
             list(map(operator.index, self.sequenced))
+            operator.index(self.seed)
         except TypeError as exc:
-            raise InvalidConfig(f"sequenced counts must be integers: {exc}") from None
-        if any(n < 0 for n in self.sequenced):
-            raise InvalidConfig("sequenced counts must be non-negative")
-        if len(self.sequenced) == 0:
-            raise InvalidConfig("empty sequencing schedule")
+            raise InvalidConfig(f"sequenced counts and the seed must be integers: {exc}") from None
+        if not all(0 <= n < 2**63 for n in self.sequenced):  # the draw holds them as int64
+            raise InvalidConfig("sequenced counts must lie in 0..2**63 - 1")
+        if len(self.sequenced) < 2:
+            raise InvalidConfig(f"need at least 2 periods, got {len(self.sequenced)}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        if not self.period_days > 0:  # also refuses nan
+            raise InvalidConfig(f"period_days must be positive, got {self.period_days}")
 
     @property
     def n_variants(self) -> int:

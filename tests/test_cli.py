@@ -221,24 +221,22 @@ def test_separation_reported_cleanly(tmp_path, capsys):
     assert "Separation" in err
 
 
-def assert_one_invalid_value_line(code, out, err):
-    """Exit 1 with one `error:` line on stderr and no traceback."""
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: InvalidValue: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ("estimate", "alpha", "--level", "1.5"),
-        ("infer-r", "--R", "1.0", "--lambda", "1.5", "--gamma-gen", "2.0"),
+        (("estimate", "alpha", "--level", "1.5"),
+         "InvalidValue: level must lie in (0,1), got 1.5"),
+        (("infer-r", "--R", "1.0", "--lambda", "1.5", "--gamma-gen", "2.0"),
+         "InvalidValue: proportion must lie in [0,1], got 1.5"),
+        (("estimate", "alpha", "--hac", "-1"), "InvalidValue: bandwidth must be >= 0, got -1"),
+        (("forecast", "alpha", "--train-from", "8", "--train-through", "8"),
+         "WindowOutOfRange: training window has fewer than 2 records"),
     ],
-    ids=["estimate-level-1.5", "infer-r-lambda-1.5"],
+    ids=["estimate-level-1.5", "infer-r-lambda-1.5", "estimate-hac-negative",
+         "forecast-one-period-window"],
 )
-def test_out_of_range_value_is_one_error_line(capsys, argv):
-    assert_one_invalid_value_line(*run(capsys, *argv))
+def test_out_of_range_value_is_one_error_line(capsys, argv, error):
+    assert run(capsys, *argv) == (1, "", f"error: {error}\n")
 
 
 def test_level_next_to_one_gives_a_finite_interval(capsys):
@@ -424,6 +422,20 @@ def test_contour_grid_at_the_bound_is_printed(capsys):
     code, out, err = run(capsys, "infer-r", "--gamma-gen", "2.0", "--contour", "0:1:1e-4")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + 10_001
+
+
+def _contour(spec):
+    return build_parser().parse_args(["infer-r", "--gamma-gen", "2.0", "--contour", spec]).contour
+
+
+def test_contour_points_are_start_plus_i_steps():
+    # Summed steps drift: 12 of the 21 points of 0:1:0.05 differed in their
+    # last bits, and the last point of 0:1:1e-4 fell short of 1.0.
+    grid = _contour("0:1:0.05")
+    assert list(map(float.hex, grid)) == [float.hex(min(max(i * 0.05, 0.0), 1.0))
+                                          for i in range(21)]
+    fine = _contour("0:1:1e-4")
+    assert len(fine) == 10_001 and fine[-1] == 1.0
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from variantfit.datasets import load_bundled
-from variantfit.dynamics import Advantage, Proportion, step_lambda
-from variantfit.errors import NonPositivePeriod
+from variantfit.dynamics import Advantage, AdvantageEstimate, ModelParams, Proportion, step_lambda
+from variantfit.errors import InvalidValue, NonPositivePeriod
 from variantfit.estimate import fit, log_softmax
 from variantfit.inference import hac_sandwich, interval_for_gamma
 
@@ -24,6 +24,22 @@ def _log_odds(p: float) -> float:
 
 def _odds(lam: Proportion) -> float:
     return lam.value / (1.0 - lam.value)
+
+
+def test_value_classes_equal_only_their_own_class():
+    assert Proportion(0.5) != (0.5,)
+    assert Proportion(0.5) == Proportion(0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Proportion(0.5)._replace(value=2.0),
+    lambda: Advantage(0.0),
+    lambda: ModelParams(math.nan, 0.0),
+    lambda: AdvantageEstimate(Advantage(2.0), 2.5, 3.0, 0.95),
+], ids=["replaced-proportion", "zero-advantage", "nan-params", "point-outside-interval"])
+def test_value_classes_validate_their_fields(make):
+    with pytest.raises(InvalidValue):
+        make()
 
 
 def test_step_identity_at_gamma_one():

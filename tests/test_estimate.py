@@ -265,7 +265,7 @@ def test_fit_is_made_in_model_time_and_reported_at_t_zero(base):
     assert moved.params.alpha == pytest.approx(alpha - beta * base, rel=1e-10)
     # The covariance at t = 0 is A cov A' for a = a' - b * base.
     cov = hac_sandwich(series, base_fit, 4).matrix
-    moved_cov = hac_sandwich(moved.series, moved, 4).matrix_at_zero
+    moved_cov = at_zero(hac_sandwich(moved.series, moved, 4).matrix, moved.series.origin)
     expected = [[cov[0, 0] - 2 * base * cov[0, 1] + base**2 * cov[1, 1],
                  cov[0, 1] - base * cov[1, 1]],
                 [cov[0, 1] - base * cov[1, 1], cov[1, 1]]]

@@ -7,7 +7,7 @@ from scipy.special import expit
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import NegativeC
-from variantfit.estimate import fit
+from variantfit.estimate import at_zero, fit
 from variantfit.forecast import forecast
 from variantfit.inference import fisher_information, hac_sandwich
 
@@ -110,18 +110,18 @@ def test_band_stays_inside_unit_interval():
 @pytest.mark.parametrize("base", [0, 1_000])
 def test_params_pair_with_the_variance_at_t_zero_at_any_origin(base):
     # `theta` and `matrix` are in model time, t - origin; `params` and
-    # `matrix_at_zero` are at the user's t = 0. Either pair, each at its own
-    # t, gives the band at the user's t.
+    # `at_zero(matrix, origin)` are at the user's t = 0. Either pair, each at
+    # its own t, gives the band at the user's t.
     series = load_bundled("alpha")
     shifted = SurveillanceSeries(tuple(t + base for t in series.t_values), series.labels,
                                  series.counts, series.variant_names, series.period_days)
     result = fit(shifted)
     variance = hac_sandwich(shifted, result, 4)
-    assert variance.origin == result.series.origin == base
+    assert result.series.origin == base
     c = 2.0
     band = forecast(result, variance, horizons=[base + 3, base + 10, base + 25], c=c)
     frames = [
-        (result.params.alpha, result.params.beta, variance.matrix_at_zero, 0),
+        (result.params.alpha, result.params.beta, at_zero(variance.matrix, base), 0),
         (*result.theta, variance.matrix, base),
     ]
     for a, b, sigma, origin in frames:

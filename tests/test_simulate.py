@@ -194,6 +194,13 @@ def test_three_variant_simulation_shape():
     dict(gammas=(math.inf,)),
     dict(sequenced=(10.7, 20.2, 30.9)),
     dict(sequenced=(10, 20.0)),
+    # simulate refused these only on each replicate, and not as InvalidConfig.
+    dict(gammas=(), initial_proportions=(1.0,)),
+    dict(sequenced=(10,)),
+    dict(seed=1.5),
+    dict(period_days=0.0),
+    dict(period_days=math.nan),
+    dict(sequenced=(2**63, 10)),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfig):
@@ -242,6 +249,17 @@ def test_recovery_report_rejects_multivariant_config():
         recovery_report(config, n_replications=5)
     with pytest.raises(InvalidConfig):
         recovery_report(_config(), n_replications=0)
+
+
+def test_recovery_report_counts_failed_fits():
+    # A 0.1% start over 4 periods of 20 often draws no variant case at all:
+    # the fit separates, and the replication is counted, not raised.
+    config = SimConfig(gammas=(1.5,), initial_proportions=(0.999, 0.001), sequenced=(20,) * 4)
+    report = recovery_report(config, n_replications=50)
+    assert 0 < report.n_failed < 50
+    never = dataclasses.replace(config, initial_proportions=(1.0, 0.0))
+    with pytest.raises(InvalidConfig, match="all replications failed to fit"):
+        recovery_report(never, n_replications=5)
 
 
 def test_more_sequencing_tightens_recovery():
