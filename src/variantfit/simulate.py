@@ -53,8 +53,8 @@ class SimConfig:
             raise InvalidConfig(f"need at least 2 periods, got {len(self.sequenced)}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
-        if not self.period_days > 0:  # also refuses nan
-            raise InvalidConfig(f"period_days must be positive, got {self.period_days}")
+        if not 0 < self.period_days < np.inf:
+            raise InvalidConfig(f"period_days must be finite and positive, got {self.period_days}")
 
     @property
     def n_variants(self) -> int:

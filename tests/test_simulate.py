@@ -200,6 +200,8 @@ def test_three_variant_simulation_shape():
     dict(seed=1.5),
     dict(period_days=0.0),
     dict(period_days=math.nan),
+    # recovery_report's interval then has the scale inf / inf: an OverflowError.
+    dict(period_days=math.inf),
     dict(sequenced=(2**63, 10)),
 ])
 def test_invalid_configs_rejected(overrides):
