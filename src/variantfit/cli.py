@@ -14,8 +14,10 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
+from itertools import repeat
 from typing import Callable, Optional
 
 from . import __version__
@@ -80,13 +82,7 @@ def json_text(value, indent: str = "") -> str:
     pure-Python encoder. Dict keys must be strings.
     """
     if isinstance(value, float):
-        text = f"{value:.10g}"
-        if "e" in text or "n" in text:  # exponent, NaN or infinity
-            text = repr(float(text))
-            return _SPECIAL_FLOATS.get(text, text)
-        # 10 digits round-trip, so repr() of the rounded float has the same
-        # digits, and in fixed notation differs only by its ".0".
-        return text if "." in text else text + ".0"
+        return _float_text(f"{value:.10g}")
     if isinstance(value, str):
         return _ESCAPE(value)
     if value is None:
@@ -107,9 +103,49 @@ def json_text(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [json_text(v, inner) for v in value]
-        return "[\n" + inner + separator.join(items) + "\n" + indent + "]"
+        return "[\n" + inner + separator.join(_items_text(value, inner)) + "\n" + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(text: str) -> str:
+    """The JSON of a float from its `.10g` text."""
+    if "e" in text or "n" in text:  # exponent, NaN or infinity
+        text = repr(float(text))
+        return _SPECIAL_FLOATS.get(text, text)
+    # 10 digits round-trip, so repr() of the rounded float has the same
+    # digits, and in fixed notation differs only by its ".0".
+    return text if "." in text else text + ".0"
+
+
+def _items_text(values, indent: str) -> list[str]:
+    """`json_text(item, indent)` of each item, a column at a time where all
+    items are floats, all ints, or all dicts with one key set."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(float.__format__, values, repeat(".10g")))
+        joined = "".join(texts)  # each text holds at most one "."
+        if "e" in joined or "n" in joined or joined.count(".") != len(texts):
+            texts = [text if "." in text and "e" not in text and "n" not in text
+                     else _float_text(text) for text in texts]
+        return texts
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is dict and values[0] and len(set(map(len, values))) == 1:
+        names = sorted(values[0])
+        try:
+            columns = [list(map(operator.itemgetter(k), values)) for k in names]
+        except KeyError:  # a row has another key set of the same size
+            return [json_text(item, indent) for item in values]
+        # Each row is the same texts, every key escaped once, between its values.
+        inner = indent + "  "
+        parts = []
+        for i, (name, column) in enumerate(zip(names, columns)):
+            head = ("{\n" if i == 0 else ",\n") + inner + _ESCAPE(name) + ": "
+            parts += [repeat(head), _items_text(column, inner)]
+        parts.append(repeat("\n" + indent + "}"))
+        return list(map("".join, zip(*parts)))
+    return [json_text(item, indent) for item in values]
 
 
 def _emit(report: Callable[[], dict], as_json: bool, lines: Callable[[], list[str]]) -> None:

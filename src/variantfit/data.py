@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,11 +25,14 @@ MAX_T = 2**53
 
 
 def check_periods(t_values: Sequence[int], period_days: float) -> None:
-    """Require at least 2 periods, period_days > 0 and distinct, increasing t."""
+    """Require at least 2 periods, a finite period_days > 0 and distinct,
+    increasing t; the pair at fault is looked for only once t has failed."""
     if len(t_values) < 2:
         raise EmptySeries(f"need at least 2 periods, got {len(t_values)}")
-    if not period_days > 0:
-        raise InvalidValue(f"period_days must be positive, got {period_days}")
+    if not 0 < period_days < math.inf:
+        raise InvalidValue(f"period_days must be finite and positive, got {period_days}")
+    if all(map(operator.lt, t_values, t_values[1:])):
+        return
     for a, b in zip(t_values, t_values[1:]):
         if a == b:
             raise DuplicatePeriod(f"repeated t_index {a}")
@@ -50,6 +54,13 @@ def _raise_count_violation(t, n, x, cases, tested) -> None:
             raise CountViolation(f"negative tested count at t={t}")
 
 
+def _pick(values: Sequence, index: Sequence[int]) -> tuple:
+    """The items of `values` at the positions in `index`, as a tuple."""
+    if len(index) > 1:
+        return operator.itemgetter(*index)(values)
+    return tuple(values[i] for i in index)  # itemgetter of one position returns the item
+
+
 @dataclass(frozen=True, eq=False)
 class SurveillanceSeries:
     """Per-period counts of m >= 2 variants, held as columns.
@@ -63,8 +74,9 @@ class SurveillanceSeries:
     period ("not recorded" when not given).
 
     The two-variant series is the m = 2 case with columns (N - X, X): N
-    sequenced cases of which X are the variant. `two_variant` builds it and
-    `binomial_counts` reads (N, X) back.
+    sequenced cases of which X are the variant. `from_binomial_columns` builds
+    it from columns, `two_variant` from rows, and `binomial_counts` reads
+    (N, X) back.
 
     `counts` is a read-only integer copy of the array passed in, so the
     series is immutable and safe to share.
@@ -122,32 +134,47 @@ class SurveillanceSeries:
 
     @classmethod
     def two_variant(cls, rows: Iterable[Sequence], period_days: float = 7.0) -> SurveillanceSeries:
-        """The m = 2 series from rows (t, label, sequenced N, variant_count X,
-        total_cases, tested), sorted by t, with count columns (N - X, X).
+        """`from_binomial_columns` of rows (t, label, sequenced N, variant_count X,
+        total_cases, tested)."""
+        return cls.from_binomial_columns(*(tuple(zip(*rows)) or ((),) * 6), period_days=period_days)
 
-        total_cases and tested may be None. CountViolation unless
+    @classmethod
+    def from_binomial_columns(
+        cls,
+        t: Sequence[int],
+        labels: Sequence[str],
+        n: Sequence[int],
+        x: Sequence[int],
+        total_cases: Sequence[Optional[int]],
+        tested: Sequence[Optional[int]],
+        period_days: float = 7.0,
+    ) -> SurveillanceSeries:
+        """The m = 2 series from one column per field, one item per period in
+        any order of t: N sequenced cases of which X are the variant. The
+        periods are sorted by t, and the count columns are (N - X, X).
+
+        total_cases and tested items may be None. CountViolation unless
         0 <= X <= N <= total_cases and tested >= 0; the columns are checked
         whole, and the first row at fault is looked for only when one is.
         """
-        columns = tuple(zip(*rows)) or ((),) * 6
-        t, labels, n, x, cases, tested = columns
-        cases_given = list(map(operator.is_not, cases, repeat(None)))
+        cases_given = list(map(operator.is_not, total_cases, repeat(None)))
         tested_given = map(operator.is_not, tested, repeat(None))
         if (
-            min(n, default=0) < 0
-            or min(x, default=0) < 0
+            # X >= 0 and N >= X also rule out a negative N.
+            min(x, default=0) < 0
             or any(map(operator.gt, x, n))
             # With N >= 0, N > total_cases also catches a negative total_cases.
-            or any(map(operator.gt, compress(n, cases_given), compress(cases, cases_given)))
+            or any(map(operator.gt, compress(n, cases_given), compress(total_cases, cases_given)))
             or min(compress(tested, tested_given), default=0) < 0
         ):
-            _raise_count_violation(t, n, x, cases, tested)
+            _raise_count_violation(t, n, x, total_cases, tested)
         if any(map(operator.gt, t, t[1:])):
             order = sorted(range(len(t)), key=t.__getitem__)
-            t, labels, n, x, cases, tested = ([column[i] for i in order] for column in columns)
+            t, labels, n, x, total_cases, tested = (
+                _pick(column, order) for column in (t, labels, n, x, total_cases, tested))
         n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
-                   cases, tested)
+                   total_cases, tested)
 
     def __len__(self) -> int:
         return len(self.t_values)
@@ -185,18 +212,14 @@ class SurveillanceSeries:
         """
         rows = np.arange(len(self))[periods].tolist()
         columns = np.arange(self.n_variants)[variants].tolist()
-
-        def pick(values, index):
-            return tuple(values[i] for i in index)
-
         return SurveillanceSeries(
-            t_values=pick(self.t_values, rows),
-            labels=pick(self.labels, rows),
+            t_values=_pick(self.t_values, rows),
+            labels=_pick(self.labels, rows),
             counts=self.counts[np.ix_(rows, columns)],
-            variant_names=pick(self.variant_names, columns),
+            variant_names=_pick(self.variant_names, columns),
             period_days=self.period_days,
-            total_cases=pick(self.total_cases, rows),
-            tested=pick(self.tested, rows),
+            total_cases=_pick(self.total_cases, rows),
+            tested=_pick(self.tested, rows),
         )
 
 
@@ -235,15 +258,19 @@ def csv_columns(fh) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:
     header = [h.strip() for h in rows[0]]
     del rows[0]
     numbers = range(2, len(rows) + 2)
-    # A row is blank when its joined cells are whitespace; blank rows are skipped.
-    if not all(map(str.strip, map("".join, rows))):
+    width = len(header)
+    columns = list(zip(*rows)) if list(map(len, rows)).count(width) == len(rows) else None
+    # A row is blank when its joined cells are whitespace; blank rows are
+    # skipped. A blank row has another width or a blank first cell, so rows
+    # are joined to look for blank ones only when some row has either.
+    if columns is None or columns and not all(map(str.strip, columns[0])):
         kept = [i for i, row in enumerate(rows) if "".join(row).strip()]
         numbers, rows = [numbers[i] for i in kept], [rows[i] for i in kept]
-    width = len(header)
-    if list(map(len, rows)).count(width) != len(rows):
-        number, row = next((n, row) for n, row in zip(numbers, rows) if len(row) != width)
-        raise ParseError(f"row {number}: expected {width} fields, got {len(row)}")
-    return header, numbers, list(zip(*rows)) or [()] * width
+        if list(map(len, rows)).count(width) != len(rows):
+            number, row = next((n, row) for n, row in zip(numbers, rows) if len(row) != width)
+            raise ParseError(f"row {number}: expected {width} fields, got {len(row)}")
+        columns = list(zip(*rows))
+    return header, numbers, columns or [()] * width
 
 
 def int_column(
@@ -292,13 +319,15 @@ def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
         return lambda text: f"bad {name} value {text!r}" if text else REQUIRED
 
     t, labels, n, x, cases, tested = columns
-    t = int_column(t, numbers, fault("t"))
-    n = int_column(n, numbers, fault("sequenced"), count=True)
-    x = int_column(x, numbers, fault("variant_count"), count=True)
-    cases = int_column(cases, numbers, fault("total_cases"), optional=True)
-    tested = int_column(tested, numbers, fault("tested"), optional=True)
-    rows = zip(t, map(str.strip, labels), n, x, cases, tested)
-    return SurveillanceSeries.two_variant(rows, period_days=period_days)
+    return SurveillanceSeries.from_binomial_columns(
+        int_column(t, numbers, fault("t")),
+        list(map(str.strip, labels)),
+        int_column(n, numbers, fault("sequenced"), count=True),
+        int_column(x, numbers, fault("variant_count"), count=True),
+        int_column(cases, numbers, fault("total_cases"), optional=True),
+        int_column(tested, numbers, fault("tested"), optional=True),
+        period_days=period_days,
+    )
 
 
 def to_csv_string(series: SurveillanceSeries) -> str:

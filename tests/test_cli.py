@@ -920,6 +920,48 @@ def test_json_text_refuses_what_json_cannot_write():
         json_text({"a": [np.int64(1)]})
 
 
+# Lists the writer formats a column at a time, and their near misses.
+RECORDS = [{"t": t, "value": 1.5 * t, "ci_low": t / 3, "ci_high": 10.0**t} for t in range(1, 5)]
+WIDE_FLOATS = [1e10, 12345678901.0, 9999999999.5, 1e15, 1e16 - 2, 1e16, math.nan, math.inf,
+               -math.inf, -0.0, 0.0, 2.0, 0.1]
+COLUMN_CASES = {
+    "records": RECORDS,
+    "one-row-with-another-key": RECORDS[:2] + [RECORDS[2] | {"extra": None}] + RECORDS[3:],
+    "one-row-without-a-key": RECORDS[:2] + [{"t": 3, "value": 1.0, "ci_low": 0.5}] + RECORDS[3:],
+    "one-row-with-other-keys": RECORDS[:3] + [{"t": 4, "value": 1.0, "ci_low": 0.5, "z": 0.0}],
+    "mixed-scalars": [1, 2.5, np.float64(0.1), None, True, False, 3, np.float64(1e20)],
+    "mixed-scalar-column": [{"x": v} for v in [1, 2.5, np.float64(0.1), None, True]],
+    "all-float64": [np.float64(v) for v in (0.5, 1e17, -0.0)],
+    "all-bools": [True, False, True],
+    "odd-keys": [{"%": t, "%s": t / 7, '"q"': "x%s", "é": [t, 2.0], "日本": None, "%%d": {}}
+                 for t in range(3)],
+    "nested-records": {"outer": [{"fit": {"alpha": a, "beta": 0.5}, "t": a} for a in range(3)],
+                       "again": {"rows": RECORDS}},
+    "records-of-nested-lists": [{"bands": [{"c": 2.0, "rows": RECORDS}], "n": i} for i in range(3)],
+    "empty-dicts": [{}, {}, {}],
+    "empty-dict-among-records": [{"a": 1}, {}, {"a": 2}],
+    "empty-lists": [[], [], ()],
+    "wide-floats": WIDE_FLOATS,
+    "wide-float-column": [{"x": v, "y": -v} for v in WIDE_FLOATS],
+    "float-matrix": [[1.0, 0.25], [0.25, 3.0], [1e-320, 5e-324]],
+}
+
+
+@pytest.mark.parametrize("value", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
+def test_json_text_writes_columns_as_json_dumps_does(value):
+    assert json_text(value) == json.dumps(_round10_reference(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[np.int64(1), np.int64(2)], [1, np.int64(2), 3], [{"a": 1}, {"a": np.int64(2)}, {"a": 3}]],
+    ids=["all-int64", "int64-among-ints", "int64-in-a-record-column"],
+)
+def test_json_text_refuses_an_int64_in_a_column(value):
+    with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+        json_text(value)
+
+
 # Alpha's counts at t = base + 1 ... base + 18: day counts since 1970, ISO
 # yyyyww and yyyymmdd codes, and beyond. The fit counts time from the first
 # period, so each gives the unshifted advantage and reports alpha at t = 0.

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -308,3 +309,76 @@ def test_count_violation_names_the_first_period_at_fault(row, message):
     rows = [(1, "a", 10, 1, 12, 100), row, (3, "c", 5, 9, None, None)]
     with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
         two_variant(rows)
+
+
+@pytest.mark.parametrize(
+    "read, header, first, second, bad, full_width_blank",
+    [(read_csv, HEADER, "1,a,10,1,,\n", "2,b,20,5,,\n", "2,b,x,5,,\n", ",,,,,\n"),
+     (read_multi_csv, MULTI_HEADER, "1,a,10,1\n", "2,b,20,5\n", "2,b,x,5\n", ",,,\n")],
+    ids=["two-variant", "multi"],
+)
+def test_blank_rows_are_skipped_in_both_schemas(read, header, first, second, bad,
+                                                full_width_blank):
+    # An empty line, a whitespace-only line and a row of empty cells: rows 3 to 5.
+    blanks = "\n" + " \t \n" + full_width_blank
+    expected = read(io.StringIO(header + first + second))
+    assert read(io.StringIO(header + first + blanks + second + blanks)) == expected
+    assert read(io.StringIO(header + blanks + first + second)) == expected
+    with pytest.raises(ParseError, match="^row 6: "):
+        read(io.StringIO(header + first + blanks + bad))
+
+
+def test_load_csv_equals_two_variant_of_its_rows():
+    rows = [(3, "c", 30, 9, None, 7), (1, "a", 10, 1, 12, None), (5, "e", 8, 0, 9, 100),
+            (2, "b", 20, 5, None, None), (4, "d", 0, 0, None, 0)]
+    text = HEADER + "".join(",".join("" if v is None else str(v) for v in row) + "\n"
+                            for row in rows)
+    for period_days in (7.0, 1.0):
+        series = load_csv(io.BytesIO(text.encode()), period_days=period_days)
+        assert series == two_variant(rows, period_days=period_days)
+        assert series.t_values == (1, 2, 3, 4, 5)
+        assert series.total_cases == (12, None, None, None, 9)
+        assert series.tested == (None, None, 7, 0, 100)
+
+
+def test_an_infinite_period_is_refused():
+    # An infinite period used to pass, and an interval at the series' own
+    # period then raised OverflowError, from a scale of inf / inf.
+    with pytest.raises(InvalidValue, match="period_days"):
+        SurveillanceSeries((1, 2), ("a", "b"), np.ones((2, 2), dtype=int), ("x", "y"),
+                           period_days=math.inf)
+    with pytest.raises(InvalidValue, match="period_days"):
+        load_csv(io.BytesIO((HEADER + "1,a,10,1,,\n2,b,20,5,,\n").encode()),
+                 period_days=math.inf)
+    with pytest.raises(InvalidValue, match="period_days"):
+        load_multi_csv(io.BytesIO((MULTI_HEADER + "1,a,10,1\n2,b,20,5\n").encode()),
+                       period_days=math.inf)
+
+
+@pytest.mark.parametrize(
+    "periods, variants, expected",
+    [(slice(None), slice(None), ((1, 2, 3), ("a", "b", "c"))),
+     (np.array([True, False, True]), [1, 2], ((1, 3), ("b", "c"))),
+     (slice(1, None), [2, 0], ((2, 3), ("c", "a")))],
+)
+def test_select_picks_what_a_list_of_positions_picks(periods, variants, expected):
+    series = three_variant(np.arange(9).reshape(3, 3))
+    part = series.select(periods=periods, variants=variants)
+    assert (part.t_values, part.variant_names) == expected
+    rows = [series.t_values.index(t) for t in part.t_values]
+    columns = [series.variant_names.index(name) for name in part.variant_names]
+    assert part == SurveillanceSeries(
+        expected[0], tuple(series.labels[i] for i in rows), series.counts[np.ix_(rows, columns)],
+        expected[1])
+
+
+@pytest.mark.parametrize("periods, got", [([], 0), ([1], 1), (np.array([False, True, False]), 1)])
+def test_select_of_fewer_than_two_periods_is_an_empty_series(periods, got):
+    with pytest.raises(EmptySeries, match=f"got {got}$"):
+        three_variant(np.arange(9).reshape(3, 3)).select(periods=periods)
+
+
+def test_select_of_one_variant_is_refused():
+    series = SurveillanceSeries((1, 2), ("a", "b"), np.ones((2, 2), dtype=int), ("xy", "zw"))
+    with pytest.raises(InvalidValue, match="^need at least 2 variants$"):
+        series.select(variants=[1])
