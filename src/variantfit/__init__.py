@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # Home submodule -> the public names it defines.
 _EXPORTS = {
-    "crude": ("CrudeMeasure", "crude_gammas"),
+    "crude": ("crude_gammas",),
     "data": ("SurveillanceSeries", "load_csv", "to_csv_string"),
     "datasets": ("BUNDLED_NAMES", "load_bundled"),
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",

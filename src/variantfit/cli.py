@@ -47,7 +47,7 @@ def _load_array_layers() -> None:
     already bound here, such as a tracer's wrapper, is kept: the commands
     call whatever this module holds.
     """
-    from .crude import crude_gammas, crude_mean
+    from .crude import crude_gammas
     from .data import load_csv, to_csv_string
     from .estimate import at_zero, fit
     from .forecast import forecast as forecast_band
@@ -254,15 +254,16 @@ def cmd_estimate(args):
 
 def crude_report(digest: dict, series, measures, level: float):
     """The `crude` run report and its text lines, for the series' crude
-    measures, as the two functions that a command returns."""
-    _load_array_layers()
-    mean = crude_mean(measures)
+    measures as `crude_gammas` returns their columns, as the two functions
+    that a command returns."""
+    _, values, _, _ = measures
+    mean = sum(values) / len(values)
 
     def report():
         return _report_header("crude", digest, period_days=series.period_days, level=level) | {
             "measures": [
                 {"t": t, "value": value, "ci_low": low, "ci_high": high}
-                for t, value, low, high in measures
+                for t, value, low, high in zip(*measures)
             ],
             "mean": mean,
         }
@@ -270,7 +271,7 @@ def crude_report(digest: dict, series, measures, level: float):
     def lines():
         return [
             "t,value,ci_low,ci_high",
-            *(f"{t},{value:.6g},{low:.6g},{high:.6g}" for t, value, low, high in measures),
+            *(f"{t},{value:.6g},{low:.6g},{high:.6g}" for t, value, low, high in zip(*measures)),
             f"mean,{mean:.6g},,",
         ]
 

@@ -8,7 +8,6 @@ to a single period by the (t-s)-th root when the pair spans a gap.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,17 +15,11 @@ from .data import SurveillanceSeries
 from .inference import advantage_interval
 
 
-class CrudeMeasure(NamedTuple):
-    """Empirical advantage for the period ending at t_index."""
-
-    t_index: int
-    value: float
-    ci_low: float
-    ci_high: float
-
-
-def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeMeasure]:
-    """One measure per pair of adjacent periods.
+def crude_gammas(
+    series: SurveillanceSeries, level: float = 0.95
+) -> tuple[tuple[int, ...], list[float], list[float], list[float]]:
+    """One measure per pair of adjacent periods, as four columns: the t of
+    the pair's later period, the measure, and its interval's low and high ends.
 
     Zero cells get the Haldane-Anscombe +0.5 correction on all four cells
     of the affected pair. The CI is a Wald interval on the log odds-ratio
@@ -42,10 +35,4 @@ def crude_gammas(series: SurveillanceSeries, level: float = 0.95) -> list[CrudeM
     log_odds = [list(map(math.log, odds.tolist())) for odds in (a / b, c / d)]
     log_ratio = np.subtract(*log_odds)
     variance = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
-    value, low, high = advantage_interval(log_ratio, variance, 1.0 / np.diff(t), level)
-    return list(map(CrudeMeasure._make, zip(series.t_values[1:], value, low, high)))
-
-
-def crude_mean(measures: list[CrudeMeasure]) -> float:
-    """Arithmetic mean of the per-period measures' values."""
-    return sum(m.value for m in measures) / len(measures)
+    return (series.t_values[1:], *advantage_interval(log_ratio, variance, 1.0 / np.diff(t), level))

@@ -61,6 +61,15 @@ def _pick(values: Sequence, index: Sequence[int]) -> tuple:
     return tuple(values[i] for i in index)  # itemgetter of one position returns the item
 
 
+def _sorted_by_t(t: Sequence[int], *columns: Sequence) -> tuple:
+    """t and the columns, one item per period, with the periods in increasing
+    order of t; a stable sort, done only when t is out of order."""
+    if not any(map(operator.gt, t, t[1:])):
+        return (t, *columns)
+    order = sorted(range(len(t)), key=t.__getitem__)
+    return tuple(_pick(column, order) for column in (t, *columns))
+
+
 @dataclass(frozen=True, eq=False)
 class SurveillanceSeries:
     """Per-period counts of m >= 2 variants, held as columns.
@@ -75,11 +84,10 @@ class SurveillanceSeries:
 
     The two-variant series is the m = 2 case with columns (N - X, X): N
     sequenced cases of which X are the variant. `from_binomial_columns` builds
-    it from columns, `two_variant` from rows, and `binomial_counts` reads
-    (N, X) back.
+    it, and `binomial_counts` reads (N, X) back.
 
-    `counts` is a read-only integer copy of the array passed in, so the
-    series is immutable and safe to share.
+    `counts` is a read-only, C-ordered integer copy of the array passed in, so
+    the series is immutable and safe to share. Variant names must be distinct.
 
     `columns` are the model's arrays: the model time t - `origin`, which starts
     at 1 (date-code t such as 202045 is too ill-conditioned to fit), and `counts`
@@ -100,13 +108,15 @@ class SurveillanceSeries:
     def __post_init__(self):
         check_periods(self.t_values, self.period_days)
         T = len(self.t_values)
-        counts = np.array(self.counts)
+        counts = np.array(self.counts, order="C")
         if counts.ndim != 2 or counts.shape[0] != T:
             raise InvalidValue("counts must be (T, m) with one row per period")
         if counts.shape[1] != len(self.variant_names):
             raise InvalidValue("one variant name per column required")
         if counts.shape[1] < 2:
             raise InvalidValue("need at least 2 variants")
+        if len(set(self.variant_names)) < len(self.variant_names):
+            raise InvalidValue(f"variant names must be distinct, got {self.variant_names!r}")
         if counts.dtype.kind not in "iu":
             raise InvalidValue(f"counts must be integers, got dtype {counts.dtype}")
         if np.any(counts < 0):
@@ -131,12 +141,6 @@ class SurveillanceSeries:
         set_field("tested", tuple(self.tested or (None,) * T))
         set_field("columns", (t, counts))
         set_field("origin", t_values[0] - 1)
-
-    @classmethod
-    def two_variant(cls, rows: Iterable[Sequence], period_days: float = 7.0) -> SurveillanceSeries:
-        """`from_binomial_columns` of rows (t, label, sequenced N, variant_count X,
-        total_cases, tested)."""
-        return cls.from_binomial_columns(*(tuple(zip(*rows)) or ((),) * 6), period_days=period_days)
 
     @classmethod
     def from_binomial_columns(
@@ -168,10 +172,7 @@ class SurveillanceSeries:
             or min(compress(tested, tested_given), default=0) < 0
         ):
             _raise_count_violation(t, n, x, total_cases, tested)
-        if any(map(operator.gt, t, t[1:])):
-            order = sorted(range(len(t)), key=t.__getitem__)
-            t, labels, n, x, total_cases, tested = (
-                _pick(column, order) for column in (t, labels, n, x, total_cases, tested))
+        t, labels, n, x, total_cases, tested = _sorted_by_t(t, labels, n, x, total_cases, tested)
         n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
                    total_cases, tested)
@@ -234,21 +235,16 @@ def _open_text(source) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(source.read()), encoding="utf-8-sig", newline="")
 
 
-def load_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
-    """Load the `t,label,sequenced,variant_count,total_cases,tested` schema
-    from a path or a binary file."""
-    return read_csv(_open_text(source), period_days=period_days)
-
-
-def csv_columns(fh) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:
+def csv_columns(source) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:
     """The stripped header, the file row number of each non-blank data row
-    (the header is row 1), and those rows' cells as one tuple per column.
+    (the header is row 1), and those rows' cells as one tuple per column, of
+    the CSV at a path or in a binary file.
 
     ParseError on an empty file, a row whose length differs from the header's,
     text that is not UTF-8 and malformed CSV.
     """
     try:
-        rows = list(csv.reader(fh))
+        rows = list(csv.reader(_open_text(source)))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from None
     except csv.Error as exc:
@@ -310,8 +306,10 @@ def int_column(
     return values
 
 
-def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
-    header, numbers, columns = csv_columns(fh)
+def load_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
+    """Load the `t,label,sequenced,variant_count,total_cases,tested` schema
+    from a path or a binary file."""
+    header, numbers, columns = csv_columns(source)
     if header != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {CSV_HEADER!r}")
 
@@ -330,13 +328,16 @@ def read_csv(fh, period_days: float = 7.0) -> SurveillanceSeries:
     )
 
 
-def to_csv_string(series: SurveillanceSeries) -> str:
-    n, x = series.binomial_counts()
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header and rows, a None cell written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    rows = zip(series.t_values, series.labels, n.tolist(), x.tolist(), series.total_cases,
-               series.tested)
-    for row in rows:
-        writer.writerow(["" if value is None else value for value in row])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def to_csv_string(series: SurveillanceSeries) -> str:
+    n, x = series.binomial_counts()
+    return csv_text(CSV_HEADER, zip(series.t_values, series.labels, n.tolist(), x.tolist(),
+                                    series.total_cases, series.tested))

@@ -104,7 +104,6 @@ def load_bundled(name: str) -> SurveillanceSeries:
     rows, period_days = _BUNDLED[key]
     from .data import SurveillanceSeries  # loads numpy; the CLI imports this module without it
 
-    return SurveillanceSeries.two_variant(
-        [(i, label, n, x, cases, tested) for i, (label, tested, cases, n, x) in enumerate(rows, 1)],
-        period_days=period_days,
-    )
+    labels, tested, cases, n, x = zip(*rows)
+    return SurveillanceSeries.from_binomial_columns(
+        range(1, len(rows) + 1), labels, n, x, cases, tested, period_days=period_days)

@@ -69,9 +69,9 @@ class Advantage(Record, namedtuple("Advantage", "value period_days")):
     __slots__ = ()
 
     def __new__(cls, value: float, period_days: float = 7.0):
-        if value <= 0:
+        if not value > 0:  # nan fails too
             raise InvalidValue(f"advantage must be positive, got {value}")
-        if period_days <= 0:
+        if not period_days > 0:
             raise NonPositivePeriod(f"period_days must be positive, got {period_days}")
         return super().__new__(cls, value, period_days)
 

@@ -172,17 +172,20 @@ def advantage_interval(
     three results are floats; given 1-D arrays of one length, they are
     lists with one entry per element. The exponential is math.exp either
     way, so an element's interval is the one its floats would give.
+    OverflowError when a scaled value or its exponential is not a finite float.
     """
     z = normal_quantile(level)
     se = np.sqrt(np.maximum(variance, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # an inf scale times 0 is nan
         scaled = np.multiply(scale, [beta, beta - z * se, beta + z * se])
-    if not np.isfinite(scaled).all():  # math.exp(inf) would return inf, not raise
-        raise OverflowError("a log advantage times its scale is not a finite float")
-    point, low, high = scaled.tolist()
-    if np.ndim(beta):
-        return list(map(math.exp, point)), list(map(math.exp, low)), list(map(math.exp, high))
-    return math.exp(point), math.exp(low), math.exp(high)
+    if np.isfinite(scaled).all():  # math.exp(inf) would return inf, not raise
+        try:
+            if np.ndim(beta):
+                return tuple(list(map(math.exp, row)) for row in scaled.tolist())
+            return tuple(map(math.exp, scaled.tolist()))
+        except OverflowError:  # above ~709.78, with math's bare "math range error"
+            pass
+    raise OverflowError("a log advantage times its scale is not a finite float")
 
 
 def interval_for_gamma(

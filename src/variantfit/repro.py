@@ -35,7 +35,7 @@ def infer_variant_R(
     NonPositiveR unless R_all > 0; OverflowError when either R is too large
     for a float.
     """
-    if R_all <= 0:
+    if not R_all > 0:  # nan fails too
         raise NonPositiveR(f"aggregate R must be positive, got {R_all}")
     r_variant = R_all * (lam.value + gamma_gen.value * (1.0 - lam.value))
     for name, value in (("R_variant", r_variant), ("R_incumbent", r_variant / gamma_gen.value)):
@@ -62,10 +62,10 @@ def adjusted_R(
     """
     for name, v in (("cases_t", cases_t), ("cases_prev", cases_prev),
                     ("tested_t", tested_t), ("tested_prev", tested_prev)):
-        if v <= 0:
+        if not v > 0:  # nan fails too
             raise NonPositiveCount(f"{name} must be positive, got {v}")
     for name, days in (("gen_days", gen_days), ("period_days", period_days)):
-        if days <= 0:
+        if not days > 0:
             raise NonPositivePeriod(f"{name} must be positive, got {days}")
     log_cases = math.log(cases_t) - math.log(cases_prev)
     log_tested = math.log(tested_t) - math.log(tested_prev)

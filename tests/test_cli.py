@@ -291,6 +291,39 @@ def test_infinite_advantage_is_one_error_line(tmp_path, monkeypatch, capsys, arg
     assert_one_error_line(*run(capsys, *argv), kind="OverflowError")
 
 
+ADVANTAGE_BEYOND_A_FLOAT = (
+    "error: OverflowError: a log advantage times its scale is not a finite float\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "alpha", "--gen-days", "1e300"),
+        ("multi", "--file", "three.csv", "--fisher", "--gen-days", "1e300"),
+        ("infer-r", "--from-fit", "alpha", "--gen-days", "1e300", "--R", "1", "--lambda", "0.5"),
+    ],
+    ids=["estimate", "multi", "infer-r-from-fit"],
+)
+def test_a_finite_scale_beyond_exp_gives_the_overflow_message(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    # The scaled log advantage is finite but above ~709.78, so math.exp raised
+    # its own message, "math range error", which names nothing.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three.csv").write_text("t,label,count_a,count_b,count_c\n"
+                                        "1,a,100,10,5\n2,b,90,20,9\n3,c,80,30,20\n4,d,70,40,30\n")
+    assert run(capsys, *argv) == (1, "", ADVANTAGE_BEYOND_A_FLOAT)
+
+
+def test_repeated_variant_names_are_one_error_line(tmp_path, capsys):
+    # The file used to be fitted: variant a over numeraire a, 1.954 per generation.
+    path = tmp_path / "multi.csv"
+    path.write_text("t,label,count_a,count_a\n"
+                    + "".join(f"{t},w{t},{100 - 10 * t},{10 * t}\n" for t in range(1, 6)))
+    code, out, err = run(capsys, "multi", "--file", str(path), "--fisher")
+    assert_one_error_line(code, out, err, kind="InvalidValue")
+    assert "variant names must be distinct" in err
+
+
 def test_import_loads_no_scipy():
     src = str(Path(variantfit.__file__).resolve().parents[1])
     probe = "import sys, variantfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from variantfit.crude import CrudeMeasure, crude_gammas, crude_mean
+from variantfit.cli import crude_report
+from variantfit.crude import crude_gammas
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import InvalidValue
@@ -19,8 +20,15 @@ def _periods(series):
 
 def _series(*pairs):
     """A two-variant series with one (N, X) pair per period, at t = 1, 2, ..."""
-    rows = [(t, "ab"[t - 1], n, x, None, None) for t, (n, x) in enumerate(pairs, start=1)]
-    return SurveillanceSeries.two_variant(rows, 7.0)
+    T = len(pairs)
+    return SurveillanceSeries.from_binomial_columns(
+        range(1, T + 1), ("a", "b")[:T], *zip(*pairs), [None] * T, [None] * T, 7.0)
+
+
+def _crude_mean(series):
+    """The mean of the series' crude measures, as the `crude` report gives it."""
+    report, _ = crude_report({}, series, crude_gammas(series), 0.95)
+    return report()["mean"]
 
 
 def _odds(period):
@@ -43,14 +51,14 @@ def _oracle_mean(series):
 @pytest.mark.parametrize("name", ["alpha", "delta", "omicron"])
 def test_values_match_odds_ratio_oracle(name):
     series = load_bundled(name)
-    measures = crude_gammas(series)
-    assert len(measures) == len(series) - 1
+    t, values, _, _ = crude_gammas(series)
+    assert len(t) == len(values) == len(series) - 1
     periods = _periods(series)
     prev = periods[0]
-    for measure, rec in zip(measures, periods[1:]):
-        assert measure.t_index == rec[0]
+    for t_index, value, rec in zip(t, values, periods[1:]):
+        assert t_index == rec[0]
         expected = float(_odds(rec) / _odds(prev)) ** (1.0 / (rec[0] - prev[0]))
-        assert measure.value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
         prev = rec
 
 
@@ -60,54 +68,56 @@ def test_values_match_odds_ratio_oracle(name):
 )
 def test_crude_mean(name, expected):
     series = load_bundled(name)
-    assert crude_mean(crude_gammas(series)) == pytest.approx(_oracle_mean(series), rel=1e-12)
-    assert crude_mean(crude_gammas(series)) == pytest.approx(expected, abs=1e-5)
+    assert _crude_mean(series) == pytest.approx(_oracle_mean(series), rel=1e-12)
+    assert _crude_mean(series) == pytest.approx(expected, abs=1e-5)
 
 
 def test_alpha_and_omicron_means_match_reported_rounding():
-    assert round(crude_mean(crude_gammas(load_bundled("alpha"))), 2) == 1.73
-    assert round(crude_mean(crude_gammas(load_bundled("omicron"))), 2) == 1.27
+    assert round(_crude_mean(load_bundled("alpha")), 2) == 1.73
+    assert round(_crude_mean(load_bundled("omicron")), 2) == 1.27
 
 
 def test_first_alpha_ratio_by_hand():
     # W46: 4 of 1486, W47: 3 of 1941
     series = load_bundled("alpha")
     expected = float(Fraction(3, 1938) / Fraction(4, 1482))
-    assert crude_gammas(series)[0].value == pytest.approx(expected, rel=1e-14)
+    _, values, _, _ = crude_gammas(series)
+    assert values[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_geometric_mean_telescopes():
     # with consecutive periods and no zero cells the product of crude odds
     # ratios collapses to the endpoint odds ratio
     series = load_bundled("alpha")
-    measures = crude_gammas(series)
-    product = math.prod(m.value for m in measures)
+    _, values, _, _ = crude_gammas(series)
+    product = math.prod(values)
     endpoint = float(_odds(_periods(series)[-1]) / _odds(_periods(series)[0]))
     assert product == pytest.approx(endpoint, rel=1e-10)
 
 
 def test_zero_cell_uses_continuity_correction():
     series = _series((100, 0), (100, 10))
-    measure = crude_gammas(series)[0]
+    _, (value,), (low,), (high,) = crude_gammas(series)
     expected = (10.5 / 90.5) / (0.5 / 100.5)
-    assert measure.value == pytest.approx(expected, rel=1e-12)
-    assert math.isfinite(measure.ci_low) and math.isfinite(measure.ci_high)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert math.isfinite(low) and math.isfinite(high)
 
 
 def test_crude_ci_brackets_point_and_uses_wald_width():
     series = load_bundled("delta")
-    for m in crude_gammas(series):
-        assert m.ci_low < m.value < m.ci_high
+    _, values, lows, highs = crude_gammas(series)
+    for value, low, high in zip(values, lows, highs):
+        assert low < value < high
 
 
 def test_wald_interval_by_hand():
     series = _series((120, 20), (130, 40))
-    m = crude_gammas(series)[0]
+    _, (value,), (low,), (high,) = crude_gammas(series)
     ratio = (40 / 90) / (20 / 100)
     se = math.sqrt(1 / 40 + 1 / 90 + 1 / 20 + 1 / 100)
-    assert m.value == pytest.approx(ratio, rel=1e-12)
-    assert m.ci_low == pytest.approx(ratio * math.exp(-1.96 * se), rel=1e-9)
-    assert m.ci_high == pytest.approx(ratio * math.exp(1.96 * se), rel=1e-9)
+    assert value == pytest.approx(ratio, rel=1e-12)
+    assert low == pytest.approx(ratio * math.exp(-1.96 * se), rel=1e-9)
+    assert high == pytest.approx(ratio * math.exp(1.96 * se), rel=1e-9)
 
 
 def test_crude_needs_two_variants():
@@ -124,15 +134,14 @@ def test_crude_needs_two_variants():
 def test_gap_spreads_the_interval_over_the_periods():
     # Periods 1 and 4: the measure and both endpoints are cube roots of the
     # one-period figures.
-    gap = SurveillanceSeries.two_variant(
-        [(1, "a", 120, 20, None, None), (4, "b", 130, 40, None, None)], 7.0
-    )
+    gap = SurveillanceSeries.from_binomial_columns(
+        (1, 4), ("a", "b"), (120, 130), (20, 40), (None, None), (None, None), 7.0)
     one = _series((120, 20), (130, 40))
-    m, m1 = crude_gammas(gap)[0], crude_gammas(one)[0]
-    assert m.t_index == 4
-    assert m.value == pytest.approx(m1.value ** (1 / 3), rel=1e-12)
-    assert m.ci_low == pytest.approx(m1.ci_low ** (1 / 3), rel=1e-12)
-    assert m.ci_high == pytest.approx(m1.ci_high ** (1 / 3), rel=1e-12)
+    (t,), *spread = crude_gammas(gap)
+    _, *per_period = crude_gammas(one)
+    assert t == 4
+    for (got,), (single,) in zip(spread, per_period):  # the measure, then both ends
+        assert got == pytest.approx(single ** (1 / 3), rel=1e-12)
 
 
 def _crude_reference(series, level):
@@ -158,16 +167,18 @@ def _gappy_series():
     """Zero cells of each kind (no variant, all variant, nothing sequenced) and gaps of 4 and 5."""
     pairs = [(1, 100, 0), (2, 120, 3), (3, 80, 80), (7, 0, 0), (8, 150, 40), (13, 200, 190),
              (14, 210, 0), (15, 90, 45)]
-    return SurveillanceSeries.two_variant([(t, f"p{t}", n, x, None, None) for t, n, x in pairs])
+    t, n, x = zip(*pairs)
+    return SurveillanceSeries.from_binomial_columns(
+        t, [f"p{v}" for v in t], n, x, [None] * len(t), [None] * len(t))
 
 
 @pytest.mark.parametrize("level", [0.95, 0.9])
 @pytest.mark.parametrize("name", ["gaps-and-zero-cells", "alpha", "delta", "omicron"])
 def test_crude_gammas_equal_the_scalar_formula(name, level):
     series = _gappy_series() if name == "gaps-and-zero-cells" else load_bundled(name)
-    measures = crude_gammas(series, level=level)
+    columns = crude_gammas(series, level=level)
     expected = _crude_reference(series, level)
-    assert [m.t_index for m in measures] == [e[0] for e in expected]
-    for m, (_, value, low, high) in zip(measures, expected):
-        assert isinstance(m, CrudeMeasure)
-        assert (m.value, m.ci_low, m.ci_high) == pytest.approx((value, low, high), rel=1e-15)
+    assert len(columns) == 4 and all(len(column) == len(expected) for column in columns)
+    assert list(columns[0]) == [e[0] for e in expected]
+    for got, (_, value, low, high) in zip(zip(*columns[1:]), expected):
+        assert got == pytest.approx((value, low, high), rel=1e-15)

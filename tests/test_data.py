@@ -5,14 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from variantfit.data import (
-    SurveillanceSeries,
-    load_csv,
-    read_csv,
-    to_csv_string,
-)
+from variantfit.data import SurveillanceSeries, load_csv, to_csv_string
 from variantfit.datasets import load_bundled
-from variantfit.multivariant import load_multi_csv, read_multi_csv
+from variantfit.multivariant import load_multi_csv
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,
@@ -22,7 +17,14 @@ from variantfit.errors import (
     UnknownDataset,
 )
 
-two_variant = SurveillanceSeries.two_variant
+def from_rows(rows, period_days=7.0):
+    """The two-variant series of rows (t, label, N, X, total_cases, tested)."""
+    return SurveillanceSeries.from_binomial_columns(*zip(*rows), period_days=period_days)
+
+
+def text_file(text):
+    """A binary file holding the text, as the CSV loaders take one."""
+    return io.BytesIO(text.encode())
 
 
 def rec(t, n, x, total_cases=None, tested=None):
@@ -37,23 +39,23 @@ def period(series, label):
 
 
 def test_validate_sorts_and_accepts():
-    series = two_variant([rec(3, 10, 1), rec(1, 20, 2), rec(2, 30, 3)], 7.0)
+    series = from_rows([rec(3, 10, 1), rec(1, 20, 2), rec(2, 30, 3)], 7.0)
     assert series.t_values == (1, 2, 3)
     assert series.period_days == 7.0
 
 
 def test_single_record_rejected():
     with pytest.raises(EmptySeries):
-        two_variant([rec(1, 10, 1)], 7.0)
+        from_rows([rec(1, 10, 1)], 7.0)
 
 
 def test_count_violation():
     with pytest.raises(CountViolation):
-        two_variant([rec(1, 3, 5)])
+        from_rows([rec(1, 3, 5)])
     with pytest.raises(CountViolation):
-        two_variant([rec(1, 10, 1, total_cases=5)])
+        from_rows([rec(1, 10, 1, total_cases=5)])
     with pytest.raises(CountViolation):
-        two_variant([(1, "", -1, 0, None, None)])
+        from_rows([(1, "", -1, 0, None, None)])
 
 
 @pytest.mark.parametrize("t", [[2**53 - 1, 2**53, 2**53 + 1], [-(2**53) - 1, 0, 1],
@@ -65,9 +67,9 @@ def test_count_violation():
 def test_periods_beyond_float_precision_are_refused(t):
     # The model time is a float: above 2**53 distinct t can become one float.
     with pytest.raises(InvalidValue, match="2\\*\\*53"):
-        two_variant([rec(v, 100, 10) for v in t])
+        from_rows([rec(v, 100, 10) for v in t])
     with pytest.raises(InvalidValue):
-        read_multi_csv(io.StringIO("t,label,count_a,count_b\n"
+        load_multi_csv(text_file("t,label,count_a,count_b\n"
                                    + "".join(f"{v},p,90,10\n" for v in t)))
 
 
@@ -80,7 +82,7 @@ def test_periods_beyond_float_precision_are_refused(t):
 def test_periods_up_to_float_precision_are_kept_exactly(t, model_time):
     # Out to |t| = 2**53, and over a span below 2**53, the model time
     # t - t_1 + 1 holds every period exactly.
-    series = two_variant([rec(v, 100, 10 * i) for i, v in enumerate(t)])
+    series = from_rows([rec(v, 100, 10 * i) for i, v in enumerate(t)])
     assert series.t_values == tuple(t)
     assert series.origin == t[0] - 1
     assert series.columns[0].tolist() == [float(v) for v in model_time]
@@ -88,7 +90,7 @@ def test_periods_up_to_float_precision_are_kept_exactly(t, model_time):
 
 def test_duplicate_period():
     with pytest.raises(DuplicatePeriod):
-        two_variant([rec(1, 10, 1), rec(1, 20, 2)], 7.0)
+        from_rows([rec(1, 10, 1), rec(1, 20, 2)], 7.0)
 
 
 def test_bundled_shapes():
@@ -135,24 +137,24 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_header_only():
     with pytest.raises(EmptySeries):
-        read_csv(io.StringIO("t,label,sequenced,variant_count,total_cases,tested\n"))
+        load_csv(text_file("t,label,sequenced,variant_count,total_cases,tested\n"))
 
 
 def test_csv_negative_count_is_parse_error():
     text = "t,label,sequenced,variant_count,total_cases,tested\n1,a,-5,0,,\n2,b,10,1,,\n"
     with pytest.raises(ParseError):
-        read_csv(io.StringIO(text))
+        load_csv(text_file(text))
 
 
 def test_csv_malformed_row_reports_row_number():
     text = "t,label,sequenced,variant_count,total_cases,tested\n1,a,10,1,,\nx,b,10,1,,\n"
     with pytest.raises(ParseError, match="row 3"):
-        read_csv(io.StringIO(text))
+        load_csv(text_file(text))
 
 
 def test_csv_optional_fields_empty():
     text = "t,label,sequenced,variant_count,total_cases,tested\n1,a,10,1,,\n2,b,20,2,25,100\n"
-    series = read_csv(io.StringIO(text))
+    series = load_csv(text_file(text))
     assert series.total_cases[0] is None
     assert series.tested[1] == 100
 
@@ -175,6 +177,27 @@ def test_counts_are_a_read_only_copy():
     with pytest.raises(ValueError):
         series.counts[0, 0] = 999
     assert not series.columns[0].flags.writeable
+
+
+def test_counts_are_c_ordered_whatever_the_layout_passed_in():
+    # A Fortran-ordered array, such as the transpose of per-variant columns,
+    # used to be kept in its own layout.
+    counts = np.asfortranarray(np.arange(9).reshape(3, 3))
+    series = three_variant(counts)
+    assert series.counts.flags.c_contiguous
+    assert series.counts.tolist() == counts.tolist()
+    multi = load_multi_csv(text_file(MULTI_HEADER + "1,a,1,2\n2,b,3,4\n"))
+    assert multi.counts.flags.c_contiguous
+
+
+def test_repeated_variant_names_are_refused():
+    # A series named ("a", "a") used to be fitted, as variant a over numeraire a.
+    with pytest.raises(InvalidValue, match="^variant names must be distinct, got \\('x', 'x'\\)$"):
+        SurveillanceSeries((1, 2), ("a", "b"), np.ones((2, 2), dtype=int), ("x", "x"))
+    with pytest.raises(InvalidValue, match="distinct"):
+        load_multi_csv(text_file("t,label,count_a,count_a\n1,w1,90,10\n2,w2,80,20\n"))
+    with pytest.raises(InvalidValue, match="distinct"):
+        three_variant(np.arange(9).reshape(3, 3)).select(variants=[1, 1])
 
 
 def test_periods_are_checked_before_the_counts():
@@ -225,39 +248,39 @@ MULTI_HEADER = "t,label,count_a,count_b\n"
 
 
 @pytest.mark.parametrize(
-    "read, text, message",
+    "load, text, message",
     [
-        (read_csv, HEADER + "1,a,10,1,,\nx,b,20,5,,\n", "row 3: bad t value 'x'"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b, 2x ,5,,\n", "row 3: bad sequenced value '2x'"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5.0,,\n", "row 3: bad variant_count value '5.0'"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,,,\n",
+        (load_csv, HEADER + "1,a,10,1,,\nx,b,20,5,,\n", "row 3: bad t value 'x'"),
+        (load_csv, HEADER + "1,a,10,1,,\n2,b, 2x ,5,,\n", "row 3: bad sequenced value '2x'"),
+        (load_csv, HEADER + "1,a,10,1,,\n2,b,20,5.0,,\n", "row 3: bad variant_count value '5.0'"),
+        (load_csv, HEADER + "1,a,10,1,,\n2,b,20,,,\n",
          "row 3: t, sequenced and variant_count are required"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5,z,\n", "row 3: bad total_cases value 'z'"),
-        (read_csv, HEADER + "1,a,10,1,30,\n2,b,20,5,,-\n", "row 3: bad tested value '-'"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b,-20,5,,\n", "row 3: negative count"),
-        (read_csv, HEADER + "1,a,10,1,,\n2,b,20,5,\n", "row 3: expected 6 fields, got 5"),
-        (read_csv, HEADER + "1,a,10,1,,\n\n , ,, , ,\n2,b,x,5,,\n",
+        (load_csv, HEADER + "1,a,10,1,,\n2,b,20,5,z,\n", "row 3: bad total_cases value 'z'"),
+        (load_csv, HEADER + "1,a,10,1,30,\n2,b,20,5,,-\n", "row 3: bad tested value '-'"),
+        (load_csv, HEADER + "1,a,10,1,,\n2,b,-20,5,,\n", "row 3: negative count"),
+        (load_csv, HEADER + "1,a,10,1,,\n2,b,20,5,\n", "row 3: expected 6 fields, got 5"),
+        (load_csv, HEADER + "1,a,10,1,,\n\n , ,, , ,\n2,b,x,5,,\n",
          "row 5: bad sequenced value 'x'"),
-        (read_csv, HEADER + '1,a,10,1,,\n2,"b,20,5,,\n', "row 3: expected 6 fields, got 2"),
-        (read_csv, "t,label,sequenced,variant,total_cases,tested\n1,a,10,1,,\n", "bad header"),
-        (read_csv, "", "empty file"),
-        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n2,b,20,x\n", "row 3: malformed integer"),
-        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n,b,20,5\n", "row 3: malformed integer"),
-        (read_multi_csv, MULTI_HEADER + "1,a,10,1\n\n2,b,20\n", "row 4: expected 4 fields, got 3"),
-        (read_multi_csv, "t,label,a,count_b\n1,a,10,1\n", "bad count column 'a'"),
+        (load_csv, HEADER + '1,a,10,1,,\n2,"b,20,5,,\n', "row 3: expected 6 fields, got 2"),
+        (load_csv, "t,label,sequenced,variant,total_cases,tested\n1,a,10,1,,\n", "bad header"),
+        (load_csv, "", "empty file"),
+        (load_multi_csv, MULTI_HEADER + "1,a,10,1\n2,b,20,x\n", "row 3: malformed integer"),
+        (load_multi_csv, MULTI_HEADER + "1,a,10,1\n,b,20,5\n", "row 3: malformed integer"),
+        (load_multi_csv, MULTI_HEADER + "1,a,10,1\n\n2,b,20\n", "row 4: expected 4 fields, got 3"),
+        (load_multi_csv, "t,label,a,count_b\n1,a,10,1\n", "bad count column 'a'"),
     ],
 )
-def test_a_file_with_one_fault_names_it(read, text, message):
+def test_a_file_with_one_fault_names_it(load, text, message):
     with pytest.raises(ParseError, match="^" + re.escape(message)):
-        read(io.StringIO(text))
+        load(text_file(text))
 
 
-@pytest.mark.parametrize("read", [read_csv, read_multi_csv], ids=["two-variant", "multi"])
-def test_negative_count_is_a_parse_error_in_both_schemas(read):
-    header = HEADER if read is read_csv else MULTI_HEADER
-    rows = "1,a,10,1,,\n2,b,20,-5,,\n" if read is read_csv else "1,a,10,1\n2,b,20,-5\n"
+@pytest.mark.parametrize("load", [load_csv, load_multi_csv], ids=["two-variant", "multi"])
+def test_negative_count_is_a_parse_error_in_both_schemas(load):
+    header = HEADER if load is load_csv else MULTI_HEADER
+    rows = "1,a,10,1,,\n2,b,20,-5,,\n" if load is load_csv else "1,a,10,1\n2,b,20,-5\n"
     with pytest.raises(ParseError, match="^row 3: negative count$"):
-        read(io.StringIO(header + rows))
+        load(text_file(header + rows))
 
 
 @pytest.mark.parametrize(
@@ -278,7 +301,7 @@ def test_loaders_read_a_binary_file_as_they_read_a_path(tmp_path, load, text):
 def test_cells_are_read_without_surrounding_whitespace():
     # str.strip() also removes \x1c-\x1f, which int() alone refuses.
     text = HEADER + " 2 ,\tb ,\x1c20\x1f, 5 , 25 ,\n1,a,10,1,,\n3,c,30,9,,7\n"
-    series = read_csv(io.StringIO(text))
+    series = load_csv(text_file(text))
     assert series.t_values == (1, 2, 3)
     assert series.labels == ("a", "b", "c")
     assert [c.tolist() for c in series.binomial_counts()] == [[10, 20, 30], [1, 5, 9]]
@@ -288,7 +311,7 @@ def test_cells_are_read_without_surrounding_whitespace():
 
 def test_unsorted_rows_are_sorted_stably_by_t():
     text = MULTI_HEADER + "3,c,5,6\n1,a,1,2\n2,b,3,4\n"
-    series = read_multi_csv(io.StringIO(text))
+    series = load_multi_csv(text_file(text))
     assert series.t_values == (1, 2, 3)
     assert series.labels == ("a", "b", "c")
     assert series.counts.tolist() == [[1, 2], [3, 4], [5, 6]]
@@ -308,24 +331,24 @@ def test_unsorted_rows_are_sorted_stably_by_t():
 def test_count_violation_names_the_first_period_at_fault(row, message):
     rows = [(1, "a", 10, 1, 12, 100), row, (3, "c", 5, 9, None, None)]
     with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
-        two_variant(rows)
+        from_rows(rows)
 
 
 @pytest.mark.parametrize(
-    "read, header, first, second, bad, full_width_blank",
-    [(read_csv, HEADER, "1,a,10,1,,\n", "2,b,20,5,,\n", "2,b,x,5,,\n", ",,,,,\n"),
-     (read_multi_csv, MULTI_HEADER, "1,a,10,1\n", "2,b,20,5\n", "2,b,x,5\n", ",,,\n")],
+    "load, header, first, second, bad, full_width_blank",
+    [(load_csv, HEADER, "1,a,10,1,,\n", "2,b,20,5,,\n", "2,b,x,5,,\n", ",,,,,\n"),
+     (load_multi_csv, MULTI_HEADER, "1,a,10,1\n", "2,b,20,5\n", "2,b,x,5\n", ",,,\n")],
     ids=["two-variant", "multi"],
 )
-def test_blank_rows_are_skipped_in_both_schemas(read, header, first, second, bad,
+def test_blank_rows_are_skipped_in_both_schemas(load, header, first, second, bad,
                                                 full_width_blank):
     # An empty line, a whitespace-only line and a row of empty cells: rows 3 to 5.
     blanks = "\n" + " \t \n" + full_width_blank
-    expected = read(io.StringIO(header + first + second))
-    assert read(io.StringIO(header + first + blanks + second + blanks)) == expected
-    assert read(io.StringIO(header + blanks + first + second)) == expected
+    expected = load(text_file(header + first + second))
+    assert load(text_file(header + first + blanks + second + blanks)) == expected
+    assert load(text_file(header + blanks + first + second)) == expected
     with pytest.raises(ParseError, match="^row 6: "):
-        read(io.StringIO(header + first + blanks + bad))
+        load(text_file(header + first + blanks + bad))
 
 
 def test_load_csv_equals_two_variant_of_its_rows():
@@ -335,7 +358,7 @@ def test_load_csv_equals_two_variant_of_its_rows():
                             for row in rows)
     for period_days in (7.0, 1.0):
         series = load_csv(io.BytesIO(text.encode()), period_days=period_days)
-        assert series == two_variant(rows, period_days=period_days)
+        assert series == from_rows(rows, period_days=period_days)
         assert series.t_values == (1, 2, 3, 4, 5)
         assert series.total_cases == (12, None, None, None, 9)
         assert series.tested == (None, None, 7, 0, 100)

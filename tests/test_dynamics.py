@@ -31,14 +31,19 @@ def test_value_classes_equal_only_their_own_class():
     assert Proportion(0.5) == Proportion(0.5)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Proportion(0.5)._replace(value=2.0),
-    lambda: Advantage(0.0),
-    lambda: ModelParams(math.nan, 0.0),
-    lambda: AdvantageEstimate(Advantage(2.0), 2.5, 3.0, 0.95),
-], ids=["replaced-proportion", "zero-advantage", "nan-params", "point-outside-interval"])
-def test_value_classes_validate_their_fields(make):
-    with pytest.raises(InvalidValue):
+@pytest.mark.parametrize("make, error", [
+    (lambda: Proportion(0.5)._replace(value=2.0), InvalidValue),
+    (lambda: Advantage(0.0), InvalidValue),
+    (lambda: ModelParams(math.nan, 0.0), InvalidValue),
+    (lambda: AdvantageEstimate(Advantage(2.0), 2.5, 3.0, 0.95), InvalidValue),
+    # nan fails `<= 0` as well as `> 0`, so the tests read `not x > 0`.
+    (lambda: Advantage(math.nan), InvalidValue),
+    (lambda: Advantage(2.0, math.nan), NonPositivePeriod),
+    (lambda: Advantage(2.0, 0.0), NonPositivePeriod),
+], ids=["replaced-proportion", "zero-advantage", "nan-params", "point-outside-interval",
+        "nan-advantage", "nan-period", "zero-period"])
+def test_value_classes_validate_their_fields(make, error):
+    with pytest.raises(error):
         make()
 
 

@@ -15,10 +15,10 @@ from variantfit.simulate import SimConfig, simulate
 
 
 def series_from_counts(pairs, start=1, period_days=7.0):
-    return SurveillanceSeries.two_variant(
-        [(t, str(t), n, x, None, None) for t, (n, x) in enumerate(pairs, start=start)],
-        period_days,
-    )
+    t = range(start, start + len(pairs))
+    n, x = zip(*pairs)
+    return SurveillanceSeries.from_binomial_columns(
+        t, list(map(str, t)), n, x, [None] * len(t), [None] * len(t), period_days)
 
 
 def random_series(rng, n_periods=8, n_max=500):

@@ -241,8 +241,8 @@ def test_degenerate_interval_when_se_zero():
 def test_sandwich_refuses_scores_that_vanish_at_the_fit(bandwidth):
     # The logits of 3/10, 5/10 and 7/10 lie on a line: the fit is exact, every
     # score is 0 and J_K ~ 1e-27, so the interval would have zero width.
-    series = SurveillanceSeries.two_variant(
-        [(t, f"w{t}", 10, x, None, None) for t, x in [(1, 3), (2, 5), (3, 7)]])
+    series = SurveillanceSeries.from_binomial_columns(
+        (1, 2, 3), ("w1", "w2", "w3"), (10, 10, 10), (3, 5, 7), (None,) * 3, (None,) * 3)
     result = fit(series)
     with pytest.raises(Singular, match="scores vanish"):
         hac_sandwich(series, result, bandwidth)

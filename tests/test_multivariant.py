@@ -12,7 +12,7 @@ from variantfit.estimate import fit, model_derivatives, model_log_likelihood
 from variantfit.inference import fisher_information, hac_sandwich
 from variantfit.multivariant import (
     fit_multi,
-    read_multi_csv,
+    load_multi_csv,
     to_multi_csv_string,
 )
 from variantfit.simulate import SimConfig, simulate
@@ -184,7 +184,7 @@ def test_separation_raises():
 def test_csv_round_trip():
     series = _three_variant_series(n=1000, t_max=5)
     text = to_multi_csv_string(series)
-    back = read_multi_csv(io.StringIO(text), period_days=series.period_days)
+    back = load_multi_csv(io.BytesIO(text.encode()), period_days=series.period_days)
     assert back.t_values == series.t_values
     assert back.labels == series.labels
     assert back.variant_names == series.variant_names
@@ -193,15 +193,15 @@ def test_csv_round_trip():
 
 def test_csv_rejects_bad_header_and_values():
     with pytest.raises(ParseError):
-        read_multi_csv(io.StringIO("t,label\n1,a\n"))
+        load_multi_csv(io.BytesIO("t,label\n1,a\n".encode()))
     bad = "t,label,count_a,count_b\n1,w1,10,x\n2,w2,5,6\n"
     with pytest.raises(ParseError):
-        read_multi_csv(io.StringIO(bad))
+        load_multi_csv(io.BytesIO(bad.encode()))
 
 
 def test_csv_header_only_is_empty_series():
     with pytest.raises(EmptySeries, match="need at least 2 periods, got 0"):
-        read_multi_csv(io.StringIO("t,label,count_a,count_b\n"))
+        load_multi_csv(io.BytesIO("t,label,count_a,count_b\n".encode()))
 
 
 def test_ten_variant_long_series_converges():

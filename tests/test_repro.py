@@ -43,8 +43,10 @@ def test_variant_R_exceeds_one_below_threshold():
 
 
 def test_nonpositive_R_rejected():
-    with pytest.raises(NonPositiveR):
-        infer_variant_R(0.0, Proportion(0.5), Advantage(1.5, 4.7))
+    # nan used to pass the `<= 0` test and end in an OverflowError.
+    for R_all in (0.0, -1.0, math.nan):
+        with pytest.raises(NonPositiveR):
+            infer_variant_R(R_all, Proportion(0.5), Advantage(1.5, 4.7))
 
 
 def test_adjusted_R_equal_weeks_gives_one():
@@ -75,9 +77,14 @@ def test_adjusted_R_rejects_nonpositive():
         adjusted_R(0, 5000, 400000, 400000)
     with pytest.raises(NonPositiveCount):
         adjusted_R(5000, 5000, 400000, -1)
+    # nan used to pass the `<= 0` test and end in an OverflowError.
+    with pytest.raises(NonPositiveCount, match="cases_t"):
+        adjusted_R(math.nan, 1, 1, 1)
+    with pytest.raises(NonPositiveCount, match="tested_prev"):
+        adjusted_R(1, 1, 1, math.nan)
 
 
-@pytest.mark.parametrize("gen_days", [-4.7, 0.0])
+@pytest.mark.parametrize("gen_days", [-4.7, 0.0, math.nan])
 def test_adjusted_R_rejects_a_non_positive_generation(gen_days):
     with pytest.raises(NonPositivePeriod, match="gen_days"):
         adjusted_R(8000, 4000, 600000, 300000, gen_days=gen_days)
