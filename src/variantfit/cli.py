@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -287,15 +288,13 @@ def cmd_forecast(args):
     series, digest = _load_input(args.input, args.period_days)
     t_all = series.t_values
     train_through = args.train_through if args.train_through is not None else t_all[-1]
-    if train_through < t_all[0] or train_through > t_all[-1]:
-        raise WindowOutOfRange(
-            f"--train-through {train_through} outside data range [{t_all[0]}, {t_all[-1]}]"
-        )
-    t = series.columns[0]
-    window = t <= train_through - series.origin
-    if args.train_from is not None:
-        window &= t >= args.train_from - series.origin
-    if window.sum() < 2:
+    if not t_all[0] <= train_through <= t_all[-1]:
+        raise WindowOutOfRange(f"--train-through {train_through} outside data range "
+                               f"[{t_all[0]}, {t_all[-1]}]")
+    # The series is sorted by t, so the window is a run of positions.
+    first = 0 if args.train_from is None else bisect_left(t_all, args.train_from)
+    window = slice(first, bisect_right(t_all, train_through))
+    if window.stop - window.start < 2:
         raise WindowOutOfRange("training window has fewer than 2 records")
     result, variance = _fit(series.select(periods=window), args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]

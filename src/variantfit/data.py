@@ -24,20 +24,20 @@ REQUIRED = "t, sequenced and variant_count are required"
 MAX_T = 2**53
 
 
-def check_periods(t_values: Sequence[int], period_days: float) -> None:
-    """Require at least 2 periods, a finite period_days > 0 and distinct,
-    increasing t; the pair at fault is looked for only once t has failed."""
+def check_periods(t_values: Sequence[int], period_days: float) -> Optional[list[int]]:
+    """Require at least 2 periods, a finite period_days > 0 and distinct t.
+    None when t increases, else the stable order of positions that sorts t."""
     if len(t_values) < 2:
         raise EmptySeries(f"need at least 2 periods, got {len(t_values)}")
     if not 0 < period_days < math.inf:
         raise InvalidValue(f"period_days must be finite and positive, got {period_days}")
     if all(map(operator.lt, t_values, t_values[1:])):
-        return
-    for a, b in zip(t_values, t_values[1:]):
-        if a == b:
-            raise DuplicatePeriod(f"repeated t_index {a}")
-        if a > b:
-            raise InvalidValue("periods not sorted by t_index")
+        return None
+    order = sorted(range(len(t_values)), key=t_values.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if t_values[i] == t_values[j]:
+            raise DuplicatePeriod(f"repeated t_index {t_values[i]}")
+    return order
 
 
 def _raise_count_violation(t, n, x, cases, tested) -> None:
@@ -61,22 +61,14 @@ def _pick(values: Sequence, index: Sequence[int]) -> tuple:
     return tuple(values[i] for i in index)  # itemgetter of one position returns the item
 
 
-def _sorted_by_t(t: Sequence[int], *columns: Sequence) -> tuple:
-    """t and the columns, one item per period, with the periods in increasing
-    order of t; a stable sort, done only when t is out of order."""
-    if not any(map(operator.gt, t, t[1:])):
-        return (t, *columns)
-    order = sorted(range(len(t)), key=t.__getitem__)
-    return tuple(_pick(column, order) for column in (t, *columns))
-
-
 @dataclass(frozen=True, eq=False)
 class SurveillanceSeries:
     """Per-period counts of m >= 2 variants, held as columns.
 
     Row i is period `t_values[i]`: data-driven rather than row position, so
-    series with missing periods are representable. Column j of `counts` is
-    variant j + 1; column 0 is the numeraire. `labels` are
+    series with missing periods are representable. Every series sorts its
+    periods by t, however it is built; each row's fields move with it. Column
+    j of `counts` is variant j + 1; column 0 is the numeraire. `labels` are
     opaque period names (ISO week, date); no calendar arithmetic is done on
     them. `period_days` is the calendar length of one unit of t (7 for weekly
     data, 1 for daily). `total_cases` and `tested` hold one int or None per
@@ -106,7 +98,7 @@ class SurveillanceSeries:
     origin: int = field(init=False, repr=False)  # t_1 - 1: the user's t at model time 0
 
     def __post_init__(self):
-        check_periods(self.t_values, self.period_days)
+        order = check_periods(self.t_values, self.period_days)
         T = len(self.t_values)
         counts = np.array(self.counts, order="C")
         if counts.ndim != 2 or counts.shape[0] != T:
@@ -126,6 +118,13 @@ class SurveillanceSeries:
             if values is not None and len(values) != T:
                 raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
         t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
+        per_row = {"t_values": t_values, "labels": self.labels,
+                   "total_cases": self.total_cases or (None,) * T,
+                   "tested": self.tested or (None,) * T}
+        if order is not None:
+            per_row = {name: _pick(values, order) for name, values in per_row.items()}
+            counts = counts[order]
+        t_values = per_row["t_values"]
         if max(-t_values[0], t_values[-1]) > MAX_T or t_values[-1] - t_values[0] >= MAX_T:
             raise InvalidValue(f"t_index must lie within -2**53..2**53 and span less than 2**53 "
                                f"periods, where floats hold every integer; "
@@ -133,12 +132,10 @@ class SurveillanceSeries:
         t = np.array(t_values, dtype=float) - t_values[0] + 1  # exact within those bounds
         counts.flags.writeable = t.flags.writeable = False
         set_field = partial(object.__setattr__, self)
-        set_field("t_values", t_values)
-        set_field("labels", tuple(self.labels))
+        for name, values in per_row.items():
+            set_field(name, tuple(values))
         set_field("counts", counts)
         set_field("variant_names", tuple(self.variant_names))
-        set_field("total_cases", tuple(self.total_cases or (None,) * T))
-        set_field("tested", tuple(self.tested or (None,) * T))
         set_field("columns", (t, counts))
         set_field("origin", t_values[0] - 1)
 
@@ -155,7 +152,7 @@ class SurveillanceSeries:
     ) -> SurveillanceSeries:
         """The m = 2 series from one column per field, one item per period in
         any order of t: N sequenced cases of which X are the variant. The
-        periods are sorted by t, and the count columns are (N - X, X).
+        count columns are (N - X, X); the series sorts the periods by t.
 
         total_cases and tested items may be None. CountViolation unless
         0 <= X <= N <= total_cases and tested >= 0; the columns are checked
@@ -172,7 +169,6 @@ class SurveillanceSeries:
             or min(compress(tested, tested_given), default=0) < 0
         ):
             _raise_count_violation(t, n, x, total_cases, tested)
-        t, labels, n, x, total_cases, tested = _sorted_by_t(t, labels, n, x, total_cases, tested)
         n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
                    total_cases, tested)

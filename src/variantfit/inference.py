@@ -22,7 +22,8 @@ from .data import SurveillanceSeries
 # AdvantageEstimate and DEFAULT_BANDWIDTH live in dynamics, which the CLI's
 # scalar commands import without numpy; callers also import them from here.
 from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
-from .errors import BandwidthTooLarge, InvalidIndex, InvalidValue, PeriodMismatch, Singular
+from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NonPositivePeriod,
+                     PeriodMismatch, Singular)
 from .estimate import FitResult
 
 DEFAULT_LEVEL = 0.95
@@ -208,6 +209,8 @@ def interval_for_gamma(
     period_days = fit.series.period_days
     if target_days is None:
         target_days = period_days
+    if not target_days > 0:  # Advantage's test, made before a nan scale can overflow
+        raise NonPositivePeriod(f"period_days must be positive, got {target_days}")
     b = 2 * variant - 1
     point, low, high = advantage_interval(
         float(fit.theta[b]), variance.matrix[b, b], target_days / period_days, level

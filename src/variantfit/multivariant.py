@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SurveillanceSeries, _sorted_by_t, csv_columns, csv_text, int_column
+from .data import SurveillanceSeries, csv_columns, csv_text, int_column
 from .errors import ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
@@ -40,15 +40,12 @@ def load_multi_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
     def fault(text):
         return "malformed integer"
 
-    t_values, labels, *counts = _sorted_by_t(
-        int_column(columns[0], numbers, fault),
-        list(map(str.strip, columns[1])),
-        *(int_column(cells, numbers, fault, count=True) for cells in columns[2:]),
-    )
+    # Arguments are evaluated in order, so a bad t is reported before a bad count.
     return SurveillanceSeries(
-        t_values=t_values,
-        labels=labels,
-        counts=np.array(counts, dtype=np.int64).T,
+        t_values=int_column(columns[0], numbers, fault),
+        labels=list(map(str.strip, columns[1])),
+        counts=np.array([int_column(cells, numbers, fault, count=True) for cells in columns[2:]],
+                        dtype=np.int64).T,
         variant_names=tuple(col[len("count_"):] for col in header[2:]),
         period_days=period_days,
     )

@@ -221,6 +221,24 @@ def test_separation_reported_cleanly(tmp_path, capsys):
     assert "Separation" in err
 
 
+def test_forecast_window_is_the_rows_between_its_ends(tmp_path, capsys):
+    # t has gaps; --train-from 5 lies in the one between 4 and 7, so the
+    # window through t = 8 holds exactly the rows t = 7 and 8.
+    rows = {1: (100, 5), 2: (100, 8), 4: (100, 15), 7: (100, 30), 8: (100, 38),
+            11: (100, 55), 12: (100, 60)}
+    reports = {}
+    for name, ts in (("gaps", rows), ("window", [7, 8])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(TWO_VARIANT_HEADER + "".join(f"{t},w{t},{rows[t][0]},{rows[t][1]},,\n"
+                                                     for t in ts))
+        code, out, err = run(capsys, "forecast", str(path), "--fisher", "--train-from", "5",
+                             "--train-through", "8", "--json")
+        assert (code, err) == (0, "")
+        reports[name] = json.loads(out)
+    for key in ("fit", "bands"):
+        assert reports["gaps"][key] == reports["window"][key]
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

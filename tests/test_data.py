@@ -91,6 +91,8 @@ def test_periods_up_to_float_precision_are_kept_exactly(t, model_time):
 def test_duplicate_period():
     with pytest.raises(DuplicatePeriod):
         from_rows([rec(1, 10, 1), rec(1, 20, 2)], 7.0)
+    with pytest.raises(DuplicatePeriod, match="^repeated t_index 3$"):
+        three_variant(np.ones((3, 3), dtype=int), t_values=(3, 1, 3))
 
 
 def test_bundled_shapes():
@@ -382,7 +384,8 @@ def test_an_infinite_period_is_refused():
     "periods, variants, expected",
     [(slice(None), slice(None), ((1, 2, 3), ("a", "b", "c"))),
      (np.array([True, False, True]), [1, 2], ((1, 3), ("b", "c"))),
-     (slice(1, None), [2, 0], ((2, 3), ("c", "a")))],
+     (slice(1, None), [2, 0], ((2, 3), ("c", "a"))),
+     ([2, 0, 1], slice(None), ((1, 2, 3), ("a", "b", "c")))],
 )
 def test_select_picks_what_a_list_of_positions_picks(periods, variants, expected):
     series = three_variant(np.arange(9).reshape(3, 3))
@@ -405,3 +408,20 @@ def test_select_of_one_variant_is_refused():
     series = SurveillanceSeries((1, 2), ("a", "b"), np.ones((2, 2), dtype=int), ("xy", "zw"))
     with pytest.raises(InvalidValue, match="^need at least 2 variants$"):
         series.select(variants=[1])
+
+
+def test_the_constructor_sorts_its_periods_by_t():
+    rows = [(3, "c", [5, 6], 30, 3), (1, "a", [1, 2], 10, 1), (2, "b", [3, 4], 20, None)]
+
+    def build(rows):
+        t, labels, counts, cases, tested = zip(*rows)
+        return SurveillanceSeries(t, labels, np.array(counts), ("x", "y"),
+                                  total_cases=cases, tested=tested)
+
+    series = build(rows)
+    assert series == build(sorted(rows))
+    assert series.t_values == (1, 2, 3) and series.labels == ("a", "b", "c")
+    assert series.counts.tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert (series.total_cases, series.tested) == ((10, 20, 30), (1, None, 3))
+    assert series.counts.flags.c_contiguous and not series.counts.flags.writeable
+    assert series.columns[0].tolist() == [1.0, 2.0, 3.0] and series.origin == 0

@@ -11,6 +11,7 @@ from variantfit.errors import (
     BandwidthTooLarge,
     InvalidIndex,
     InvalidValue,
+    NonPositivePeriod,
     PeriodMismatch,
     Singular,
 )
@@ -441,3 +442,18 @@ def test_k0_sandwich_matches_hand_computation():
     expected = np.linalg.solve(info, j) @ np.linalg.inv(info)
     got = hac_sandwich(series, result, 0).matrix
     assert np.allclose(got, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "target_days, error, message",
+    [(0.0, NonPositivePeriod, "^period_days must be positive, got 0.0$"),
+     (-7.0, NonPositivePeriod, "^period_days must be positive, got -7.0$"),
+     (math.nan, NonPositivePeriod, "^period_days must be positive, got nan$"),
+     (math.inf, OverflowError, "^a log advantage times its scale is not a finite float$")],
+)
+def test_interval_for_gamma_refuses_a_target_period_that_is_not_positive(target_days, error,
+                                                                          message):
+    # nan used to reach the scale and raise OverflowError, as inf still does.
+    result = fit(load_bundled("alpha"))
+    with pytest.raises(error, match=message):
+        interval_for_gamma(sandwich(result, None), result, target_days=target_days)
