@@ -18,7 +18,7 @@ _EXPORTS = {
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
                  "Proportion", "step_lambda"),
     "estimate": ("FitResult", "fit", "log_softmax"),
-    "forecast": ("ForecastBand", "forecast"),
+    "forecast": ("forecast",),
     "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",
                   "hac_sandwich", "interval_for_gamma", "parzen_kernel", "sandwich"),
     "multivariant": ("fit_multi", "load_multi_csv"),

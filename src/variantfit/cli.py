@@ -299,7 +299,8 @@ def cmd_forecast(args):
     result, variance = _fit(series.select(periods=window), args)
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
     cs = args.c or [2.0]
-    bands = {c: forecast_band(result, variance, horizons, c) for c in cs}
+    # One band per --c, in the order given, repeats included, as options.c lists them.
+    bands = [(c, forecast_band(result, variance, horizons, c)) for c in cs]
 
     def report():
         return _report_header("forecast", digest, train_from=args.train_from,
@@ -315,10 +316,10 @@ def cmd_forecast(args):
                     "c": c,
                     "rows": [
                         {"t": t, "point": p, "lower": lo, "upper": hi}
-                        for t, p, lo, hi in zip(b.t_values, b.point, b.lower, b.upper)
+                        for t, p, lo, hi in zip(*columns)
                     ],
                 }
-                for c, b in bands.items()
+                for c, columns in bands
             ],
         }
 
@@ -328,9 +329,9 @@ def cmd_forecast(args):
             f"(window through t={train_through}, {len(result.series)} records)",
             "c,t,point,lower,upper",
         ]
-        for c, b in bands.items():
-            for t, p, lo, hi in zip(b.t_values, b.point, b.lower, b.upper):
-                lines.append(f"{c:g},{t:g},{p:.6g},{lo:.6g},{hi:.6g}")
+        for c, columns in bands:
+            for t, p, lo, hi in zip(*columns):
+                lines.append(f"{c:g},{t},{p:.6g},{lo:.6g},{hi:.6g}")
         return lines
 
     return report, lines
@@ -348,11 +349,11 @@ def _finite_float(text: str) -> float:
 
 
 def _grid(spec: str) -> list[float]:
-    """The parser's type for --contour: start:stop:step, clamped to [0, 1].
+    """The parser's type for --contour: start:stop:step, 0 <= start <= stop <= 1.
 
     The point count is worked out before any point is built, and a grid of
     more than MAX_GRID_POINTS, or whose step does not advance the start, is
-    refused.
+    refused. A point that rounding takes past 1 is 1.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -364,12 +365,16 @@ def _grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid step {step:g} is below the precision of the start {start:g}"
         )
-    points = max(math.floor((stop + 1e-12 - start) / step) + 1, 0)
+    if not 0.0 <= start <= stop <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"grid needs 0 <= start <= stop <= 1, got start {start:g} and stop {stop:g}"
+        )
+    points = math.floor((stop + 1e-12 - start) / step) + 1
     if points > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid has {points} points, at most {MAX_GRID_POINTS} are allowed"
         )
-    return [min(max(start + i * step, 0.0), 1.0) for i in range(points)]
+    return [min(start + i * step, 1.0) for i in range(points)]
 
 
 def _grid_count(text: str, noun: str, low: int) -> int:
@@ -385,6 +390,13 @@ def _grid_count(text: str, noun: str, low: int) -> int:
 
 
 def cmd_infer_r(args):
+    if (args.R is None) != (args.lam is None):
+        given, missing = ("--R", "--lambda") if args.lam is None else ("--lambda", "--R")
+        raise UsageError(f"argument {given}: needs argument {missing}")
+    if args.out is not None and args.contour is None:
+        raise UsageError("argument --out: needs argument --contour")
+    if args.R is None and args.contour is None:
+        raise UsageError("nothing to do: pass --R/--lambda and/or --contour")
     if args.from_fit is not None:
         if args.gamma_ci is not None:
             raise UsageError("argument --gamma-ci: not allowed with argument --from-fit")
@@ -403,7 +415,7 @@ def cmd_infer_r(args):
         gamma_est = AdvantageEstimate(gamma=point, ci_low=lo, ci_high=hi, level=args.level)
 
     inference = rows = None
-    if args.R is not None and args.lam is not None:
+    if args.R is not None:
         inference = infer_variant_R(args.R, Proportion(args.lam), gamma_est.gamma)
     if args.contour is not None:
         grid = [Proportion(v) for v in args.contour]
@@ -411,8 +423,6 @@ def cmd_infer_r(args):
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(stability_region_csv(rows))
-    if inference is None and rows is None:
-        raise UsageError("nothing to do: pass --R/--lambda and/or --contour")
 
     def report():
         report = _report_header("infer-r", digest, gen_days=args.gen_days, level=args.level,

@@ -42,16 +42,36 @@ def check_periods(t_values: Sequence[int], period_days: float) -> Optional[list[
 
 def _raise_count_violation(t, n, x, cases, tested) -> None:
     """CountViolation for the first row whose counts break 0 <= X <= N <= total_cases
-    or tested >= 0; total_cases and tested may be None."""
+    or tested >= 0. total_cases and tested are None where not recorded, and X
+    is None in the rows of a series, which has no one variant count to check."""
     for t, n, x, cases, tested in zip(t, n, x, cases, tested):
-        if n < 0 or x < 0:
+        if x is not None and (n < 0 or x < 0):
             raise CountViolation(f"negative count at t={t}: sequenced={n}, variant_count={x}")
-        if x > n:
+        if x is not None and x > n:
             raise CountViolation(f"variant_count {x} > sequenced {n} at t={t}")
         if cases is not None and (cases < 0 or n > cases):
             raise CountViolation(f"sequenced {n} > total_cases {cases} at t={t}")
         if tested is not None and tested < 0:
             raise CountViolation(f"negative tested count at t={t}")
+
+
+def _check_recorded(t_values, counts, total_cases, tested) -> None:
+    """CountViolation unless each period's cases, summed over its variants,
+    are at most its total_cases and its tested count is >= 0. A None item is
+    not recorded, and a column that count(None) shows blank is skipped; the
+    first row at fault is looked for only when a column fails."""
+    T = len(t_values)
+    fault = False
+    if total_cases.count(None) < T:
+        n = counts.sum(axis=1).tolist()
+        given = list(map(operator.is_not, total_cases, repeat(None)))
+        # n > total_cases also catches a negative total_cases, as n >= 0 (or is refused).
+        fault = any(map(operator.gt, compress(n, given), compress(total_cases, given)))
+    if tested.count(None) < T:
+        fault = fault or min(compress(tested, map(operator.is_not, tested, repeat(None)))) < 0
+    if fault:
+        _raise_count_violation(t_values, counts.sum(axis=1).tolist(), repeat(None), total_cases,
+                               tested)
 
 
 def _pick(values: Sequence, index: Sequence[int]) -> tuple:
@@ -72,7 +92,9 @@ class SurveillanceSeries:
     opaque period names (ISO week, date); no calendar arithmetic is done on
     them. `period_days` is the calendar length of one unit of t (7 for weekly
     data, 1 for daily). `total_cases` and `tested` hold one int or None per
-    period ("not recorded" when not given).
+    period ("not recorded" when not given). CountViolation unless a period's
+    cases over all variants are at most its total_cases and its tested count
+    is >= 0, however the series is built.
 
     The two-variant series is the m = 2 case with columns (N - X, X): N
     sequenced cases of which X are the variant. `from_binomial_columns` builds
@@ -98,9 +120,16 @@ class SurveillanceSeries:
     origin: int = field(init=False, repr=False)  # t_1 - 1: the user's t at model time 0
 
     def __post_init__(self):
-        order = check_periods(self.t_values, self.period_days)
         T = len(self.t_values)
+        per_period = {"labels": self.labels, "total_cases": self.total_cases, "tested": self.tested}
+        for name, values in per_period.items():
+            if values is not None and len(values) != T:
+                raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
         counts = np.array(self.counts, order="C")
+        total_cases, tested = self.total_cases or (None,) * T, self.tested or (None,) * T
+        if counts.ndim == 2 and len(counts) == T:  # else refused below, once T >= 2
+            _check_recorded(self.t_values, counts, total_cases, tested)
+        order = check_periods(self.t_values, self.period_days)
         if counts.ndim != 2 or counts.shape[0] != T:
             raise InvalidValue("counts must be (T, m) with one row per period")
         if counts.shape[1] != len(self.variant_names):
@@ -113,14 +142,9 @@ class SurveillanceSeries:
             raise InvalidValue(f"counts must be integers, got dtype {counts.dtype}")
         if np.any(counts < 0):
             raise InvalidValue("counts must be non-negative")
-        per_period = {"labels": self.labels, "total_cases": self.total_cases, "tested": self.tested}
-        for name, values in per_period.items():
-            if values is not None and len(values) != T:
-                raise InvalidValue(f"need one of {name} per period, got {len(values)} for {T}")
         t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
         per_row = {"t_values": t_values, "labels": self.labels,
-                   "total_cases": self.total_cases or (None,) * T,
-                   "tested": self.tested or (None,) * T}
+                   "total_cases": total_cases, "tested": tested}
         if order is not None:
             per_row = {name: _pick(values, order) for name, values in per_row.items()}
             counts = counts[order]
@@ -154,20 +178,13 @@ class SurveillanceSeries:
         any order of t: N sequenced cases of which X are the variant. The
         count columns are (N - X, X); the series sorts the periods by t.
 
-        total_cases and tested items may be None. CountViolation unless
-        0 <= X <= N <= total_cases and tested >= 0; the columns are checked
-        whole, and the first row at fault is looked for only when one is.
+        total_cases and tested items may be None; the series checks them.
+        CountViolation unless 0 <= X <= N; the columns are checked whole, and
+        the first row at fault, for any of the series' count checks, is looked
+        for only when one is.
         """
-        cases_given = list(map(operator.is_not, total_cases, repeat(None)))
-        tested_given = map(operator.is_not, tested, repeat(None))
-        if (
-            # X >= 0 and N >= X also rule out a negative N.
-            min(x, default=0) < 0
-            or any(map(operator.gt, x, n))
-            # With N >= 0, N > total_cases also catches a negative total_cases.
-            or any(map(operator.gt, compress(n, cases_given), compress(total_cases, cases_given)))
-            or min(compress(tested, tested_given), default=0) < 0
-        ):
+        # X >= 0 and N >= X also rule out a negative N.
+        if min(x, default=0) < 0 or any(map(operator.gt, x, n)):
             _raise_count_violation(t, n, x, total_cases, tested)
         n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,

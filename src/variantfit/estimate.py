@@ -39,8 +39,13 @@ from .errors import InvalidValue, MaxIterations, Separation, Singular
 
 # Newton decrement g' inv(-H) g at which the fit stops. It is twice the
 # log-likelihood gain a full Newton step predicts, so unlike an absolute
-# score bound it does not grow with the counts or the length of the series.
+# score bound it does not grow with the length of the series. Rounding puts a
+# floor under it that grows with the counts, up to a few eps**2 per case
+# counted (1e-28 for the bundled alpha, 1e-20 for its counts times 1e8), so
+# the fit stops at the larger of DECREMENT_TOLERANCE and DECREMENT_PER_CASE
+# times the cases counted; the second is larger only beyond 1.3e10 cases.
 DECREMENT_TOLERANCE = 1e-20
+DECREMENT_PER_CASE = 2.0**-100  # 16 eps**2
 MAX_ITERATIONS = 100
 
 
@@ -214,7 +219,8 @@ def _initial_theta(t: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def newton(t: np.ndarray, counts: np.ndarray):
     """Damped Newton maximization; step-halves whenever the likelihood drops.
 
-    Stops once the Newton decrement is at most DECREMENT_TOLERANCE. Returns
+    Stops once the Newton decrement is at most DECREMENT_TOLERANCE, or
+    DECREMENT_PER_CASE per case counted where that is larger. Returns
     (theta, log-likelihood, steps taken, per-period scores, Hessian), the
     last two at theta. The softmax is evaluated once per theta: the
     derivatives at an accepted step reuse the line search's. What they need
@@ -223,6 +229,7 @@ def newton(t: np.ndarray, counts: np.ndarray):
     _check_identified(t, counts)
     theta = _initial_theta(t, counts)
     counts, n, xx = _design(t, counts)
+    tolerance = max(DECREMENT_TOLERANCE, DECREMENT_PER_CASE * float(n.sum()))
     ll, log_shares = _log_likelihood(theta, t, counts)
     for iterations in range(MAX_ITERATIONS):
         scores, h = _derivatives(log_shares, counts, n, xx)
@@ -231,7 +238,7 @@ def newton(t: np.ndarray, counts: np.ndarray):
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             raise Singular("singular Hessian during Newton iteration") from None
-        if g @ step <= DECREMENT_TOLERANCE:
+        if g @ step <= tolerance:
             return theta, ll, iterations, scores, h
         # Slack scales with |ll| so float-resolution noise never blocks a step.
         slack = 1e-12 * (1.0 + abs(ll))

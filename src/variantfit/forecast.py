@@ -10,7 +10,6 @@ so the band reflects parameter uncertainty only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,34 +19,22 @@ from .estimate import FitResult, log_softmax
 from .inference import VarianceEstimate
 
 
-@dataclass(frozen=True)
-class ForecastBand:
-    """Per-horizon point forecast with lower/upper band at c standard deviations."""
-
-    t_values: tuple[float, ...]
-    point: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        for lo, pt, hi in zip(self.lower, self.point, self.upper):
-            assert 0.0 <= lo <= pt <= hi <= 1.0
-
-
 def forecast(
     fit: FitResult,
     variance: VarianceEstimate,
     horizons: Sequence[float],
     c: float,
-) -> ForecastBand:
-    """Band over absolute t values (the CLI converts '+h periods' to these),
-    worked out in the fit's model time, where theta and the variance are.
-    Integer horizons map to model time h - origin exactly, in Python ints, as
-    the series' own model time is built."""
+) -> tuple[tuple, list[float], list[float], list[float]]:
+    """The band at each horizon, an absolute t (the CLI converts '+h periods'
+    to these), as four columns, as `crude_gammas` returns its measures: the
+    horizons as given, the point share, and the band's lower and upper ends,
+    0 <= lower <= point <= upper <= 1. Worked out in the fit's model time,
+    where theta and the variance are; integer horizons map to model time
+    h - origin exactly, in Python ints, as the series' own model time is built."""
     if c < 0:
         raise NegativeC(f"c must be >= 0, got {c}")
     beta = fit.params.beta  # InvalidValue unless the fit has two variants
-    t_values = tuple(float(t) for t in horizons)
+    horizons = tuple(horizons)
     t = np.array([h - fit.series.origin for h in horizons], dtype=float)
     cov = variance.matrix
     eta = fit.theta[0] + beta * t
@@ -60,6 +47,6 @@ def forecast(
     # rounding that misorders shares of logits a few ulps apart.
     ends = np.clip([eta - half, eta, eta + half], -800.0, 800.0)
     logits = np.stack([np.zeros((3, len(t))), ends], axis=-1)
-    shares = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
-    lower, point, upper = map(tuple, shares.tolist())
-    return ForecastBand(t_values=t_values, point=point, lower=lower, upper=upper)
+    lower, point, upper = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
+    assert ((0.0 <= lower) & (lower <= point) & (point <= upper) & (upper <= 1.0)).all()
+    return horizons, point.tolist(), lower.tolist(), upper.tolist()

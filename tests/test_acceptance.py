@@ -370,8 +370,8 @@ def test_criterion_8_forecast_bands(capsys):
     n, x = series.binomial_counts()
     held_out = [(t, n_t, x_t) for t, n_t, x_t in zip(series.t_values, n.tolist(), x.tolist())
                 if 9 <= t <= 18]
-    band = forecast(result, variance, [t for t, _, _ in held_out], c=4.0)
-    for (t, n_t, x_t), lo, hi in zip(held_out, band.lower, band.upper):
+    _, _, lower, upper = forecast(result, variance, [t for t, _, _ in held_out], c=4.0)
+    for (t, n_t, x_t), lo, hi in zip(held_out, lower, upper):
         share = x_t / n_t
         _check(failures, lo <= share <= hi,
                f"t={t}: share {share:.4f} outside [{lo:.4f}, {hi:.4f}]")
@@ -383,8 +383,8 @@ def test_criterion_8_forecast_bands(capsys):
         w = _window(series, t_from, t_through)
         r = fit(w)
         v = fisher_information(w, r)
-        b = forecast(r, v, horizons, c=2.0)
-        widths.append(np.asarray(b.upper) - np.asarray(b.lower))
+        _, _, lower, upper = forecast(r, v, horizons, c=2.0)
+        widths.append(np.asarray(upper) - np.asarray(lower))
     for prev, nxt in zip(widths, widths[1:]):
         _check(failures, bool(np.all(nxt < prev)),
                "band widths did not shrink as the training window grew")

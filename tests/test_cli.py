@@ -453,6 +453,18 @@ R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
         pytest.param(("infer-r", "--gamma-gen", "2.0", "--contour", "1e17:1e17:1"),
                      id="grid-step-below-start-precision"),
         pytest.param(("infer-r", "--gamma-gen", "2.0"), id="nothing-to-do"),
+        # Each of these ran with exit 0: the option was dropped, or the grid
+        # was clamped into [0, 1] as repeated rows or none.
+        pytest.param(("infer-r", "--gamma-gen", "2", "--R", "1.2", "--contour", "0:1:0.5"),
+                     id="R-without-lambda"),
+        pytest.param(("infer-r", "--gamma-gen", "2", "--lambda", "0.2", "--contour", "0:1:0.5"),
+                     id="lambda-without-R"),
+        pytest.param(("infer-r", "--gamma-gen", "2") + R_LAMBDA + ("--out", "contour.csv"),
+                     id="out-without-contour"),
+        pytest.param(("infer-r", "--gamma-gen", "2", "--contour", "5:9:1"), id="grid-above-1"),
+        pytest.param(("infer-r", "--gamma-gen", "2", "--contour=-1:2:0.5"), id="grid-below-0"),
+        pytest.param(("infer-r", "--gamma-gen", "2", "--contour", "1:0:0.5"),
+                     id="grid-stop-below-start"),
         *(pytest.param(("forecast", "alpha", "--horizons", value), id=f"horizons-{value}")
           for value in ("0", "-3", "10002", "100000000", "x")),
         pytest.param(("estimate", "alpha", "--gen-days", "inf"), id="gen-days-inf"),
@@ -1077,6 +1089,33 @@ def test_forecast_does_not_depend_on_where_t_starts(tmp_path, capsys):
                 assert a[key] == pytest.approx(b[key], rel=1e-10, abs=1e-300)
 
 
+def test_forecast_text_prints_each_horizons_own_t(tmp_path, capsys):
+    # As a float formatted with :g, every t of a yyyymmdd code printed as 2.02011e+07.
+    code, out, err = run(capsys, "forecast", alpha_at(tmp_path, 20_201_100), "--horizons", "3")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[1] for row in rows] == ["20201119", "20201120", "20201121"]
+
+
+def test_forecast_json_gives_each_horizons_t_as_an_integer(tmp_path, capsys):
+    base = 10**12 - 1
+    code, out, err = run(capsys, "forecast", alpha_at(tmp_path, base), "--horizons", "3",
+                         "--json")
+    assert code == 0 and err == ""
+    [band] = json.loads(out)["bands"]
+    assert [row["t"] for row in band["rows"]] == [base + 19, base + 20, base + 21]
+    assert '"t": 1000000000018,' in out
+
+
+def test_forecast_gives_one_band_per_c_as_given(capsys):
+    code, out, err = run(capsys, "forecast", "alpha", "--c", "2", "--c", "2", "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["options"]["c"] == [2.0, 2.0]
+    assert [band["c"] for band in report["bands"]] == [2.0, 2.0]
+    assert report["bands"][0] == report["bands"][1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1102,7 +1141,7 @@ def test_period_days_with_gamma_gen_is_a_usage_error(capsys):
 @pytest.mark.parametrize("c", ["5e-17", "3e-16", "1e-15"])
 def test_forecast_with_a_band_of_a_few_ulps_keeps_its_order(capsys, c):
     # Band ends that lie a few ulps from the point used to round to shares on
-    # the wrong side of it, and fail ForecastBand's ordering check.
+    # the wrong side of it, and fail forecast's ordering check.
     for name, through in (("alpha", "6"), ("omicron", "4"), ("omicron", "6")):
         code, out, err = run(capsys, "forecast", name, "--c", c, "--horizons", "60",
                              "--train-through", through, "--fisher")

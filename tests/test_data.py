@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -425,3 +426,30 @@ def test_the_constructor_sorts_its_periods_by_t():
     assert (series.total_cases, series.tested) == ((10, 20, 30), (1, None, 3))
     assert series.counts.flags.c_contiguous and not series.counts.flags.writeable
     assert series.columns[0].tolist() == [1.0, 2.0, 3.0] and series.origin == 0
+
+
+@pytest.mark.parametrize("counts", [[[6 - t, t] for t in (1, 2, 3)],
+                                    [[3, 3 - t, t] for t in (1, 2, 3)]], ids=["m2", "m3"])
+@pytest.mark.parametrize("total_cases, tested, message", [
+    ((-4, 1, None), (-9, None, 2), "sequenced 6 > total_cases -4 at t=1"),
+    ((None, 5, None), None, "sequenced 6 > total_cases 5 at t=2"),
+    (None, (None, None, -2), "negative tested count at t=3"),
+], ids=["negative-total-cases", "total-cases-below-cases", "negative-tested"])
+def test_every_constructor_checks_the_recorded_counts(counts, total_cases, tested, message):
+    # The library constructor took these, and select carried them on. The
+    # checks read each period's cases over all its variants, 6 here.
+    names = ("x", "y", "z")[:len(counts[0])]
+    with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
+        SurveillanceSeries((1, 2, 3), ("a", "b", "c"), counts, names,
+                           total_cases=total_cases, tested=tested)
+
+
+def test_the_series_needs_one_label_per_period():
+    with pytest.raises(InvalidValue, match="^need one of labels per period, got 2 for 3$"):
+        SurveillanceSeries((1, 2, 3), ("a", "b"), [[5, 1], [5, 2], [5, 3]], ("x", "y"))
+
+
+def test_a_field_beyond_the_csv_field_limit_is_malformed_csv():
+    field = "w" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError, match="^malformed CSV: "):
+        load_csv(text_file(HEADER + f"1,{field},10,1,,\n2,b,10,2,,\n"))

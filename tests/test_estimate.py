@@ -459,3 +459,21 @@ def test_hessian_equals_per_period_kron_sum(m, T):
     reference = kron_information(theta, t, counts)
     assert np.array_equal(h, h.T)
     assert np.max(np.abs(h + reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_fit_does_not_depend_on_the_scale_of_the_counts():
+    # The decrement's rounding floor grows with the counts: at 1e8 times
+    # alpha's it is 1.1e-20, above a fixed stop of 1e-20, and the fit ran out
+    # of iterations.
+    series = load_bundled("alpha")
+    scaled = SurveillanceSeries(series.t_values, series.labels, series.counts * 10**8,
+                                series.variant_names, series.period_days)
+    assert fit(scaled).theta == pytest.approx(fit(series).theta, rel=1e-9)
+
+
+def test_a_singular_hessian_during_newton_is_refused():
+    n = 10**17
+    series = SurveillanceSeries.from_binomial_columns(
+        (1, 2, 3), ("a", "b", "c"), (n,) * 3, (1, n // 2, n - 1), (None,) * 3, (None,) * 3)
+    with pytest.raises(Singular, match="^singular Hessian during Newton iteration$"):
+        fit(series)

@@ -20,18 +20,18 @@ def test_c_zero_collapses_to_point():
     series = load_bundled("alpha")
     result = fit(series)
     variance = fisher_information(series, result)
-    band = forecast(result, variance, horizons=range(1, 25), c=0.0)
-    assert np.allclose(band.lower, band.point)
-    assert np.allclose(band.upper, band.point)
+    _, point, lower, upper = forecast(result, variance, horizons=range(1, 25), c=0.0)
+    assert np.allclose(lower, point)
+    assert np.allclose(upper, point)
 
 
 def test_point_path_matches_logistic_curve():
     series = load_bundled("omicron")
     result = fit(series)
     variance = fisher_information(series, result)
-    band = forecast(result, variance, horizons=range(1, 40), c=2.0)
+    t_values, point, _, _ = forecast(result, variance, horizons=range(1, 40), c=2.0)
     a, b = result.params.alpha, result.params.beta
-    for t, p in zip(band.t_values, band.point):
+    for t, p in zip(t_values, point):
         assert p == pytest.approx(expit(a + b * t), rel=1e-12)
 
 
@@ -40,10 +40,10 @@ def test_band_matches_hand_delta_method():
     result = fit(series)
     variance = hac_sandwich(series, result, 4)
     c = 2.0
-    band = forecast(result, variance, horizons=[3, 10, 25], c=c)
+    t_values, _, lower, upper = forecast(result, variance, horizons=[3, 10, 25], c=c)
     a, b = result.params.alpha, result.params.beta
     sigma = variance.matrix
-    for t, lo, hi in zip(band.t_values, band.lower, band.upper):
+    for t, lo, hi in zip(t_values, lower, upper):
         v = sigma[0, 0] + 2 * t * sigma[0, 1] + t * t * sigma[1, 1]
         assert lo == pytest.approx(expit(a + b * t - c * math.sqrt(v)), rel=1e-10)
         assert hi == pytest.approx(expit(a + b * t + c * math.sqrt(v)), rel=1e-10)
@@ -53,12 +53,12 @@ def test_bands_nested_in_c():
     series = load_bundled("delta")
     result = fit(series)
     variance = fisher_information(series, result)
-    narrow = forecast(result, variance, horizons=range(1, 15), c=1.0)
-    wide = forecast(result, variance, horizons=range(1, 15), c=3.0)
-    assert np.all(np.asarray(wide.lower) <= np.asarray(narrow.lower))
-    assert np.all(np.asarray(narrow.upper) <= np.asarray(wide.upper))
-    assert np.all(np.asarray(narrow.lower) <= np.asarray(narrow.point))
-    assert np.all(np.asarray(narrow.point) <= np.asarray(narrow.upper))
+    _, point, lower, upper = map(np.asarray, forecast(result, variance, range(1, 15), c=1.0))
+    _, _, wide_lower, wide_upper = map(np.asarray, forecast(result, variance, range(1, 15), c=3.0))
+    assert np.all(wide_lower <= lower)
+    assert np.all(upper <= wide_upper)
+    assert np.all(lower <= point)
+    assert np.all(point <= upper)
 
 
 def test_negative_c_rejected():
@@ -79,8 +79,8 @@ def test_train_early_covers_later_observations():
     n, x = series.binomial_counts()
     held_out = [(t, n_t, x_t) for t, n_t, x_t in zip(series.t_values, n.tolist(), x.tolist())
                 if t > 8]
-    band = forecast(result, variance, horizons=[t for t, _, _ in held_out], c=4.0)
-    for (_, n_t, x_t), lo, hi in zip(held_out, band.lower, band.upper):
+    _, _, lower, upper = forecast(result, variance, horizons=[t for t, _, _ in held_out], c=4.0)
+    for (_, n_t, x_t), lo, hi in zip(held_out, lower, upper):
         share = x_t / n_t
         assert lo <= share <= hi
 
@@ -93,8 +93,8 @@ def test_band_width_shrinks_as_training_window_grows():
         train = _truncate(series, through)
         result = fit(train)
         variance = fisher_information(train, result)
-        band = forecast(result, variance, horizons=[target], c=2.0)
-        widths.append(band.upper[0] - band.lower[0])
+        _, _, lower, upper = forecast(result, variance, horizons=[target], c=2.0)
+        widths.append(upper[0] - lower[0])
     assert all(a > b for a, b in zip(widths, widths[1:]))
 
 
@@ -102,9 +102,9 @@ def test_band_stays_inside_unit_interval():
     series = load_bundled("omicron")
     result = fit(series)
     variance = hac_sandwich(series, result, 4)
-    band = forecast(result, variance, horizons=range(-20, 80), c=5.0)
-    assert np.all(np.asarray(band.lower) >= 0.0)
-    assert np.all(np.asarray(band.upper) <= 1.0)
+    _, _, lower, upper = forecast(result, variance, horizons=range(-20, 80), c=5.0)
+    assert np.all(np.asarray(lower) >= 0.0)
+    assert np.all(np.asarray(upper) <= 1.0)
 
 
 @pytest.mark.parametrize("base", [0, 1_000])
@@ -119,13 +119,13 @@ def test_params_pair_with_the_variance_at_t_zero_at_any_origin(base):
     variance = hac_sandwich(shifted, result, 4)
     assert result.series.origin == base
     c = 2.0
-    band = forecast(result, variance, horizons=[base + 3, base + 10, base + 25], c=c)
+    t_values, _, lower, upper = forecast(result, variance, [base + 3, base + 10, base + 25], c=c)
     frames = [
         (result.params.alpha, result.params.beta, at_zero(variance.matrix, base), 0),
         (*result.theta, variance.matrix, base),
     ]
     for a, b, sigma, origin in frames:
-        for t, lo, hi in zip(band.t_values, band.lower, band.upper):
+        for t, lo, hi in zip(t_values, lower, upper):
             t = t - origin
             v = sigma[0, 0] + 2 * t * sigma[0, 1] + t * t * sigma[1, 1]
             assert lo == pytest.approx(expit(a + b * t - c * math.sqrt(v)), rel=1e-8)
@@ -146,4 +146,4 @@ def test_horizons_far_from_zero_map_exactly_to_model_time():
         bands.append(forecast(result, hac_sandwich(s, result, 4), horizons, c=2.0))
     near, moved = bands
     # One model time, so one fit and the same shares, to the bit.
-    assert (moved.point, moved.lower, moved.upper) == (near.point, near.lower, near.upper)
+    assert moved[1:] == near[1:]

@@ -457,3 +457,17 @@ def test_interval_for_gamma_refuses_a_target_period_that_is_not_positive(target_
     result = fit(load_bundled("alpha"))
     with pytest.raises(error, match=message):
         interval_for_gamma(sandwich(result, None), result, target_days=target_days)
+
+
+def test_an_ill_conditioned_information_is_singular():
+    # A period 10**8 after the others: cond(I) is ~3.5e15 in model time.
+    series = SurveillanceSeries.from_binomial_columns(
+        (1, 2, 10**8), ("a", "b", "c"), (100, 100, 100), (20, 50, 80), (None,) * 3, (None,) * 3)
+    result = fit(series)
+    with pytest.raises(Singular, match="^information matrix is singular$"):
+        sandwich(result, None)
+
+
+def test_variance_estimate_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(InvalidValue, match="^covariance matrix must be square$"):
+        VarianceEstimate(kind="fisher", matrix=np.zeros((2, 3)))

@@ -203,6 +203,7 @@ def test_three_variant_simulation_shape():
     # recovery_report's interval then has the scale inf / inf: an OverflowError.
     dict(period_days=math.inf),
     dict(sequenced=(2**63, 10)),
+    dict(initial_proportions=(0.5, 0.3, 0.2)),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfig):
