@@ -25,6 +25,7 @@ from . import __version__
 from .datasets import BUNDLED_NAMES, load_bundled
 from .dynamics import (
     DEFAULT_BANDWIDTH,
+    DEFAULT_LEVEL,
     GENERATION_DAYS,
     Advantage,
     AdvantageEstimate,
@@ -563,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="calendar days per t_index unit, for CSV input and "
                              "adjusted-r only (default 7)")
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
-    level.add_argument("--level", type=_finite_float, default=0.95,
-                       help="confidence level (default 0.95)")
+    level.add_argument("--level", type=_finite_float, default=DEFAULT_LEVEL,
+                       help=f"confidence level (default {DEFAULT_LEVEL})")
     gen.add_argument("--gen-days", type=_finite_float, default=GENERATION_DAYS,
                      help="generation period in days (default 4.7)")
     choice = variance.add_mutually_exclusive_group()

@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from .data import SurveillanceSeries
-from .inference import advantage_interval
+from .inference import DEFAULT_LEVEL, advantage_interval
 
 
 def crude_gammas(
-    series: SurveillanceSeries, level: float = 0.95
+    series: SurveillanceSeries, level: float = DEFAULT_LEVEL
 ) -> tuple[tuple[int, ...], list[float], list[float], list[float]]:
     """One measure per pair of adjacent periods, as four columns: the t of
     the pair's later period, the measure, and its interval's low and high ends.

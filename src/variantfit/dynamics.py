@@ -17,6 +17,7 @@ from .errors import InvalidValue, NonPositivePeriod
 
 GENERATION_DAYS = 4.7  # default generation period in days
 DEFAULT_BANDWIDTH = 4  # default Parzen HAC bandwidth K
+DEFAULT_LEVEL = 0.95  # default confidence level
 
 
 def check_level(level: float) -> None:

@@ -8,8 +8,9 @@ constant) is
     ll(theta) = sum_t sum_j c_tj * log softmax(eta_t)_j,
     theta = (a_2, b_2, a_3, b_3, ...),
 
-which is globally concave in theta. A damped Newton iteration with
-analytic gradient and Hessian therefore converges from any start.
+which is globally concave in theta. The MLE is a logistic regression, so
+`fit` is one damped Newton (IRLS) loop with the analytic gradient and
+Hessian, which converges from any start.
 
 The two-variant model is the m = 2 case, with counts (N_t - X_t, X_t)
 and theta = (alpha, beta):
@@ -137,8 +138,8 @@ def model_derivatives(
 
 
 def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the derivatives need of the data, whatever theta: the counts as
-    floats, the row totals n_t and the products x_ta x_tb of x_t = (1, t), row t
+    """What the fit needs of the data, whatever theta: the counts as floats,
+    the row totals n_t and the products x_ta x_tb of x_t = (1, t), row t
     of xx holding (a, b) = (0, 0), (0, 1), (1, 0), (1, 1); its first two
     columns are x_t."""
     counts = counts.astype(float)
@@ -171,10 +172,10 @@ def _derivatives(
     return scores, 0.5 * (h + h.T)
 
 
-def _check_identified(t: np.ndarray, counts: np.ndarray) -> None:
-    """Raise unless the MLE exists: Singular with fewer than 2 periods with
-    counts, Separation when a variant is never observed or the variants'
-    observed t-ranges do not chain together.
+def _check_identified(t: np.ndarray, counts: np.ndarray, n: np.ndarray) -> None:
+    """Raise unless the MLE exists for the counts and their row totals n:
+    Singular with fewer than 2 periods with counts, Separation when a variant
+    is never observed or the variants' observed t-ranges do not chain together.
 
     With one covariate, a direction along which the likelihood never falls
     gives each variant a line a_j + b_j t that is highest over its observed
@@ -184,7 +185,7 @@ def _check_identified(t: np.ndarray, counts: np.ndarray) -> None:
     (Albert & Anderson 1984). For m = 2 it is the overlap of the two ranges.
     O(T m + m^2).
     """
-    if np.count_nonzero(counts.sum(axis=1)) < 2:
+    if np.count_nonzero(n) < 2:
         raise Singular("need at least 2 periods with positive counts")
     m = counts.shape[1]
     seen = counts > 0
@@ -207,28 +208,28 @@ def _check_identified(t: np.ndarray, counts: np.ndarray) -> None:
         )
 
 
-def _initial_theta(t: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # Least squares on Haldane-Anscombe corrected log ratios against the numeraire.
-    keep = counts.sum(axis=1) > 0
+def _initial_theta(counts: np.ndarray, n: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    # Least squares on Haldane-Anscombe corrected log ratios against the
+    # numeraire, over the periods with counts; xx[:, :2] is x_t = (1, t).
+    keep = n > 0
     c = counts[keep] + 0.5
-    design = np.column_stack([np.ones(keep.sum()), t[keep]])
-    coef, *_ = np.linalg.lstsq(design, np.log(c[:, 1:] / c[:, :1]), rcond=None)
+    coef, *_ = np.linalg.lstsq(xx[keep, :2], np.log(c[:, 1:] / c[:, :1]), rcond=None)
     return coef.T.ravel()
 
 
-def newton(t: np.ndarray, counts: np.ndarray):
-    """Damped Newton maximization; step-halves whenever the likelihood drops.
+def fit(series: SurveillanceSeries) -> FitResult:
+    """Maximum likelihood fit of the m-variant model by damped Newton, in model time.
 
-    Stops once the Newton decrement is at most DECREMENT_TOLERANCE, or
-    DECREMENT_PER_CASE per case counted where that is larger. Returns
-    (theta, log-likelihood, steps taken, per-period scores, Hessian), the
-    last two at theta. The softmax is evaluated once per theta: the
-    derivatives at an accepted step reuse the line search's. What they need
-    of the data, the float counts among it, is worked out once.
+    Steps are halved while the likelihood drops. Newton stops once its
+    decrement is at most DECREMENT_TOLERANCE, or DECREMENT_PER_CASE per case
+    counted where that is larger. The softmax is evaluated once per theta (an
+    accepted step's derivatives reuse the line search's), and the float
+    counts, row totals and (1, t) products once per fit.
     """
-    _check_identified(t, counts)
-    theta = _initial_theta(t, counts)
+    t, counts = series.columns
     counts, n, xx = _design(t, counts)
+    _check_identified(t, counts, n)
+    theta = _initial_theta(counts, n, xx)
     tolerance = max(DECREMENT_TOLERANCE, DECREMENT_PER_CASE * float(n.sum()))
     ll, log_shares = _log_likelihood(theta, t, counts)
     for iterations in range(MAX_ITERATIONS):
@@ -239,7 +240,12 @@ def newton(t: np.ndarray, counts: np.ndarray):
         except np.linalg.LinAlgError:
             raise Singular("singular Hessian during Newton iteration") from None
         if g @ step <= tolerance:
-            return theta, ll, iterations, scores, h
+            information = -h
+            for array in (theta, scores, information):
+                array.flags.writeable = False
+            return FitResult(theta=theta, scores=scores, information=information,
+                             log_likelihood=ll, iterations=iterations,
+                             score_norm=float(np.max(np.abs(g))), series=series)
         # Slack scales with |ll| so float-resolution noise never blocks a step.
         slack = 1e-12 * (1.0 + abs(ll))
         scale = 1.0
@@ -251,20 +257,3 @@ def newton(t: np.ndarray, counts: np.ndarray):
             scale *= 0.5
         theta, ll, log_shares = candidate, ll_new, candidate_log_shares
     raise MaxIterations(f"no convergence in {MAX_ITERATIONS} iterations")
-
-
-def fit(series: SurveillanceSeries) -> FitResult:
-    """Maximum likelihood fit of the m-variant model by damped Newton, in model time."""
-    theta, ll, iterations, scores, h = newton(*series.columns)
-    information = -h
-    for array in (theta, scores, information):
-        array.flags.writeable = False
-    return FitResult(
-        theta=theta,
-        scores=scores,
-        information=information,
-        log_likelihood=ll,
-        iterations=iterations,
-        score_norm=float(np.max(np.abs(scores.sum(axis=0)))),
-        series=series,
-    )

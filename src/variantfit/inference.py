@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurveillanceSeries
-# AdvantageEstimate and DEFAULT_BANDWIDTH live in dynamics, which the CLI's
-# scalar commands import without numpy; callers also import them from here.
-from .dynamics import DEFAULT_BANDWIDTH, Advantage, AdvantageEstimate, check_level
+# AdvantageEstimate, DEFAULT_BANDWIDTH and DEFAULT_LEVEL live in dynamics,
+# which the CLI's scalar commands import without numpy; callers also import
+# them from here.
+from .dynamics import (DEFAULT_BANDWIDTH, DEFAULT_LEVEL, Advantage, AdvantageEstimate,
+                       check_level)
 from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NonPositivePeriod,
                      PeriodMismatch, Singular)
 from .estimate import FitResult
-
-DEFAULT_LEVEL = 0.95
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import TWO_VARIANT_NAMES, SurveillanceSeries
 from .errors import InvalidConfig, VariantFitError
 from .estimate import fit, log_softmax
-from .inference import interval_for_gamma, sandwich
+from .inference import DEFAULT_LEVEL, interval_for_gamma, sandwich
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class RecoveryReport:
 def recovery_report(
     config: SimConfig,
     n_replications: int,
-    level: float = 0.95,
+    level: float = DEFAULT_LEVEL,
     bandwidth: Optional[int] = None,
 ) -> RecoveryReport:
     """Fit each replication and summarize bias, coverage, and CI width.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import variantfit
 from variantfit.cli import build_parser, json_text, main
+from variantfit.simulate import SimConfig, simulate
 
 
 def run(capsys, *argv):
@@ -915,6 +916,12 @@ def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, m
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.csv").write_bytes(two)
     (tmp_path / "multi.csv").write_bytes(multi)
+    assert_contract(argv)
+
+
+def assert_contract(argv):
+    """Run argv in-process: exit 0, or exit 1 with empty stdout and exactly
+    one `error:` line; a run that exits 0 prints only finite numbers."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -929,6 +936,26 @@ def test_cli_contract_holds_for_random_input(tmp_path, monkeypatch, argv, two, m
 
 def _refuse_non_finite(constant):
     raise AssertionError(f"the JSON report holds {constant}")
+
+
+def extreme_share_pairs():
+    """(N, X) pairs of two series whose shares come within ~1e-16 of 0 or 1 at
+    over 10**9 cases, where a fit may raise MaxIterations (README, Library)."""
+    near_one = simulate(SimConfig((1.5,), (0.001, 0.999), (1000,) * 15, seed=3))
+    n, x = near_one.binomial_counts()
+    return {
+        "near-zero": [(10**17, k) for k in (1, 2, 3)],
+        "near-one": list(zip((n * 10**5).tolist(), (x * 10**5).tolist())),
+    }
+
+
+@pytest.mark.parametrize("series", ["near-zero", "near-one"])
+@pytest.mark.parametrize("argv", [("estimate",), ("estimate", "--json"), ("crude",),
+                                  ("crude", "--json"), ("forecast",), ("forecast", "--json")],
+                         ids=" ".join)
+def test_cli_contract_holds_where_shares_near_zero_or_one(tmp_path, argv, series):
+    path = two_variant_csv(tmp_path, extreme_share_pairs()[series])
+    assert_contract([argv[0], path, *argv[1:]])
 
 
 # --- the JSON report writer against json.dumps --------------------------------
@@ -1155,3 +1182,61 @@ def test_forecast_with_a_band_wider_than_the_float_range(capsys):
     assert code == 0 and err == ""
     rows = out.splitlines()[2:]
     assert len(rows) == 30 and all(row.endswith(",0,1") for row in rows)
+
+
+# --- the stdout of the commands that fit, pinned -------------------------------
+
+M3_CSV = ("simulate", "--gamma", "1.6", "--gamma", "0.8", "--lambda0", "0.05",
+          "--lambda0", "0.3", "--n", "500", "--t", "12", "--seed", "3", "--out", "m3.csv")
+
+# argv -> (exit code, sha256 of stdout), run in-process in a directory that
+# holds M3_CSV's output: any change to a fit's arithmetic, to the variance
+# step or to the reports shows up here as a changed hash.
+ARRAY_CALLS = {
+    ("estimate", "alpha"): (
+        0, "f692fcdfd4656a46f2eb724ae4736ab8aa54c12217b2e281e0cc5e26acbda081"),
+    ("estimate", "alpha", "--json"): (
+        0, "c798e3af49588c1dc8bea0e3f215ccb62b1670750be3a6f24312cd9fae31f772"),
+    ("estimate", "alpha", "--fisher"): (
+        0, "5e9374443e9a90089f889d3208a79f969f33f3fcfcd398aab93b5e587daabdc8"),
+    ("estimate", "alpha", "--fisher", "--json"): (
+        0, "5d9caf12a9c7edbb46cc11db5fc82d6b22ec6624cb4b4d02879f09a8ffc5c38d"),
+    ("estimate", "delta"): (
+        0, "c84872da24b49deb4e439040245e5f78572778a1375aebf97bf916b744fa2dd8"),
+    ("estimate", "delta", "--json"): (
+        0, "e9d9d321f6c838b5a7e323986bd3aec7e67010ad9d1d5af5a551eccea9458a07"),
+    ("estimate", "delta", "--fisher"): (
+        0, "138fa184905601abbe2b5038d448b3070444c7efc3b5b8ee6147ff83d1013331"),
+    ("estimate", "delta", "--fisher", "--json"): (
+        0, "f8654ad76941d53761ff821196e4417616eb4cb57200ebfd028af44ab3697481"),
+    ("estimate", "omicron"): (
+        0, "53bf98920a07aef18099cfd2dbe1bde47863b2095fa694692284882392d4c583"),
+    ("estimate", "omicron", "--json"): (
+        0, "3693cb1bcf12469c081dd0717681a8a1ff8b4d195ed645c2d1985e0379511baa"),
+    ("estimate", "omicron", "--fisher"): (
+        0, "11fc74e345966f99beeda0d0504ad6ec64cb821d1ce4f7820b22db097b1b92cd"),
+    ("estimate", "omicron", "--fisher", "--json"): (
+        0, "185d0088c563a048ad210774851c2f464f9899436c895c91e3745561412e7277"),
+    ("crude", "alpha"): (
+        0, "32be7d404c7142e4eebb6af667430daa1bd8bcdc22b77229ce57ed87dba46c47"),
+    ("crude", "omicron", "--json"): (
+        0, "ec0e8022f1ade06fa7b861e55b79e016a69eb729115a5a289fc45af6c5713c2e"),
+    ("forecast", "alpha", "--train-through", "8", "--c", "2", "--c", "4", "--json"): (
+        0, "9354988c1d3034b6246f4b29a53210233e7f67e05b6579a0ccab05442dd49c25"),
+    ("infer-r", "--from-fit", "alpha", "--R", "1.0", "--lambda", "0.2", "--json"): (
+        0, "56c52405163624a1a4c8d88ba445dac31ca7ebbdb097ff7ce07de736489b6322"),
+    ("multi", "--file", "m3.csv", "--json"): (
+        0, "b446fa3fd37f84ca1548c6b827e9aba05180ad0e74c78e77c4c0f2bc5963657f"),
+    ("multi", "--file", "m3.csv", "--fisher", "--json"): (
+        0, "4b1db7897f3a6ff07676fecb417690bc904a8f34ab8e0819b342d2a25fd8b4ab"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ARRAY_CALLS), ids=" ".join)
+def test_array_commands_print_their_pinned_bytes(tmp_path, monkeypatch, capsys, argv):
+    # The multi report's input.path is part of its bytes, so the CSV is read
+    # by its relative name.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *M3_CSV) == (0, "", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (*ARRAY_CALLS[argv], "")

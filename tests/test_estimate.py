@@ -4,10 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from variantfit import estimate
+from variantfit.cli import main
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import ModelParams
-from variantfit.errors import InvalidValue, Separation, Singular
+from variantfit.errors import InvalidValue, MaxIterations, Separation, Singular
 from variantfit.estimate import (FitResult, at_zero, fit, model_derivatives,
                                  model_log_likelihood)
 from variantfit.inference import hac_sandwich
@@ -469,6 +471,15 @@ def test_fit_does_not_depend_on_the_scale_of_the_counts():
     scaled = SurveillanceSeries(series.t_values, series.labels, series.counts * 10**8,
                                 series.variant_names, series.period_days)
     assert fit(scaled).theta == pytest.approx(fit(series).theta, rel=1e-9)
+
+
+def test_a_fit_that_runs_out_of_iterations_is_refused(monkeypatch, capsys):
+    # Bundled alpha takes 4 Newton steps.
+    monkeypatch.setattr(estimate, "MAX_ITERATIONS", 1)
+    with pytest.raises(MaxIterations, match="^no convergence in 1 iterations$"):
+        fit(load_bundled("alpha"))
+    assert main(["estimate", "alpha"]) == 1
+    assert capsys.readouterr() == ("", "error: MaxIterations: no convergence in 1 iterations\n")
 
 
 def test_a_singular_hessian_during_newton_is_refused():
