@@ -111,12 +111,16 @@ def json_text(value, indent: str = "") -> str:
 
 def _float_text(text: str) -> str:
     """The JSON of a float from its `.10g` text."""
-    if "e" in text or "n" in text:  # exponent, NaN or infinity
+    if "e+" in text or "n" in text or "e-3" in text:
+        # json.dumps writes repr(): fixed notation below 1e16, NaN and
+        # infinity by name, and a subnormal with its fewer digits. An
+        # exponent of e-3x or e-3xx covers every subnormal.
         text = repr(float(text))
         return _SPECIAL_FLOATS.get(text, text)
     # 10 digits round-trip, so repr() of the rounded float has the same
-    # digits, and in fixed notation differs only by its ".0".
-    return text if "." in text else text + ".0"
+    # digits: with a negative exponent it is this text, and in fixed
+    # notation it differs only by its ".0".
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _items_text(values, indent: str) -> list[str]:
@@ -126,10 +130,9 @@ def _items_text(values, indent: str) -> list[str]:
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
         texts = list(map(float.__format__, values, repeat(".10g")))
-        joined = "".join(texts)  # each text holds at most one "."
+        joined = "".join(texts)  # each text holds at most one "." and one "e"
         if "e" in joined or "n" in joined or joined.count(".") != len(texts):
-            texts = [text if "." in text and "e" not in text and "n" not in text
-                     else _float_text(text) for text in texts]
+            texts = list(map(_float_text, texts))
         return texts
     if kind is int:
         return list(map(int.__repr__, values))

@@ -8,6 +8,7 @@ to a single period by the (t-s)-th root when the pair spans a gap.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def crude_gammas(
     n, x = series.binomial_counts()
     # Row i: the variant and the other cases in period i + 1, then in period i.
     cells = np.column_stack([x[1:], n[1:] - x[1:], x[:-1], n[:-1] - x[:-1]]).astype(float)
-    cells += 0.5 * (cells == 0.0).any(axis=1, keepdims=True)
+    cells += 0.5 * reduce(np.logical_or, (cells == 0.0).T)[:, None]  # whole-column ors
     a, b, c, d = cells.T
     # math.log, not np.log, which can differ from it in the last bit.
     log_odds = [list(map(math.log, odds.tolist())) for odds in (a / b, c / d)]

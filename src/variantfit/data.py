@@ -7,7 +7,7 @@ import io
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -207,8 +207,11 @@ class SurveillanceSeries:
 
     @property
     def totals(self) -> np.ndarray:
-        """Cases counted per period, over all variants."""
-        return self.counts.sum(axis=1)
+        """Cases counted per period, over all variants, as whole-column adds
+        in the 64-bit integer type that `counts.sum(axis=1)` gives."""
+        first, *rest = self.counts.T
+        wide = np.uint64 if first.dtype.kind == "u" else np.int64
+        return reduce(np.add, rest, first.astype(wide))
 
     def binomial_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(N, X) per period: sequenced and variant counts of a two-variant series.

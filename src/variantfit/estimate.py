@@ -25,12 +25,18 @@ the test suite.
 
 The fit works in the series' model time t - t_1 + 1 (`columns[0]`) and
 reports alpha at the user's t = 0 through one linear map (at_zero).
+
+The kernel (log_softmax, the row totals, the scores) works on T-long
+columns, one numpy call per variant, never a numpy loop over the short
+variant axis. Below 8 variants its bits equal numpy's row-wise reductions,
+which sum a short row left to right as whole-column adds do; from 8 on
+numpy sums rows pairwise, so the results may differ in their last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -102,16 +108,25 @@ def at_zero(x: np.ndarray, origin: int) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """The log-softmax over the last axis, the package's one logistic map: for
-    logits (0, x), exp of column 1 is expit(x). A -inf logit gives a share of 0."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logits (0, x), exp of column 1 is expit(x). A -inf logit gives a share of 0.
+
+    Worked a variant at a time: `logits.T` holds one column per variant, so
+    the max and the sum of exponentials are m - 1 whole-column calls, not
+    numpy loops over the short last axis. Returned in C order.
+    """
+    columns = logits.T
+    shifted = columns - reduce(np.maximum, columns)
+    log_total = np.log(reduce(np.add, np.exp(shifted)))
+    log_shares = np.empty(logits.shape)
+    np.subtract(shifted, log_total, out=log_shares.T)
+    return log_shares
 
 
 def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
-    # Rows: periods; columns: variants (column 0 is the numeraire).
-    eta = np.zeros((len(t), m))
-    eta[:, 1:] = theta[0::2] + t[:, None] * theta[1::2]
-    return log_softmax(eta)
+    # Rows of eta: variants (row 0 is the numeraire); columns: periods.
+    eta = np.zeros((m, len(t)))
+    eta[1:] = theta[0::2, None] + theta[1::2, None] * t
+    return log_softmax(eta.T)
 
 
 def _log_likelihood(
@@ -139,7 +154,8 @@ def model_derivatives(
 
 def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the fit needs of the data, whatever theta: the counts as floats,
-    the row totals n_t and the products x_ta x_tb of x_t = (1, t), row t
+    the row totals n_t (whole-column adds, exact in any order for integer
+    counts below 2**53) and the products x_ta x_tb of x_t = (1, t), row t
     of xx holding (a, b) = (0, 0), (0, 1), (1, 0), (1, 1); its first two
     columns are x_t."""
     counts = counts.astype(float)
@@ -147,7 +163,7 @@ def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     xx[:, 0] = 1.0
     xx[:, 1] = xx[:, 2] = t
     xx[:, 3] = t * t
-    return counts, counts.sum(axis=1), xx
+    return counts, reduce(np.add, counts.T), xx
 
 
 def _derivatives(
@@ -157,14 +173,17 @@ def _derivatives(
     T, m = counts.shape
     k = m - 1
     p = np.exp(log_shares)[:, 1:]
-    resid = counts[:, 1:] - n[:, None] * p
-    scores = (resid[:, :, None] * xx[:, None, :2]).reshape(T, -1)
+    w = n[:, None] * p
+    resid = counts[:, 1:] - w
+    # Score columns (a_j, b_j) are resid_j x_t = (resid_j, resid_j t).
+    scores = np.empty((T, 2 * k))
+    scores[:, 0::2] = resid
+    np.multiply(resid, xx[:, 1:2], out=scores[:, 1::2])
     # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
     # With w = n p, every (j, k) block of sum_t w_tj p_tk x_t x_t' comes from
     # one matmul. The diagonal blocks are then set to sum_t w_tj (p_tj - 1)
     # x_t x_t': subtracting sum_t w_tj x_t x_t' instead would cancel when a
     # share nears 1.
-    w = n[:, None] * p
     h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
     h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
     diagonal = np.arange(k)

@@ -107,7 +107,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     any parameter, is Singular.
     """
     info, scores = fit.information, fit.scores
-    t_values, counts = fit.series.columns
+    t_values = fit.series.columns[0]
     if bandwidth is not None:
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
@@ -115,7 +115,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
             raise BandwidthTooLarge(
                 f"bandwidth {bandwidth} must be smaller than the series length {len(t_values)}"
             )
-        informative = np.count_nonzero(counts.sum(axis=1))
+        informative = np.count_nonzero(fit.series.totals)
         if informative <= len(info):
             raise Singular(
                 f"{informative} periods with counts cannot identify a sandwich variance "

@@ -1034,6 +1034,10 @@ COLUMN_CASES = {
     "wide-floats": WIDE_FLOATS,
     "wide-float-column": [{"x": v, "y": -v} for v in WIDE_FLOATS],
     "float-matrix": [[1.0, 0.25], [0.25, 3.0], [1e-320, 5e-324]],
+    # Negative exponents: normal floats keep their .10g text; subnormals
+    # (here 2.225073858507201e-308 and 5e-324) have fewer digits in repr().
+    "covariance": [[1e-05, -2.5e-07, 9.999999999e-05], [1e-99, 1e-100, 1.5e-307],
+                   [2.2250738585072014e-308, 2.225073858507201e-308, 5e-324]],
 }
 
 

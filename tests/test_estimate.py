@@ -463,6 +463,72 @@ def test_hessian_equals_per_period_kron_sum(m, T):
     assert np.max(np.abs(h + reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def rowwise_log_softmax(logits):
+    """The log-softmax as numpy's row-wise reductions over the last axis."""
+    shifted = logits - logits.max(-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
+
+
+def rowwise_log_shares(theta, t, m):
+    eta = np.zeros((len(t), m))
+    eta[:, 1:] = theta[0::2] + t[:, None] * theta[1::2]
+    return rowwise_log_softmax(eta)
+
+
+def rowwise_derivatives(theta, t, counts):
+    """model_derivatives as one (T, m - 1, 2) broadcast for the scores and
+    (T, m - 1, 4) for the Hessian operand, with row-wise totals."""
+    T, m = counts.shape
+    k = m - 1
+    counts = counts.astype(float)
+    n = counts.sum(axis=1)
+    xx = np.column_stack([np.ones(T), t, t, t * t])
+    p = np.exp(rowwise_log_shares(theta, t, m))[:, 1:]
+    resid = counts[:, 1:] - n[:, None] * p
+    scores = (resid[:, :, None] * xx[:, None, :2]).reshape(T, -1)
+    w = n[:, None] * p
+    h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
+    h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)
+    diagonal = np.arange(k)
+    h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    return scores, 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 10, 16])
+def test_log_softmax_is_the_rowwise_one(m):
+    # Below 8 variants numpy sums a row left to right, as the kernel's
+    # whole-column adds do, so the bits agree; from 8 on it sums rows
+    # pairwise, and only the last bits may differ.
+    rng = np.random.default_rng(m)
+    for shape in [(m,), (1, m), (18, m), (500, m), (3, 7, m)]:
+        logits = rng.normal(0.0, 20.0, size=shape)
+        # -inf in any column but the first, so each row keeps a finite max.
+        logits[..., 1:][rng.random(shape[:-1] + (m - 1,)) < 0.2] = -np.inf
+        got, want = estimate.log_softmax(logits), rowwise_log_softmax(logits)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        if m < 8:
+            assert np.array_equal(got, want), shape
+        else:
+            assert np.allclose(got, want, rtol=1e-15, atol=1e-15), shape
+
+
+@pytest.mark.parametrize("T", [18, 500])
+@pytest.mark.parametrize("m", [2, 3])
+def test_kernel_is_bitwise_the_rowwise_one(m, T):
+    rng = np.random.default_rng([m, T, 1])
+    t = np.arange(1.0, T + 1)
+    counts = rng.integers(0, 3000, size=(T, m))
+    counts[rng.random(T) < 0.1] = 0
+    for _ in range(5):
+        theta = np.column_stack([rng.uniform(-2, 2, m - 1), rng.uniform(-3, 3, m - 1) / T]).ravel()
+        want = float(np.sum(counts.astype(float) * rowwise_log_shares(theta, t, m)))
+        assert model_log_likelihood(theta, t, counts) == want
+        scores, h = model_derivatives(theta, t, counts)
+        want_scores, want_h = rowwise_derivatives(theta, t, counts)
+        assert np.array_equal(scores, want_scores)
+        assert np.array_equal(h, want_h)
+
+
 def test_fit_does_not_depend_on_the_scale_of_the_counts():
     # The decrement's rounding floor grows with the counts: at 1e8 times
     # alpha's it is 1.1e-20, above a fixed stop of 1e-20, and the fit ran out
