@@ -16,7 +16,7 @@ _EXPORTS = {
     "data": ("SurveillanceSeries", "load_csv", "to_csv_string"),
     "datasets": ("BUNDLED_NAMES", "load_bundled"),
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
-                 "Proportion", "step_lambda"),
+                 "Proportion"),
     "estimate": ("FitResult", "fit", "log_softmax"),
     "forecast": ("forecast",),
     "inference": ("VarianceEstimate", "compose_advantages", "fisher_information",

@@ -240,29 +240,82 @@ class SurveillanceSeries:
         )
 
 
-def _open_text(source) -> io.TextIOWrapper:
+def _open_text(source) -> str:
     """The text of a CSV path or binary file: UTF-8, a byte-order mark dropped.
 
-    A file is read whole and left open; the text decodes as it is read.
+    A file is read whole and left open. ParseError unless the bytes are UTF-8.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return _open_text(fh)
-    return io.TextIOWrapper(io.BytesIO(source.read()), encoding="utf-8-sig", newline="")
+    try:
+        return source.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
-def csv_columns(source) -> tuple[list[str], Sequence[int], list[tuple[str, ...]]]:
+def _split_columns(text: str) -> Optional[tuple[list[str], range, list[list[str]]]]:
+    """What `csv_columns` gives for text that csv.reader would cut only at
+    commas and newlines, or None for other text.
+
+    That text has no quote, NUL or CR other than in CRLF line ends, a
+    non-empty header line, at least one data line, no line longer than the
+    field limit, as many commas on every data line as on the header, and no
+    blank first cell (which may be a blank row) once the empty lines that end
+    the text are dropped. Its cells are one split of the joined lines, a
+    column every `width` cells. The reader ends a line at CRLF as at LF, so
+    CRLF is made LF first.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if "\n," in text:  # a data line with an empty first cell: declined below, at more cost
+        return None
+    lines = text.split("\n")
+    while len(lines) > 1 and not lines[-1]:
+        del lines[-1]  # the last line's newline, or an empty row the reader skips
+    if len(lines) < 2 or not lines[0]:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    del lines[0]
+    width = len(header)
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    cells = ",".join(lines).split(",")
+    columns = [cells[k::width] for k in range(width)]
+    if not all(map(str.strip, columns[0])):
+        return None
+    return header, range(2, len(lines) + 2), columns
+
+
+def csv_columns(source) -> tuple[list[str], Sequence[int], list[Sequence[str]]]:
     """The stripped header, the file row number of each non-blank data row
-    (the header is row 1), and those rows' cells as one tuple per column, of
-    the CSV at a path or in a binary file.
+    (the header is row 1), and those rows' cells as one sequence per column,
+    of the CSV at a path or in a binary file.
+
+    Text that csv.reader would cut only at commas and newlines (no quote, NUL
+    or lone CR; lines end in \\n or \\r\\n), with as many commas on every
+    data line as on the header and no blank first cell, is
+    cut with one `str.split` (`_split_columns`), which gives the reader's
+    result with the columns as lists. All other text goes through csv.reader
+    in the excel dialect: fields may be double-quoted, and lines may end in
+    \\n, \\r\\n or \\r.
 
     ParseError on an empty file, a row whose length differs from the header's,
     text that is not UTF-8 and malformed CSV.
     """
+    text = _open_text(source)
+    split = _split_columns(text)
+    if split is not None:
+        return split
     try:
-        rows = list(csv.reader(_open_text(source)))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc}") from None
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from None
     if not rows:
@@ -302,8 +355,8 @@ def int_column(
     try:
         if not optional:
             values = list(map(int, cells))
-        elif any(texts := list(map(str.strip, cells))):
-            values = [int(text) if text else None for text in texts]
+        elif "".join(cells).strip():  # some cell is not blank
+            values = [int(text) if text else None for text in map(str.strip, cells)]
         else:
             values = [None] * len(cells)
     except ValueError:

@@ -1,4 +1,4 @@
-"""Proportions, advantages and the deterministic one-step dynamics.
+"""The model's value classes: proportions, advantages, parameters and estimates.
 
 The variant proportion follows the one-step recursion
 
@@ -102,10 +102,3 @@ class AdvantageEstimate(Record, namedtuple("AdvantageEstimate", "gamma ci_low ci
         if not ci_low <= gamma.value <= ci_high:
             raise InvalidValue("interval must contain the point estimate")
         return super().__new__(cls, gamma, ci_low, ci_high, level)
-
-
-def step_lambda(lam: Proportion, gamma: Advantage) -> Proportion:
-    """Advance the variant proportion by one period."""
-    g, x = gamma.value, lam.value
-    return Proportion(g * x / ((1.0 - x) + g * x))
-

@@ -1,14 +1,17 @@
 import csv
 import io
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
-from variantfit.data import SurveillanceSeries, load_csv, to_csv_string
+from variantfit import data
+from variantfit.data import SurveillanceSeries, csv_columns, load_csv, to_csv_string
 from variantfit.datasets import load_bundled
-from variantfit.multivariant import load_multi_csv
+from variantfit.multivariant import load_multi_csv, to_multi_csv_string
+from variantfit.simulate import SimConfig, simulate
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,
@@ -453,3 +456,120 @@ def test_a_field_beyond_the_csv_field_limit_is_malformed_csv():
     field = "w" * (csv.field_size_limit() + 1)
     with pytest.raises(ParseError, match="^malformed CSV: "):
         load_csv(text_file(HEADER + f"1,{field},10,1,,\n2,b,10,2,,\n"))
+
+
+# The texts' alphabet. SPECIAL's characters are special to csv.reader or keep
+# text off the split; they are drawn rarely, so that both paths read many texts.
+CELL = "0123456789-+_aZé \t\x0b"
+SPECIAL = ',\n\r"\0'
+WORDS = ["0", "17", "-3", "+4", "1_0", "a", "Zé", " 5 ", "\t9", "6\x0b"]
+
+
+def random_char(rng, special):
+    return rng.choice(SPECIAL if rng.random() < special else CELL)
+
+
+def random_text(rng):
+    """Free text over the CSV alphabet, or near-rectangular rows with ragged,
+    blank and trailing blank lines; either with or without a byte-order mark."""
+    bom = "\ufeff" if rng.random() < 0.1 else ""
+    if rng.random() < 0.3:
+        return bom + "".join(rng.choice(",\n") if rng.random() < 0.2 else random_char(rng, 0.03)
+                             for _ in range(rng.randint(0, 30)))
+    width = rng.randint(1, 5)
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random()
+        if kind < 0.02:
+            lines.append("")
+        elif kind < 0.04:
+            lines.append(",".join(rng.choice(["", " ", "\t"]) for _ in range(width)))
+        else:
+            ragged = width + (rng.choice([-1, 1]) if kind > 0.99 else 0)
+            lines.append(",".join("".join(random_char(rng, 0.05) for _ in range(rng.randint(0, 3)))
+                                  if rng.random() < 0.1 else rng.choice(WORDS)
+                                  for _ in range(max(ragged, 1))))
+    ends = ["\n"] * 6 + ["\r\n"] * 3 + ["\r"]
+    end = rng.choice(ends)
+    if rng.random() < 0.05:  # mixed line ends
+        return bom + "".join(line + rng.choice(ends) for line in lines)
+    return bom + end.join(lines) + end * rng.choice([0, 1, 1, 1, 2])
+
+
+def read_columns(text):
+    """csv_columns of the text, its columns as lists, or the ParseError's type and message."""
+    try:
+        header, numbers, columns = csv_columns(text_file(text))
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return header, list(numbers), [list(column) for column in columns]
+
+
+def takes_the_split(text):
+    return data._split_columns(data._open_text(text_file(text))) is not None
+
+
+LIMIT = csv.field_size_limit()
+NAMED = {
+    "quoted comma": (HEADER + '1,"a,b",10,1,,\n2,b,20,5,,\n', False),
+    "crlf": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r\n2,b,20,5,,\r\n", True),
+    "crlf, no final newline": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r\n2,b,20,5,,", True),
+    "lf and crlf": (HEADER + "1,a,10,1,,\r\n2,b,20,5,,\n", True),
+    "crlf and a lone cr": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r2,b,20,5,,\r\n", False),
+    "cr before crlf": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r\r\n2,b,20,5,,\r\n", False),
+    "quoted crlf": (HEADER.replace("\n", "\r\n") + '"1","a","10","1","",""\r\n', False),
+    "crlf blank line": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r\n\r\n2,b,20,5,,\r\n", False),
+    "lone cr": (HEADER.replace("\n", "\r") + "1,a,10,1,,\r2,b,20,5,,\r", False),
+    "empty header line": ("\n1,a\n2,b\n", False),
+    "empty header, one column": ("\n1\n2\n", False),
+    "blank data lines": (HEADER + "1,a,10,1,,\n\n \n,,,,,\n2,b,20,5,,\n", False),
+    "blank line, one column": ("t\n1\n\n2\n", False),
+    "empty lines at the end": (HEADER + "1,a,10,1,,\n2,b,20,5,,\n\n\n", True),
+    "crlf empty lines at the end": (HEADER.replace("\n", "\r\n") + "1,a,10,1,,\r\n\r\n", True),
+    "empty lines after the header": (HEADER + "\n\n", False),
+    "blank row at the end": (HEADER + "1,a,10,1,,\n,,,,,\n", False),
+    "whitespace first cell": (HEADER + "1,a,10,1,,\n \t,b,20,5,,\n", False),
+    "field beyond the limit": (HEADER + f"1,{'w' * (LIMIT + 1)},10,1,,\n", False),
+    "field at the limit": (HEADER + f"1,{'w' * LIMIT},10,1,,\n", False),
+    "line at the limit": (f"t,label\n1,{'w' * (LIMIT - 2)}\n", True),
+    "nul": (HEADER + "1,a\0,10,1,,\n2,b,20,5,,\n", False),
+    "20 000 short rows": (HEADER + "".join(f"{t},w,10,1,,\n" for t in range(20_000)), True),
+    "plain": (HEADER + "1,a,10,1,,\n2,b,20,5,30,\n", True),
+    "no final newline": (MULTI_HEADER + "1,a,10,1\n2,b,20,5", True),
+}
+
+
+def test_the_split_gives_what_csv_reader_gives(monkeypatch):
+    rng = random.Random(20260)
+    texts = [random_text(rng) for _ in range(20_000)]
+    split = sum(map(takes_the_split, texts))
+    assert 5_000 < split < 15_000  # both paths are exercised
+    assert {name: takes_the_split(text) for name, (text, _) in NAMED.items()} == {
+        name: taken for name, (_, taken) in NAMED.items()}
+    assert len(NAMED["20 000 short rows"][0]) > LIMIT
+    texts += [text for text, _ in NAMED.values()]
+    either = list(map(read_columns, texts))
+    monkeypatch.setattr(data, "_split_columns", lambda text: None)
+    reader = list(map(read_columns, texts))
+    differ = [(text, a, b) for text, a, b in zip(texts, either, reader) if a != b]
+    assert not differ[:3], f"{len(differ)} texts differ"
+
+
+def test_the_program_s_own_csv_and_unquoted_crlf_take_the_split(monkeypatch):
+    two = to_csv_string(simulate(SimConfig((1.6,), (0.98, 0.02), (500,) * 12, seed=1)))
+    three = to_multi_csv_string(simulate(SimConfig((1.6, 0.8), (0.65, 0.05, 0.3), (500,) * 12,
+                                                   seed=1)))
+    expected = load_csv(text_file(two)), load_multi_csv(text_file(three))
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(two)))
+    assert load_csv(text_file(quoted.getvalue())) == expected[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert (load_csv(text_file(two)), load_multi_csv(text_file(three))) == expected
+    crlf = two.replace("\n", "\r\n"), three.replace("\n", "\r\n")
+    assert (load_csv(text_file(crlf[0])), load_multi_csv(text_file(crlf[1]))) == expected
+    with pytest.raises(AssertionError, match="^csv.reader called$"):
+        load_csv(text_file(quoted.getvalue()))

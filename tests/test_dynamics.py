@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from variantfit.datasets import load_bundled
-from variantfit.dynamics import Advantage, AdvantageEstimate, ModelParams, Proportion, step_lambda
+from variantfit.dynamics import Advantage, AdvantageEstimate, ModelParams, Proportion
 from variantfit.errors import InvalidValue, NonPositivePeriod
 from variantfit.estimate import fit, log_softmax
 from variantfit.inference import hac_sandwich, interval_for_gamma
+
+from oracles import step_lambda
 
 
 def from_log_odds(value: float) -> Proportion:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from variantfit.data import SurveillanceSeries, to_csv_string
-from variantfit.dynamics import Advantage, Proportion, step_lambda
+from variantfit.dynamics import Advantage, Proportion
 from variantfit.errors import InvalidConfig
 from variantfit.multivariant import to_multi_csv_string
 from variantfit.simulate import RecoveryReport, SimConfig, recovery_report, simulate
+
+from oracles import step_lambda
 
 
 def _config(**overrides):
