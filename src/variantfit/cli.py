@@ -2,9 +2,11 @@
 
 Each command returns its run report (input digest, resolved options,
 results, tool version) and its text lines, each as a function that builds
-it, and `main` prints one of them. `--json` emits the report with floats fixed at
-10 significant digits, so identical invocations produce byte-identical
-output. Error paths exit nonzero with a single `error:`-prefixed line.
+it, and `main` prints one of them. Row tables stay the columns their layer
+returned, in a `Table`, and both outputs are written from those columns.
+`--json` emits the report with floats fixed at 10 significant digits, so
+identical runs print byte-identical output. Error paths exit nonzero with
+a single `error:`-prefixed line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import sys
 from bisect import bisect_left, bisect_right
@@ -33,7 +34,8 @@ from .dynamics import (
     check_level,
 )
 from .errors import InvalidValue, UsageError, VariantFitError, WindowOutOfRange
-from .repro import adjusted_R, infer_variant_R, stability_region, stability_region_csv
+from .repro import (TEST_INTENSITY_EXPONENT, adjusted_R, infer_variant_R, stability_region,
+                    stability_region_csv)
 
 # Largest --contour grid and --horizons or --t count; 0:1:1e-4 is the finest grid.
 MAX_GRID_POINTS = 10_001
@@ -71,6 +73,23 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class Table:
+    """A report's row table as the columns its layer returned, one per
+    distinct name, all of one length. `json_text` writes it as the list of
+    row objects; `json.dumps` refuses it."""
+
+    __slots__ = ("names", "columns")
+
+    def __init__(self, names, columns) -> None:
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "columns", tuple(columns))
+
+    def __setattr__(self, *_):
+        raise AttributeError("a Table is immutable")
+
+    __delattr__ = __setattr__
+
+
 _ESCAPE = json.encoder.encode_basestring_ascii
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -81,7 +100,8 @@ def json_text(value, indent: str = "") -> str:
     print identical bytes.
 
     Written directly because json.dumps formats indented output with its
-    pure-Python encoder. Dict keys must be strings.
+    pure-Python encoder. Dict keys must be strings. A `Table` is written as
+    the list of its row objects.
     """
     if isinstance(value, float):
         return _float_text(f"{value:.10g}")
@@ -102,6 +122,8 @@ def json_text(value, indent: str = "") -> str:
             return "{}"
         items = [_ESCAPE(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
         return "{\n" + inner + separator.join(items) + "\n" + indent + "}"
+    if isinstance(value, Table):
+        return _table_text(value, indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -125,7 +147,7 @@ def _float_text(text: str) -> str:
 
 def _items_text(values, indent: str) -> list[str]:
     """`json_text(item, indent)` of each item, a column at a time where all
-    items are floats, all ints, or all dicts with one key set."""
+    items are floats or all ints."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
@@ -136,21 +158,22 @@ def _items_text(values, indent: str) -> list[str]:
         return texts
     if kind is int:
         return list(map(int.__repr__, values))
-    if kind is dict and values[0] and len(set(map(len, values))) == 1:
-        names = sorted(values[0])
-        try:
-            columns = [list(map(operator.itemgetter(k), values)) for k in names]
-        except KeyError:  # a row has another key set of the same size
-            return [json_text(item, indent) for item in values]
-        # Each row is the same texts, every key escaped once, between its values.
-        inner = indent + "  "
-        parts = []
-        for i, (name, column) in enumerate(zip(names, columns)):
-            head = ("{\n" if i == 0 else ",\n") + inner + _ESCAPE(name) + ": "
-            parts += [repeat(head), _items_text(column, inner)]
-        parts.append(repeat("\n" + indent + "}"))
-        return list(map("".join, zip(*parts)))
     return [json_text(item, indent) for item in values]
+
+
+def _table_text(table: Table, indent: str) -> str:
+    """The JSON of `table`'s rows: each row object is the same texts, every
+    name sorted and escaped once, between its cells."""
+    if not table.columns or not len(table.columns[0]):
+        return "[]"
+    inner = indent + "  "
+    cell_indent = inner + "  "
+    parts = []
+    for i, (name, column) in enumerate(sorted(zip(table.names, table.columns))):
+        head = ("{\n" if i == 0 else ",\n") + cell_indent + _ESCAPE(name) + ": "
+        parts += [repeat(head), _items_text(column, cell_indent)]
+    parts.append(repeat("\n" + inner + "}"))
+    return "[\n" + inner + (",\n" + inner).join(map("".join, zip(*parts))) + "\n" + indent + "]"
 
 
 def _emit(report: Callable[[], dict], as_json: bool, lines: Callable[[], list[str]]) -> None:
@@ -261,24 +284,17 @@ def crude_report(digest: dict, series, measures, level: float):
     """The `crude` run report and its text lines, for the series' crude
     measures as `crude_gammas` returns their columns, as the two functions
     that a command returns."""
-    _, values, _, _ = measures
+    measures = Table(("t", "value", "ci_low", "ci_high"), measures)
+    values = measures.columns[1]
     mean = sum(values) / len(values)
 
     def report():
-        return _report_header("crude", digest, period_days=series.period_days, level=level) | {
-            "measures": [
-                {"t": t, "value": value, "ci_low": low, "ci_high": high}
-                for t, value, low, high in zip(*measures)
-            ],
-            "mean": mean,
-        }
+        header = _report_header("crude", digest, period_days=series.period_days, level=level)
+        return header | {"measures": measures, "mean": mean}
 
     def lines():
-        return [
-            "t,value,ci_low,ci_high",
-            *(f"{t},{value:.6g},{low:.6g},{high:.6g}" for t, value, low, high in zip(*measures)),
-            f"mean,{mean:.6g},,",
-        ]
+        rows = map("{},{:.6g},{:.6g},{:.6g}".format, *measures.columns)
+        return ["t,value,ci_low,ci_high", *rows, f"mean,{mean:.6g},,"]
 
     return report, lines
 
@@ -304,7 +320,8 @@ def cmd_forecast(args):
     horizons = [train_through + h for h in range(1, args.horizons + 1)]
     cs = args.c or [2.0]
     # One band per --c, in the order given, repeats included, as options.c lists them.
-    bands = [(c, forecast_band(result, variance, horizons, c)) for c in cs]
+    bands = [(c, Table(("t", "point", "lower", "upper"),
+                       forecast_band(result, variance, horizons, c))) for c in cs]
 
     def report():
         return _report_header("forecast", digest, train_from=args.train_from,
@@ -315,16 +332,7 @@ def cmd_forecast(args):
                 "beta": result.params.beta,
                 "gamma_per_period": result.params.gamma,
             },
-            "bands": [
-                {
-                    "c": c,
-                    "rows": [
-                        {"t": t, "point": p, "lower": lo, "upper": hi}
-                        for t, p, lo, hi in zip(*columns)
-                    ],
-                }
-                for c, columns in bands
-            ],
+            "bands": [{"c": c, "rows": rows} for c, rows in bands],
         }
 
     def lines():
@@ -333,9 +341,8 @@ def cmd_forecast(args):
             f"(window through t={train_through}, {len(result.series)} records)",
             "c,t,point,lower,upper",
         ]
-        for c, columns in bands:
-            for t, p, lo, hi in zip(*columns):
-                lines.append(f"{c:g},{t},{p:.6g},{lo:.6g},{hi:.6g}")
+        for c, rows in bands:
+            lines += map("{:g},{},{:.6g},{:.6g},{:.6g}".format, repeat(c), *rows.columns)
         return lines
 
     return report, lines
@@ -439,10 +446,7 @@ def cmd_infer_r(args):
                 "R_incumbent": inference.R_incumbent,
             }
         if rows is not None:
-            report["contour"] = [
-                {"lambda": lam, "threshold": thr, "lo": lo, "hi": hi}
-                for lam, thr, lo, hi in rows
-            ]
+            report["contour"] = Table(("lambda", "threshold", "lo", "hi"), zip(*rows))
         return report
 
     def lines():
@@ -503,18 +507,13 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
     as the two functions that a command returns."""
     _load_array_layers()
     series = result.series
-    variants = []
-    for j, name in enumerate(series.variant_names[1:], start=1):
-        gen = interval_for_gamma(variance, result, gen_days, level, variant=j)
-        variants.append(
-            {
-                "variant": name,
-                "gamma_per_period": math.exp(result.theta[2 * j - 1]),
-                "gamma_per_generation": gen.gamma.value,
-                "ci_low_per_generation": gen.ci_low,
-                "ci_high_per_generation": gen.ci_high,
-            }
-        )
+    gens = [interval_for_gamma(variance, result, gen_days, level, variant=j)
+            for j in range(1, series.n_variants)]
+    variants = Table(("variant", "gamma_per_period", "gamma_per_generation",
+                      "ci_low_per_generation", "ci_high_per_generation"),
+                     (series.variant_names[1:], list(map(math.exp, result.theta[1::2].tolist())),
+                      [gen.gamma.value for gen in gens], [gen.ci_low for gen in gens],
+                      [gen.ci_high for gen in gens]))
 
     def report():
         return _fit_report("multi", digest, series, variance, gen_days, level) | {
@@ -523,14 +522,9 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
         }
 
     def lines():
-        lines = [f"numeraire: {series.variant_names[0]}",
-                 "variant,gamma_per_period,gamma_per_gen,ci_low,ci_high"]
-        for v in variants:
-            lines.append(
-                f"{v['variant']},{v['gamma_per_period']:.6g},{v['gamma_per_generation']:.6g},"
-                f"{v['ci_low_per_generation']:.6g},{v['ci_high_per_generation']:.6g}"
-            )
-        return lines
+        return [f"numeraire: {series.variant_names[0]}",
+                "variant,gamma_per_period,gamma_per_gen,ci_low,ci_high",
+                *map("{},{:.6g},{:.6g},{:.6g},{:.6g}".format, *variants.columns)]
 
     return report, lines
 
@@ -570,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument("--level", type=_finite_float, default=DEFAULT_LEVEL,
                        help=f"confidence level (default {DEFAULT_LEVEL})")
     gen.add_argument("--gen-days", type=_finite_float, default=GENERATION_DAYS,
-                     help="generation period in days (default 4.7)")
+                     help=f"generation period in days (default {GENERATION_DAYS})")
     choice = variance.add_mutually_exclusive_group()
     # A string default is converted only when --hac is absent, so an explicit
     # "--hac 4" counts as given and conflicts with --fisher.
@@ -625,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases-prev", type=_finite_float, required=True)
     p.add_argument("--tested", type=_finite_float, required=True)
     p.add_argument("--tested-prev", type=_finite_float, required=True)
-    p.add_argument("--exponent", type=_finite_float, default=0.7,
-                   help="testing-intensity exponent (default 0.7)")
+    p.add_argument("--exponent", type=_finite_float, default=TEST_INTENSITY_EXPONENT,
+                   help=f"testing-intensity exponent (default {TEST_INTENSITY_EXPONENT})")
     p.set_defaults(func=cmd_adjusted_r)
 
     p = sub.add_parser("simulate", help="generate a synthetic series as CSV")

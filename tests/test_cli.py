@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import variantfit
-from variantfit.cli import build_parser, json_text, main
+from variantfit.cli import Table, build_parser, json_text, main
+from variantfit.dynamics import GENERATION_DAYS
+from variantfit.repro import TEST_INTENSITY_EXPONENT
 from variantfit.simulate import SimConfig, simulate
 
 
@@ -420,6 +422,16 @@ def test_parser_declares_only_the_options_each_command_reads():
 ADJUSTED_R = ("adjusted-r", "--cases", "8", "--cases-prev", "4", "--tested", "6",
               "--tested-prev", "3")
 R_LAMBDA = ("--R", "1.0", "--lambda", "0.2")
+
+
+def test_parser_defaults_are_the_library_constants():
+    # The parsed default is the library's own object, and the help names it.
+    args = build_parser().parse_args(list(ADJUSTED_R))
+    assert args.exponent is TEST_INTENSITY_EXPONENT and args.gen_days is GENERATION_DAYS
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub.choices["adjusted-r"]._actions}
+    assert helps["exponent"].endswith(f"(default {TEST_INTENSITY_EXPONENT})")
+    assert helps["gen_days"].endswith(f"(default {GENERATION_DAYS})")
 
 
 @pytest.mark.parametrize(
@@ -1010,7 +1022,8 @@ def test_json_text_refuses_what_json_cannot_write():
         json_text({"a": [np.int64(1)]})
 
 
-# Lists the writer formats a column at a time, and their near misses.
+# Lists of floats or ints, which the writer formats a column at a time, lists
+# of dicts, which it writes item by item, and their near misses.
 RECORDS = [{"t": t, "value": 1.5 * t, "ci_low": t / 3, "ci_high": 10.0**t} for t in range(1, 5)]
 WIDE_FLOATS = [1e10, 12345678901.0, 9999999999.5, 1e15, 1e16 - 2, 1e16, math.nan, math.inf,
                -math.inf, -0.0, 0.0, 2.0, 0.1]
@@ -1054,6 +1067,80 @@ def test_json_text_writes_columns_as_json_dumps_does(value):
 def test_json_text_refuses_an_int64_in_a_column(value):
     with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
         json_text(value)
+
+
+def _rows_as_dicts(value):
+    """`value` with every Table replaced by its list of row dicts."""
+    if isinstance(value, Table):
+        return [dict(zip(value.names, map(_rows_as_dicts, row))) for row in zip(*value.columns)]
+    if isinstance(value, dict):
+        return {k: _rows_as_dicts(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rows_as_dicts(v) for v in value]
+    return value
+
+
+def _band(c):
+    """A forecast band as the report holds it: c and a table of rows."""
+    columns = ((9, 10, 11), [0.5, 0.25, 1e-320], [0.1, 0.2, 0.0], [0.9, 1.0, 1.0])
+    return {"c": c, "rows": Table(("t", "point", "lower", "upper"), columns)}
+
+
+TABLE_CASES = {
+    "empty": Table(("t", "value"), ([], ())),
+    "no-columns": Table((), ()),
+    "one-row": Table(("x",), ([1.5],)),
+    "names-out-of-order": Table(("z", "b", "a", "y"),
+                                ([1, 2], [0.5, 0.25], ["p", "q"], [None, None])),
+    "names-to-escape": Table(('"q"', "é", "日本", "%s", "a\nb", "\\", "\x00"),
+                             [[i, -i] for i in range(7)]),
+    "int-tuple-range-columns": Table(("list", "tuple", "range", "big"),
+                                     ([1, 2, 3], (4, 5, 6), range(7, 10), [10**20, -(10**20), 0])),
+    "special-floats": Table(("x", "y"), (
+        [math.nan, math.inf, -math.inf, 5e-324, 2.225073858507201e-308, -0.0, 1e16, 12345678901.0],
+        [1e-5, -2.5e-7, 1e-99, 1.5e-307, 2.2250738585072014e-308, 0.1, 1e10, 9999999999.5])),
+    "none-string-bool-cells": Table(("s", "n", "b"), (["a", "é\"", ""], [None, None, None],
+                                                      [True, False, True])),
+    "mixed-cells": Table(("m",), ([1, 2.5, np.float64(0.1), None, "x", True, [1.0], {"k": 2}],)),
+    "float64-column": Table(("f",), ([np.float64(0.5), np.float64(1e17), np.float64(-0.0)],)),
+    "nested-table": Table(("inner", "k"), ([Table(("a",), ([1.0, 2.0],)), Table(("a",), ([],))],
+                                          [0, 1])),
+    "bands": [_band(2.0), _band(4.0), _band(2.0)],
+    "report": {"bands": [_band(1.0)], "contour": Table(("lambda", "threshold", "lo", "hi"),
+                                                      zip(*[(0.0, 0.5, 0.45, 0.55),
+                                                            (1.0, 1.0, 1.0, 1.0)]))},
+}
+
+
+@pytest.mark.parametrize("value", TABLE_CASES.values(), ids=TABLE_CASES.keys())
+def test_json_text_writes_a_table_as_json_dumps_writes_its_rows(value):
+    expected = json.dumps(_round10_reference(_rows_as_dicts(value)), indent=2, sort_keys=True)
+    assert json_text(value) == expected
+
+
+TABLES = st.lists(st.text(max_size=4), unique=True, max_size=5).flatmap(
+    lambda names: st.integers(0, 4).flatmap(
+        lambda rows: st.tuples(*[st.lists(JSON_SCALARS, min_size=rows, max_size=rows)
+                                 for _ in names]).map(lambda columns: Table(names, columns))))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(value=st.lists(st.dictionaries(st.text(max_size=3), TABLES, max_size=2), max_size=3))
+def test_json_text_writes_any_table_as_json_dumps_writes_its_rows(value):
+    expected = json.dumps(_round10_reference(_rows_as_dicts(value)), indent=2, sort_keys=True)
+    assert json_text(value) == expected
+
+
+def test_a_table_is_no_list():
+    table = Table(("a",), ([1.0],))
+    with pytest.raises(TypeError, match="^Object of type Table is not JSON serializable$"):
+        json.dumps(table)
+    with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+        json_text(Table(("a",), ([1, np.int64(2)],)))
+    with pytest.raises(AttributeError):
+        table.names = ("b",)
+    with pytest.raises(AttributeError):
+        del table.columns
 
 
 # Alpha's counts at t = base + 1 ... base + 18: day counts since 1970, ISO

@@ -33,6 +33,13 @@ interpreter start, imports and the command. The first two load no numpy.
 same processes, from the change in resource.getrusage(RUSAGE_CHILDREN)
 across each one. CPU above wall time means the process ran threads.
 
+Before numpy loads, each of `cli.BLAS_THREAD_VARIABLES` that is not set
+is set to 1, as `cli.main` does for a CLI process, so that every stage runs
+on one BLAS thread as the CLI does; a count exported beforehand is kept.
+Otherwise OpenBLAS starts a thread pool, and `fit`'s least-squares start
+times its idle threads' wake-up: on a 2-core VM, `fit_ms` at T = 1 000,
+m = 10 read 15.7-16.2 ms with the pool and 2.0-3.0 ms on one thread.
+
 The result is one JSON object on stdout. Nothing is asserted about the
 times: the script measures, it does not gate. Warm file cache only.
 """
@@ -51,12 +58,15 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from variantfit import cli  # noqa: E402
+from variantfit import cli  # noqa: E402  (loads no numpy)
+
+for name in cli.BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(name, "1")
+
+import numpy as np  # noqa: E402
 from variantfit.data import load_csv, to_csv_string  # noqa: E402
 from variantfit.errors import VariantFitError  # noqa: E402
 from variantfit.estimate import fit  # noqa: E402
