@@ -152,9 +152,11 @@ def _items_text(values, indent: str) -> list[str]:
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
         texts = list(map(float.__format__, values, repeat(".10g")))
-        joined = "".join(texts)  # each text holds at most one "." and one "e"
-        if "e" in joined or "n" in joined or joined.count(".") != len(texts):
-            texts = list(map(_float_text, texts))
+        joined = "".join(texts)  # each text holds at most one "."
+        if "e+" in joined or "n" in joined or "e-3" in joined:
+            return list(map(_float_text, texts))
+        if joined.count(".") != len(texts):  # some text is integral, or has an exponent only
+            texts = [text if "." in text or "e" in text else text + ".0" for text in texts]
         return texts
     if kind is int:
         return list(map(int.__repr__, values))

@@ -181,12 +181,19 @@ class SurveillanceSeries:
         total_cases and tested items may be None; the series checks them.
         CountViolation unless 0 <= X <= N; the columns are checked whole, and
         the first row at fault, for any of the series' count checks, is looked
-        for only when one is.
+        for only when one is. Arrays, as `load_csv` reads them, are checked as
+        arrays. Other N and X are compared as Python objects, so a string or
+        None among them raises TypeError and an int beyond int64 is compared
+        exactly before the int64 copy refuses it with OverflowError.
         """
         # X >= 0 and N >= X also rule out a negative N.
-        if min(x, default=0) < 0 or any(map(operator.gt, x, n)):
+        if isinstance(n, np.ndarray) and isinstance(x, np.ndarray):
+            fault = (x < 0).any() or (x > n).any()
+        else:
+            fault = min(x, default=0) < 0 or any(map(operator.gt, x, n))
+        if fault:
             _raise_count_violation(t, n, x, total_cases, tested)
-        n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
+        n, x = np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64)
         return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
                    total_cases, tested)
 
@@ -375,6 +382,46 @@ def int_column(
     return values
 
 
+# What `int_columns` hands to np.loadtxt: digits, signs, spaces and the commas
+# that join the cells. Over these, loadtxt reads a cell as int() does. Beyond
+# ASCII it does not: numpy 2.4 reads "Ǿ5" as 4625, and a sweep of astral-plane
+# characters crashed the process.
+_PLAIN_INTEGER_TEXT = b"0123456789+- ,"
+
+
+def int_columns(
+    columns: Sequence[Sequence[str]],
+    numbers: Sequence[int],
+    faults: Sequence[Callable[[str], str]],
+) -> tuple[list[int], Sequence[Sequence[int]]]:
+    """A file's required integer columns, as `int_column` reads them: t's
+    cells, then one or more count columns, each with its `faults` entry.
+    Returns t as a list of ints and the counts as one sequence per column.
+
+    One `np.loadtxt` call reads every cell, joined by commas into one line,
+    when the line holds only `_PLAIN_INTEGER_TEXT`: the call refuses an empty
+    cell and a value beyond int64, and a cell with a comma gives more values
+    than cells. Then the counts are one (k, T) int64 array, unless one is
+    negative. Any other cells go through `int_column` a column at a time, in
+    order, so the first column at fault is named, and the counts are lists.
+    """
+    size = len(columns) * len(numbers)
+    text = ",".join(map(",".join, columns))
+    plain = text.isascii() and not text.encode("ascii").translate(None, _PLAIN_INTEGER_TEXT)
+    if plain and size > 1:  # loadtxt warns on no data, and gives one value as a 0-d array
+        try:
+            values = np.loadtxt([text], dtype=np.int64, comments=None, delimiter=",")
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (size,):
+            values = values.reshape(len(columns), -1)
+            if values[1:].min() >= 0:
+                return values[0].tolist(), values[1:]
+    return int_column(columns[0], numbers, faults[0]), [
+        int_column(cells, numbers, fault, count=True)
+        for cells, fault in zip(columns[1:], faults[1:])]
+
+
 def load_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
     """Load the `t,label,sequenced,variant_count,total_cases,tested` schema
     from a path or a binary file."""
@@ -386,11 +433,13 @@ def load_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
         return lambda text: f"bad {name} value {text!r}" if text else REQUIRED
 
     t, labels, n, x, cases, tested = columns
+    t, (n, x) = int_columns([t, n, x], numbers,
+                            [fault("t"), fault("sequenced"), fault("variant_count")])
     return SurveillanceSeries.from_binomial_columns(
-        int_column(t, numbers, fault("t")),
+        t,
         list(map(str.strip, labels)),
-        int_column(n, numbers, fault("sequenced"), count=True),
-        int_column(x, numbers, fault("variant_count"), count=True),
+        n,
+        x,
         int_column(cases, numbers, fault("total_cases"), optional=True),
         int_column(tested, numbers, fault("tested"), optional=True),
         period_days=period_days,

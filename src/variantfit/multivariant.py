@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SurveillanceSeries, csv_columns, csv_text, int_column
+from .data import SurveillanceSeries, csv_columns, csv_text, int_columns
 from .errors import ParseError
 from .estimate import FitResult, fit
 from .inference import VarianceEstimate, sandwich
@@ -40,12 +40,11 @@ def load_multi_csv(source, period_days: float = 7.0) -> SurveillanceSeries:
     def fault(text):
         return "malformed integer"
 
-    # Arguments are evaluated in order, so a bad t is reported before a bad count.
+    t, counts = int_columns([columns[0], *columns[2:]], numbers, [fault] * (len(header) - 1))
     return SurveillanceSeries(
-        t_values=int_column(columns[0], numbers, fault),
+        t_values=t,
         labels=list(map(str.strip, columns[1])),
-        counts=np.array([int_column(cells, numbers, fault, count=True) for cells in columns[2:]],
-                        dtype=np.int64).T,
+        counts=np.asarray(counts, dtype=np.int64).T,
         variant_names=tuple(col[len("count_"):] for col in header[2:]),
         period_days=period_days,
     )

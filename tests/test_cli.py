@@ -1051,6 +1051,10 @@ COLUMN_CASES = {
     # (here 2.225073858507201e-308 and 5e-324) have fewer digits in repr().
     "covariance": [[1e-05, -2.5e-07, 9.999999999e-05], [1e-99, 1e-100, 1.5e-307],
                    [2.2250738585072014e-308, 2.225073858507201e-308, 5e-324]],
+    # Only integral texts gain ".0"; only e+, nan, inf and e-3xx texts need repr().
+    "integral-among-fractions": [1.0, 2.5, -77.0, 0.0, 1e15, 0.125],
+    "integral-among-negative-exponents": [1.0, 2.5e-05, 1e-05, -3.0, 9.5e-100],
+    "every-kind-of-float-text": [1.0, 2.5e-05, 1e+20, math.nan, math.inf, 5e-324],
 }
 
 
@@ -1099,6 +1103,8 @@ TABLE_CASES = {
     "special-floats": Table(("x", "y"), (
         [math.nan, math.inf, -math.inf, 5e-324, 2.225073858507201e-308, -0.0, 1e16, 12345678901.0],
         [1e-5, -2.5e-7, 1e-99, 1.5e-307, 2.2250738585072014e-308, 0.1, 1e10, 9999999999.5])),
+    "integral-floats": Table(("x", "y"), ([1.0, 2.5e-05, 1e+20, math.nan, math.inf, 5e-324],
+                                          [1.0, 2.5e-05, 1e-05, -3.0, 0.5, 7.0])),
     "none-string-bool-cells": Table(("s", "n", "b"), (["a", "é\"", ""], [None, None, None],
                                                       [True, False, True])),
     "mixed-cells": Table(("m",), ([1, 2.5, np.float64(0.1), None, "x", True, [1.0], {"k": 2}],)),

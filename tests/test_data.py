@@ -3,12 +3,13 @@ import io
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from variantfit import data
-from variantfit.data import SurveillanceSeries, csv_columns, load_csv, to_csv_string
+from variantfit.data import REQUIRED, SurveillanceSeries, csv_columns, load_csv, to_csv_string
 from variantfit.datasets import load_bundled
 from variantfit.multivariant import load_multi_csv, to_multi_csv_string
 from variantfit.simulate import SimConfig, simulate
@@ -324,20 +325,44 @@ def test_unsorted_rows_are_sorted_stably_by_t():
     assert series.counts.flags.c_contiguous
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ((2, "b", 20, 25, None, None), "variant_count 25 > sequenced 20 at t=2"),
-        ((2, "b", 20, 5, 10, None), "sequenced 20 > total_cases 10 at t=2"),
-        ((2, "b", 20, 5, -1, None), "sequenced 20 > total_cases -1 at t=2"),
-        ((2, "b", 20, 5, None, -3), "negative tested count at t=2"),
-        ((2, "b", 20, -5, None, None), "negative count at t=2: sequenced=20, variant_count=-5"),
-    ],
-)
+COUNT_VIOLATIONS = [
+    ((2, "b", 20, 25, None, None), "variant_count 25 > sequenced 20 at t=2"),
+    ((2, "b", 20, 5, 10, None), "sequenced 20 > total_cases 10 at t=2"),
+    ((2, "b", 20, 5, -1, None), "sequenced 20 > total_cases -1 at t=2"),
+    ((2, "b", 20, 5, None, -3), "negative tested count at t=2"),
+    ((2, "b", 20, -5, None, None), "negative count at t=2: sequenced=20, variant_count=-5"),
+]
+
+
+@pytest.mark.parametrize("row, message", COUNT_VIOLATIONS)
 def test_count_violation_names_the_first_period_at_fault(row, message):
     rows = [(1, "a", 10, 1, 12, 100), row, (3, "c", 5, 9, None, None)]
     with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
         from_rows(rows)
+
+
+@pytest.mark.parametrize("row, message", COUNT_VIOLATIONS)
+def test_count_violation_of_int64_columns_names_the_first_period_at_fault(row, message):
+    rows = [(1, "a", 10, 1, 12, 100), row, (3, "c", 5, 9, None, None)]
+    t, labels, n, x, cases, tested = zip(*rows)
+    n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
+    with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
+        SurveillanceSeries.from_binomial_columns(t, labels, n, x, cases, tested)
+
+
+@pytest.mark.parametrize("n, x, kind, message", [
+    (["10", "20"], [1, 2], TypeError, "'>' not supported between instances of 'int' and 'str'"),
+    ([10, 20], ["1", "2"], TypeError, "'<' not supported between instances of 'str' and 'int'"),
+    ([10, 2**63], [1, 2], OverflowError, "Python int too large to convert to C long"),
+    ([10, 20], [1, 2**63], CountViolation, f"variant_count {2**63} > sequenced 20 at t=2"),
+], ids=["string-n", "string-x", "n-beyond-int64", "x-beyond-int64"])
+def test_the_binomial_constructor_compares_listed_counts_as_python_objects(n, x, kind, message):
+    with pytest.raises(kind, match="^" + re.escape(message) + "$"):
+        SurveillanceSeries.from_binomial_columns((1, 2), ("a", "b"), n, x, (None,) * 2,
+                                                 (None,) * 2)
+    bools = SurveillanceSeries.from_binomial_columns((1, 2), ("a", "b"), [True, True],
+                                                     [False, True], (None,) * 2, (None,) * 2)
+    assert bools.counts.tolist() == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize(
@@ -573,3 +598,179 @@ def test_the_program_s_own_csv_and_unquoted_crlf_take_the_split(monkeypatch):
     assert (load_csv(text_file(crlf[0])), load_multi_csv(text_file(crlf[1]))) == expected
     with pytest.raises(AssertionError, match="^csv.reader called$"):
         load_csv(text_file(quoted.getvalue()))
+
+
+# Integer cells in forms that int() reads: a sign, spaces, an underscore, and
+# digits of another script. The first two are read by one np.loadtxt call,
+# the others by int_column; both must give the series of plain digits.
+INTEGER_FORMS = {
+    "plus": "+{}".format,
+    "spaces": " {} ".format,
+    "underscore": "{:_}".format,
+    "arabic-indic": lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+SCHEMAS = {
+    "two-variant": (load_csv, HEADER, "{},{},{},{},,\n"),
+    "multi": (load_multi_csv, MULTI_HEADER, "{},{},{},{}\n"),
+}
+ROWS = [(1, "a", 1000, 12), (2, "b", 20, 3), (3, "c", 12, 12)]
+
+
+def schema_text(schema, rows, form=str):
+    """The CSV text of rows (t, label, two counts) in a schema, each
+    integer cell written by `form`."""
+    _, header, line = SCHEMAS[schema]
+    return header + "".join(line.format(form(t), label, form(a), form(b))
+                            for t, label, a, b in rows)
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+@pytest.mark.parametrize("form", INTEGER_FORMS.values(), ids=INTEGER_FORMS.keys())
+def test_integer_cells_in_any_form_int_reads_load_as_plain_digits(schema, form):
+    load = SCHEMAS[schema][0]
+    expected = load(text_file(schema_text(schema, ROWS)))
+    assert form(1000) != "1000"
+    assert load(text_file(schema_text(schema, ROWS, form))) == expected
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_plain_digits_are_read_without_int_column(monkeypatch, schema):
+    load = SCHEMAS[schema][0]
+    read = []
+    int_column = data.int_column
+
+    def spy(cells, *args, **kwargs):
+        read.append(list(cells))
+        return int_column(cells, *args, **kwargs)
+
+    monkeypatch.setattr(data, "int_column", spy)
+    series = load(text_file(schema_text(schema, ROWS)))
+    assert series.t_values == (1, 2, 3)
+    # Only load_csv's optional columns, total_cases and tested, are read by int_column.
+    assert read == ([["", "", ""]] * 2 if schema == "two-variant" else [])
+    assert load(text_file(schema_text(schema, ROWS, "{:_}".format))) == series
+    assert ["1", "2", "3"] in read  # t, once the underscore sends the cells to int_column
+
+
+BEYOND = 2**63
+T_BEYOND = (f"t_index must lie within -2**53..2**53 and span less than 2**53 periods, "
+            f"where floats hold every integer; got 1..{BEYOND}")
+# The middle row of a file, and the error it gets. Cells beyond int64 are read
+# exactly, as int() reads them, and refused by the series: a count where the
+# int64 copy is made, after the two-variant schema has compared X with N.
+BEYOND_INT64 = {
+    ("two-variant", "sequenced"): ((2, "b", BEYOND, 5), OverflowError,
+                                   "Python int too large to convert to C long"),
+    ("two-variant", "variant_count"): ((2, "b", 20, BEYOND), CountViolation,
+                                       f"variant_count {BEYOND} > sequenced 20 at t=2"),
+    ("two-variant", "t"): ((BEYOND, "b", 20, 5), InvalidValue, T_BEYOND),
+    ("two-variant", "negative"): ((2, "b", 20, -BEYOND - 1), ParseError, "row 3: negative count"),
+    ("multi", "count"): ((2, "b", BEYOND, 5), OverflowError,
+                         "Python int too large to convert to C long"),
+    ("multi", "t"): ((BEYOND, "b", 20, 5), InvalidValue, T_BEYOND),
+    ("multi", "negative"): ((2, "b", -BEYOND - 1, 5), ParseError, "row 3: negative count"),
+}
+
+
+@pytest.mark.parametrize("case", BEYOND_INT64, ids="-".join)
+def test_integers_beyond_int64_are_read_exactly_and_refused_by_the_series(case):
+    load = SCHEMAS[case[0]][0]
+    middle, kind, message = BEYOND_INT64[case]
+    with pytest.raises(kind, match="^" + re.escape(message) + "$"):
+        load(text_file(schema_text(case[0], [ROWS[0], middle, ROWS[2]])))
+    largest = (2, "b", BEYOND - 1, BEYOND - 1)
+    series = load(text_file(schema_text(case[0], [ROWS[0], largest, ROWS[2]])))
+    assert series.counts[1, 1] == BEYOND - 1
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+@pytest.mark.parametrize("column", [0, 2, 3], ids=["t", "first-count", "last-count"])
+def test_an_empty_required_cell_names_its_row(schema, column):
+    _, header, line = SCHEMAS[schema]
+    cells = [str(v) for v in ROWS[1]]
+    cells[column] = ""
+    text = header + line.format(*ROWS[0]) + line.format(*cells) + line.format(*ROWS[2])
+    message = "row 3: t, sequenced and variant_count are required" if schema == "two-variant" \
+        else "row 3: malformed integer"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        SCHEMAS[schema][0](text_file(text))
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+@pytest.mark.parametrize("rows", [0, 1], ids=["header-only", "one-row"])
+def test_a_file_without_two_periods_is_an_empty_series_and_warns_nothing(schema, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptySeries, match=f"^need at least 2 periods, got {rows}$"):
+            SCHEMAS[schema][0](text_file(schema_text(schema, ROWS[:rows])))
+
+
+# Cells that int_column reads or refuses: digits with signs, underscores,
+# spaces and tabs around or inside them, control characters that str.strip()
+# removes but int() refuses (\x0b, \x1c) or keeps, NBSP, digits of other
+# scripts, a letter that np.loadtxt misreads as digits (it reads "Ǿ5" as 4625,
+# numpy 2.4), empty cells, and values at the edges of int64.
+CELL_CHARS = "0123456789+-_ \t\x0b\x1c\x7f\xa0٣३３Ǿ,."
+EDGES = [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1, -(2**63), -(2**63) + 1]
+
+
+def random_integer_cell(rng):
+    kind = rng.random()
+    if kind < 0.05:
+        return ""
+    if kind < 0.12:
+        return str(rng.choice(EDGES))
+    if kind < 0.85:
+        sign = rng.choice(["", "", "", "+", "-"]) if rng.random() < 0.1 else ""
+        pad = rng.choice(["", "", "", " "])
+        return pad + sign + str(rng.randint(0, 10 ** rng.randint(1, 7))) + pad
+    return "".join(rng.choice(CELL_CHARS) for _ in range(rng.randint(0, 4)))
+
+
+def int_column_values(columns, numbers, faults):
+    """What int_column gives for t and the count columns, as lists, or the
+    first ParseError's message."""
+    try:
+        return [data.int_column(columns[0], numbers, faults[0])] + [
+            data.int_column(cells, numbers, fault, count=True)
+            for cells, fault in zip(columns[1:], faults[1:])]
+    except ParseError as exc:
+        return str(exc)
+
+
+def int_columns_values(columns, numbers, faults):
+    try:
+        t, counts = data.int_columns(columns, numbers, faults)
+    except ParseError as exc:
+        return str(exc), False
+    return [t] + [[int(v) for v in cells] for cells in counts], isinstance(counts, np.ndarray)
+
+
+# Columns whose joined cells hold as many commas as a rectangle of other
+# cells would, or empty and blank cells that the join keeps.
+NAMED_COLUMNS = [
+    [["1,2", "3"], ["4,5", "6"]],
+    [["1", "2"], ["3,", "4"]],
+    [["1", "2"], [",3", "4"]],
+    [["", "1"], ["2", "3"]],
+    [["1"], [" "]],
+    [["1", "2", "3"], ["4", "5", ""]],
+    [["5"], ["-0"], ["+0"]],
+    [["Ǿ5", "1"], ["2", "3"]],
+]
+
+
+def test_int_columns_gives_what_int_column_gives():
+    rng = random.Random(280)
+    faults = [lambda text, k=k: f"bad column {k} value {text!r}" if text else REQUIRED
+              for k in range(4)]
+    cases = NAMED_COLUMNS + [
+        [[random_integer_cell(rng) for _ in range(length)] for _ in range(rng.randint(2, 4))]
+        for length in (rng.randint(1, 3) for _ in range(20_000))]
+    by_numpy = 0
+    for columns in cases:
+        numbers = sorted(rng.sample(range(2, 40), len(columns[0])))
+        got, numpy_read = int_columns_values(columns, numbers, faults[:len(columns)])
+        assert got == int_column_values(columns, numbers, faults[:len(columns)]), columns
+        by_numpy += numpy_read
+    assert 5_000 < by_numpy < 15_000  # both readers are exercised
