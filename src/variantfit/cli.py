@@ -3,7 +3,7 @@
 Each command returns its run report (input digest, resolved options,
 results, tool version) and its text lines, each as a function that builds
 it, and `main` prints one of them. Row tables stay the columns their layer
-returned, in a `Table`, and both outputs are written from those columns.
+returned, in a `Table`, and every output, --out's file too, is written from them.
 `--json` emits the report with floats fixed at 10 significant digits, so
 identical runs print byte-identical output. Error paths exit nonzero with
 a single `error:`-prefixed line.
@@ -34,8 +34,7 @@ from .dynamics import (
     check_level,
 )
 from .errors import InvalidValue, UsageError, VariantFitError, WindowOutOfRange
-from .repro import (TEST_INTENSITY_EXPONENT, adjusted_R, infer_variant_R, stability_region,
-                    stability_region_csv)
+from .repro import TEST_INTENSITY_EXPONENT, adjusted_R, infer_variant_R, stability_region
 
 # Largest --contour grid and --horizons or --t count; 0:1:1e-4 is the finest grid.
 MAX_GRID_POINTS = 10_001
@@ -427,40 +426,41 @@ def cmd_infer_r(args):
             raise InvalidValue(f"--gamma-ci lower end must be positive, got {lo:g}")
         gamma_est = AdvantageEstimate(gamma=point, ci_low=lo, ci_high=hi, level=args.level)
 
-    inference = rows = None
+    inference = contour = None
     if args.R is not None:
         inference = infer_variant_R(args.R, Proportion(args.lam), gamma_est.gamma)
+
+    def contour_lines():
+        """The contour as CSV lines, its header first; the same in text and --out."""
+        return [",".join(contour.names),
+                *map("{:.10g},{:.10g},{:.10g},{:.10g}".format, *contour.columns)]
+
     if args.contour is not None:
-        grid = [Proportion(v) for v in args.contour]
-        rows = stability_region(gamma_est, grid)
+        contour = Table(("lambda", "threshold", "lo", "hi"),
+                        stability_region(gamma_est, [Proportion(v) for v in args.contour]))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(stability_region_csv(rows))
+                fh.write("\n".join(contour_lines()) + "\n")
 
     def report():
         report = _report_header("infer-r", digest, gen_days=args.gen_days, level=args.level,
                                 gamma_gen=gamma_est.gamma.value)
         if inference is not None:
-            report["inference"] = {
-                "R_all": inference.R_all,
-                "lambda": inference.lam.value,
-                "R_variant": inference.R_variant,
-                "R_incumbent": inference.R_incumbent,
-            }
-        if rows is not None:
-            report["contour"] = Table(("lambda", "threshold", "lo", "hi"), zip(*rows))
+            report["inference"] = {"R_all": inference.R_all, "lambda": inference.lam.value,
+                                   "R_variant": inference.R_variant,
+                                   "R_incumbent": inference.R_incumbent}
+        if contour is not None:
+            report["contour"] = contour
         return report
 
     def lines():
         lines = []
         if inference is not None:
-            lines.append(
-                f"R_variant = {inference.R_variant:.6g}   "
-                f"R_incumbent = {inference.R_incumbent:.6g}"
-            )
-        if rows is not None:
-            lines.append(f"wrote {len(rows)} contour rows to {args.out}" if args.out
-                         else stability_region_csv(rows).rstrip("\n"))
+            lines.append(f"R_variant = {inference.R_variant:.6g}   "
+                         f"R_incumbent = {inference.R_incumbent:.6g}")
+        if contour is not None:
+            lines += ([f"wrote {len(contour.columns[0])} contour rows to {args.out}"] if args.out
+                      else contour_lines())
         return lines
 
     return report, lines

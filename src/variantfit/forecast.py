@@ -30,13 +30,14 @@ def forecast(
     horizons as given, the point share, and the band's lower and upper ends,
     0 <= lower <= point <= upper <= 1. Worked out in the fit's model time,
     where theta and the variance are; integer horizons map to model time
-    h - origin exactly, in Python ints, as the series' own model time is built."""
+    h - origin exactly, in Python ints, as the series' own model time is built.
+    `variance` must be the fit's own (see `VarianceEstimate.matrix_for`)."""
     if c < 0:
         raise NegativeC(f"c must be >= 0, got {c}")
     beta = fit.params.beta  # InvalidValue unless the fit has two variants
     horizons = tuple(horizons)
     t = np.array([h - fit.series.origin for h in horizons], dtype=float)
-    cov = variance.matrix
+    cov = variance.matrix_for(fit)
     eta = fit.theta[0] + beta * t
     v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
     with np.errstate(over="ignore"):  # a huge c gives an infinite half-width

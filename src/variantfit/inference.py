@@ -29,25 +29,36 @@ from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NonPositiveP
 from .estimate import FitResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceEstimate:
-    """Covariance of the fit's theta estimates, tagged with its estimator.
+    """Covariance of the fit's theta estimates, tagged with its estimator;
+    estimates compare by identity, as fits do.
 
-    `matrix` is in the series' model time, as `FitResult.theta` is;
-    `estimate.at_zero(matrix, series.origin)` moves it to the user's t = 0.
+    `matrix` is a read-only float copy of the matrix given, in the series'
+    model time, as `FitResult.theta` is; `estimate.at_zero(matrix,
+    series.origin)` moves it to the user's t = 0.
     """
 
     kind: str  # "fisher" or "sandwich(K)"
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape[0] != m.shape[1]:
+        m = np.array(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidValue("covariance matrix must be square")
         # The exact test settles what `sandwich` builds; allclose, the rule,
         # only runs for a matrix that is not exactly symmetric.
         if not (m == m.T).all() and not np.allclose(m, m.T, atol=1e-12):
             raise InvalidValue("covariance matrix must be symmetric")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def matrix_for(self, fit: FitResult) -> np.ndarray:
+        """`matrix`, InvalidValue unless it has the shape of `fit`'s information.
+        Another fit's variance with as many variants passes: it keeps no fit."""
+        if self.matrix.shape != fit.information.shape:
+            raise InvalidValue("the variance is of a fit with another number of variants")
+        return self.matrix
 
 
 def parzen_kernel(x: float) -> float:
@@ -201,7 +212,8 @@ def interval_for_gamma(
 
     `variant` is the column j = 1..m-1 of the series' counts, 1 for the
     variant of a two-variant series. Endpoints are
-    exp((target_days / period_days) * (b_j +- z * se(b_j))).
+    exp((target_days / period_days) * (b_j +- z * se(b_j))). `variance` must
+    be the fit's own (see `VarianceEstimate.matrix_for`).
     """
     m = fit.series.n_variants
     if not 1 <= variant < m:
@@ -212,15 +224,9 @@ def interval_for_gamma(
     if not target_days > 0:  # Advantage's test, made before a nan scale can overflow
         raise NonPositivePeriod(f"period_days must be positive, got {target_days}")
     b = 2 * variant - 1
-    point, low, high = advantage_interval(
-        float(fit.theta[b]), variance.matrix[b, b], target_days / period_days, level
-    )
-    return AdvantageEstimate(
-        gamma=Advantage(value=point, period_days=target_days),
-        ci_low=low,
-        ci_high=high,
-        level=level,
-    )
+    point, low, high = advantage_interval(float(fit.theta[b]), variance.matrix_for(fit)[b, b],
+                                          target_days / period_days, level)
+    return AdvantageEstimate(Advantage(point, target_days), low, high, level)
 
 
 def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageEstimate:

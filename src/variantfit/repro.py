@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .dynamics import GENERATION_DAYS, Advantage, AdvantageEstimate, Proportion, Record
 from .errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
@@ -81,15 +81,16 @@ def adjusted_R(
 
 def stability_region(
     gamma: AdvantageEstimate, lambda_grid: Iterable[Proportion]
-) -> list[tuple[float, float, float, float]]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Threshold aggregate R at which the variant's R crosses 1, per lambda.
 
-    Returns (lambda, threshold, lo, hi) rows; lo/hi use the CI endpoints of
-    the advantage, and the band collapses to zero width as lambda -> 1.
-    Using the endpoints is exact: the threshold 1 / (lambda + g (1 - lambda))
-    is monotone in g, so over the interval of g it takes its extremes at the
-    interval's ends. OverflowError when a threshold is too large for a float
-    or, at a zero denominator, infinite.
+    Returns four columns, as `crude_gammas` does: lambda, the threshold at
+    the point advantage, and lo/hi, the least and greatest threshold over the
+    point and both CI endpoints; the band collapses to zero width as
+    lambda -> 1. Using the endpoints is exact: the threshold
+    1 / (lambda + g (1 - lambda)) is monotone in g, so over the interval of g
+    it takes its extremes at the interval's ends. OverflowError when a
+    threshold is too large for a float or, at a zero denominator, infinite.
     """
 
     def threshold(lam: float, g: float) -> float:
@@ -100,18 +101,7 @@ def stability_region(
                                 "is too large for a float")
         return value
 
-    rows = []
-    for p in lambda_grid:
-        lam = p.value
-        values = sorted(
-            threshold(lam, g) for g in (gamma.gamma.value, gamma.ci_low, gamma.ci_high)
-        )
-        rows.append((lam, threshold(lam, gamma.gamma.value), values[0], values[-1]))
-    return rows
-
-
-def stability_region_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:
-    lines = ["lambda,threshold,lo,hi"]
-    for lam, thr, lo, hi in rows:
-        lines.append(f"{lam:.10g},{thr:.10g},{lo:.10g},{hi:.10g}")
-    return "\n".join(lines) + "\n"
+    advantages = (gamma.gamma.value, gamma.ci_low, gamma.ci_high)
+    lams = [p.value for p in lambda_grid]
+    values = [[threshold(lam, g) for g in advantages] for lam in lams]
+    return lams, [v[0] for v in values], list(map(min, values)), list(map(max, values))

@@ -407,8 +407,7 @@ def test_criterion_9_reproduction_identities(capsys):
     series = load_bundled("alpha")
     result = fit(series)
     est = interval_for_gamma(hac_sandwich(series, result, 4), result, 4.7)
-    rows = stability_region(est, [Proportion(1.0)])
-    _, threshold, lo, hi = rows[0]
+    _, (threshold,), (lo,), (hi,) = stability_region(est, [Proportion(1.0)])
     _check(failures, abs(threshold - 1.0) < 1e-12, "threshold at lambda=1 is not 1")
     _check(failures, hi - lo < 1e-12, "stability band has width at lambda=1")
     _report(capsys, 9, failures)

@@ -135,11 +135,18 @@ def test_infer_r_contour_csv(tmp_path, capsys):
         "--contour", "0:1:0.25", "--out", str(out_path),
     )
     assert code == 0
-    lines = out_path.read_text().strip().splitlines()
+    text = out_path.read_text()
+    assert text.endswith("\n")
+    lines = text.strip().splitlines()
     assert lines[0] == "lambda,threshold,lo,hi"
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first == pytest.approx([0.0, 0.5, 1 / 2.2, 1 / 1.8])
+    # Each value is written with 10 significant digits.
+    assert lines[2] == "0.25,0.5714285714,0.5263157895,0.625"
+    fields = lines[2].split(",")
+    assert float(fields[0]) == 0.25
+    assert float(fields[1]) == pytest.approx(1.0 / (0.25 + 2.0 * 0.75))
 
 
 def test_infer_r_requires_work(capsys):
@@ -1337,3 +1344,56 @@ def test_array_commands_print_their_pinned_bytes(tmp_path, monkeypatch, capsys, 
     assert run(capsys, *M3_CSV) == (0, "", "")
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (*ARRAY_CALLS[argv], "")
+
+
+CONTOUR = ("infer-r", "--gamma-gen", "2", "--gamma-ci", "1.8", "2.2", "--contour", "0:1:0.05")
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+# argv -> (exit code, sha256 of stdout, stderr) of the stability contour, as
+# the CLI printed them when the contour's rows and CSV text were built in
+# the repro layer. Run in-process in an empty directory, as --out's path is
+# printed.
+CONTOUR_CALLS = {
+    CONTOUR: (0, "911e20d20ad9b4c093559b5a8d79b664fb912d3edf6d94b1c78fb182eacbb18d", ""),
+    ("infer-r", "--from-fit", "alpha", "--contour", "0:1:0.25"): (
+        0, "a00cfc8800c9af8ac07ea683c32b157a92afb70e3301169915fb60a58b3e6f32", ""),
+    ("infer-r", "--from-fit", "delta", "--R", "1.1", "--lambda", "0.3", "--contour", "0:1:0.1",
+     "--json"): (
+        0, "abe2607f1d814de63b44dbf2381aad9f87b3e8b359e04194a7640d85f1d05e34", ""),
+    CONTOUR + ("--out", "contour.csv"): (
+        0, "2736a002f0e7bf7ca29995bf922b1247c1ea307042fb26e44f00f861696aba31", ""),
+    ("infer-r", "--gamma-gen", "1e-320", "--contour", "0:1:0.5"): (
+        1, NO_OUTPUT, "error: OverflowError: threshold R at lambda 0 and advantage 9.99989e-321 "
+                      "is too large for a float\n"),
+    ("infer-r", "--gamma-gen", "2", "--contour", "0:1:0.5", "--out", "missing/contour.csv"): (
+        1, NO_OUTPUT, "error: FileNotFoundError: [Errno 2] No such file or directory: "
+                      "'missing/contour.csv'\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CONTOUR_CALLS), ids=" ".join)
+def test_contour_calls_print_their_pinned_bytes(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == CONTOUR_CALLS[argv]
+
+
+@pytest.mark.parametrize("argv", [CONTOUR, ("infer-r", "--from-fit", "alpha", "--fisher",
+                                            "--R", "1.2", "--lambda", "0.4", "--contour",
+                                            "0:1:0.01")], ids=" ".join)
+def test_contour_out_file_holds_the_text_contour(tmp_path, monkeypatch, capsys, argv):
+    # The file is the contour's text lines, as printed without --out, and is
+    # written under --json too, whose report does not depend on --out.
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run(capsys, *argv)
+    lines = text.splitlines(keepends=True)
+    contour = "".join(lines[lines.index("lambda,threshold,lo,hi\n"):])
+    rows = contour.count("\n") - 1
+    assert code == 0 and rows > 1
+    out = run(capsys, *argv, "--out", "contour.csv")
+    assert out == (0, "".join(lines[:-rows - 1]) + f"wrote {rows} contour rows to contour.csv\n",
+                   "")
+    assert (tmp_path / "contour.csv").read_bytes() == contour.encode()
+    report = run(capsys, *argv, "--json")
+    assert run(capsys, *argv, "--json", "--out", "again.csv") == report
+    assert (tmp_path / "again.csv").read_bytes() == contour.encode()

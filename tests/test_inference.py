@@ -16,6 +16,7 @@ from variantfit.errors import (
     Singular,
 )
 from variantfit.estimate import fit, model_derivatives
+from variantfit.forecast import forecast
 from variantfit.inference import (
     AdvantageEstimate,
     VarianceEstimate,
@@ -471,3 +472,74 @@ def test_an_ill_conditioned_information_is_singular():
 def test_variance_estimate_refuses_a_matrix_that_is_not_square():
     with pytest.raises(InvalidValue, match="^covariance matrix must be square$"):
         VarianceEstimate(kind="fisher", matrix=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("matrix", [np.zeros(2), np.float64(1.0), [1.0, 2.0], 3.0,
+                                    np.zeros((2, 2, 2))],
+                         ids=["1-d", "0-d", "list", "float", "3-d"])
+def test_variance_estimate_refuses_a_matrix_that_is_not_two_dimensional(matrix):
+    with pytest.raises(InvalidValue, match="^covariance matrix must be square$"):
+        VarianceEstimate(kind="fisher", matrix=matrix)
+
+
+def test_variance_estimate_keeps_a_read_only_float_copy():
+    # The estimate holds what it checked: a list matrix works wherever the
+    # array does, and a later change to the array passed in changes nothing.
+    result = fit(load_bundled("alpha"))
+    own = sandwich(result, 4)
+    given = own.matrix.copy()
+    listed = VarianceEstimate(kind=own.kind, matrix=given.tolist())
+    copied = VarianceEstimate(kind=own.kind, matrix=given)
+    given[1, 1] = 1e6
+    for variance in listed, copied:
+        assert type(variance.matrix) is np.ndarray and variance.matrix.dtype == float
+        assert not variance.matrix.flags.writeable
+        assert variance.matrix.tobytes() == own.matrix.tobytes()
+        assert interval_for_gamma(variance, result, 7.0) == interval_for_gamma(own, result, 7.0)
+        assert forecast(result, variance, [20, 30], 2.0) == forecast(result, own, [20, 30], 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        listed.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bandwidth", [None, 4])
+def test_variance_matrix_is_read_only(bandwidth):
+    matrix = sandwich(fit(load_bundled("alpha")), bandwidth).matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
+
+
+def test_variance_estimates_compare_by_identity():
+    result = fit(load_bundled("alpha"))
+    first, second = sandwich(result, 4), sandwich(result, 4)
+    assert first.matrix.tobytes() == second.matrix.tobytes()
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2
+
+
+@pytest.mark.parametrize("use", [
+    pytest.param(lambda alpha, three: interval_for_gamma(sandwich(three, 4), alpha, 7.0),
+                 id="interval-of-alpha-with-m3-variance"),
+    pytest.param(lambda alpha, three: forecast(alpha, sandwich(three, 4), [20], 2.0),
+                 id="forecast-of-alpha-with-m3-variance"),
+    pytest.param(lambda alpha, three: interval_for_gamma(sandwich(alpha, 4), three, 7.0),
+                 id="interval-of-m3-with-alpha-variance"),
+    pytest.param(lambda alpha, three: interval_for_gamma(sandwich(alpha, 4), three, 7.0,
+                                                         variant=2),
+                 id="interval-of-m3-variant-2-with-alpha-variance"),
+])
+def test_a_variance_must_have_the_shape_of_the_fit(use):
+    # Alpha's fit has 2 parameters and the simulated m = 3 fit 4: each
+    # other's variance is refused, where it gave an interval or a band from
+    # the wrong entries, or an IndexError.
+    alpha, three = fit(load_bundled("alpha")), fit(_simulated(3))
+    with pytest.raises(InvalidValue, match="^the variance is of a fit with another number"):
+        use(alpha, three)
+
+
+def test_a_variance_of_another_fit_with_as_many_variants_is_not_caught():
+    # An estimate does not keep its fit, so only its shape is checked.
+    alpha, delta = fit(load_bundled("alpha")), fit(load_bundled("delta"))
+    borrowed = interval_for_gamma(sandwich(delta, 4), alpha, 7.0)
+    assert borrowed.gamma == interval_for_gamma(sandwich(alpha, 4), alpha, 7.0).gamma

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from variantfit.dynamics import Advantage, Proportion
 from variantfit.errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 from variantfit.inference import AdvantageEstimate
-from variantfit.repro import (
-    adjusted_R,
-    infer_variant_R,
-    stability_region,
-    stability_region_csv,
-)
+from variantfit.repro import adjusted_R, infer_variant_R, stability_region
 
 
 @given(
@@ -95,39 +90,39 @@ def _estimate(value, lo, hi):
 
 
 def test_stability_threshold_by_hand():
-    rows = stability_region(_estimate(2.0, 1.8, 2.2), [Proportion(0.0), Proportion(0.5)])
-    lam0 = rows[0]
-    assert lam0[1] == pytest.approx(0.5)
-    assert lam0[2] == pytest.approx(1 / 2.2)
-    assert lam0[3] == pytest.approx(1 / 1.8)
-    lam_half = rows[1]
-    assert lam_half[1] == pytest.approx(1 / 1.5)
+    lams, thresholds, lo, hi = stability_region(_estimate(2.0, 1.8, 2.2),
+                                                [Proportion(0.0), Proportion(0.5)])
+    assert lams == [0.0, 0.5]
+    assert thresholds[0] == pytest.approx(0.5)
+    assert lo[0] == pytest.approx(1 / 2.2)
+    assert hi[0] == pytest.approx(1 / 1.8)
+    assert thresholds[1] == pytest.approx(1 / 1.5)
 
 
 def test_stability_threshold_monotone_in_lambda():
     grid = [Proportion(x / 20) for x in range(20)] + [Proportion(0.999)]
-    rows = stability_region(_estimate(1.9, 1.7, 2.1), grid)
-    thresholds = [r[1] for r in rows]
+    _, thresholds, _, _ = stability_region(_estimate(1.9, 1.7, 2.1), grid)
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
     assert thresholds[-1] < 1.0
 
 
 def test_stability_band_collapses_at_lambda_one():
-    rows = stability_region(_estimate(1.9, 1.7, 2.1), [Proportion(1.0)])
-    lam, thr, lo, hi = rows[0]
+    _, (thr,), (lo,), (hi,) = stability_region(_estimate(1.9, 1.7, 2.1), [Proportion(1.0)])
     assert thr == pytest.approx(1.0)
     assert hi - lo == pytest.approx(0.0, abs=1e-15)
 
 
-def test_stability_csv_format():
-    rows = stability_region(_estimate(2.0, 1.8, 2.2), [Proportion(0.25)])
-    text = stability_region_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "lambda,threshold,lo,hi"
-    fields = lines[1].split(",")
-    assert float(fields[0]) == 0.25
-    assert float(fields[1]) == pytest.approx(1.0 / (0.25 + 2.0 * 0.75))
-    assert text.endswith("\n")
+@pytest.mark.parametrize("lams", [[], [0.0, 0.3, 1.0]])
+def test_stability_region_returns_four_columns_of_floats(lams):
+    # lo and hi are the least and the greatest of the three thresholds at each lambda.
+    estimate = AdvantageEstimate(Advantage(2.0, 4.7), 1.8, 2.2, 0.95)
+    columns = stability_region(estimate, map(Proportion, lams))
+    assert len(columns) == 4 and all(type(c) is list and len(c) == len(lams) for c in columns)
+    assert all(type(v) is float for c in columns for v in c)
+    assert columns[0] == lams
+    for lam, thr, lo, hi in zip(*columns):
+        ends = [1.0 / (lam + g * (1.0 - lam)) for g in (2.0, 1.8, 2.2)]
+        assert (thr, lo, hi) == (ends[0], min(ends), max(ends))
 
 
 def test_reproduction_numbers_too_large_for_a_float_raise():
