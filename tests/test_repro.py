@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from variantfit.cli import main
 from variantfit.dynamics import Advantage, Proportion
 from variantfit.errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 from variantfit.inference import AdvantageEstimate
@@ -123,6 +124,21 @@ def test_stability_region_returns_four_columns_of_floats(lams):
     for lam, thr, lo, hi in zip(*columns):
         ends = [1.0 / (lam + g * (1.0 - lam)) for g in (2.0, 1.8, 2.2)]
         assert (thr, lo, hi) == (ends[0], min(ends), max(ends))
+
+
+def test_stability_csv_format(tmp_path):
+    # The contour CSV is written by the CLI from stability_region's columns.
+    out_path = tmp_path / "contour.csv"
+    code = main(["infer-r", "--gamma-gen", "2.0", "--gamma-ci", "1.8", "2.2",
+                 "--contour", "0.25:0.25:1", "--out", str(out_path)])
+    assert code == 0
+    text = out_path.read_text()
+    lines = text.strip().split("\n")
+    assert lines[0] == "lambda,threshold,lo,hi"
+    fields = lines[1].split(",")
+    assert float(fields[0]) == 0.25
+    assert float(fields[1]) == pytest.approx(1.0 / (0.25 + 2.0 * 0.75))
+    assert text.endswith("\n")
 
 
 def test_reproduction_numbers_too_large_for_a_float_raise():
