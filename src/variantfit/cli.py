@@ -50,14 +50,13 @@ def _load_array_layers() -> None:
     already bound here, such as a tracer's wrapper, is kept: the commands
     call whatever this module holds.
     """
-    from .crude import crude_gammas
     from .data import load_csv, to_csv_string
     from .estimate import at_zero, fit
-    from .forecast import forecast as forecast_band
-    from .inference import fisher_information, hac_sandwich, interval_for_gamma
+    from .inference import crude_gammas, fisher_information, hac_sandwich, interval_for_gamma
+    from .inference import forecast as forecast_band
     # fit_multi is not called here: it stays bound for the benchmark's tracer.
     from .multivariant import fit_multi, load_multi_csv, to_multi_csv_string
-    from .simulate import SimConfig, simulate
+    from .simulation import SimConfig, simulate
 
     for name, value in locals().items():
         globals().setdefault(name, value)
@@ -438,7 +437,7 @@ def cmd_infer_r(args):
     if args.contour is not None:
         contour = Table(("lambda", "threshold", "lo", "hi"),
                         stability_region(gamma_est, [Proportion(v) for v in args.contour]))
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(contour_lines()) + "\n")
 
@@ -459,8 +458,8 @@ def cmd_infer_r(args):
             lines.append(f"R_variant = {inference.R_variant:.6g}   "
                          f"R_incumbent = {inference.R_incumbent:.6g}")
         if contour is not None:
-            lines += ([f"wrote {len(contour.columns[0])} contour rows to {args.out}"] if args.out
-                      else contour_lines())
+            lines += ([f"wrote {len(contour.columns[0])} contour rows to {args.out}"]
+                      if args.out is not None else contour_lines())
         return lines
 
     return report, lines
@@ -497,7 +496,7 @@ def cmd_simulate(args):
     )
     series = simulate(config, replication=args.replication)
     text = (to_csv_string if config.n_variants == 2 else to_multi_csv_string)(series)
-    if not args.out:  # simulate has no --json: its lines are the CSV's
+    if args.out is None:  # simulate has no --json: its lines are the CSV's
         return None, text.splitlines
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -1,4 +1,5 @@
-"""Fisher and HAC sandwich covariance matrices and advantage intervals.
+"""Fisher and HAC sandwich covariance matrices, and the intervals built
+from a variance: advantage intervals, crude measures and forecast bands.
 
 Variance estimators at the fitted optimum:
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +27,9 @@ from .data import SurveillanceSeries
 # them from here.
 from .dynamics import (DEFAULT_BANDWIDTH, DEFAULT_LEVEL, Advantage, AdvantageEstimate,
                        check_level)
-from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NonPositivePeriod,
-                     PeriodMismatch, Singular)
-from .estimate import FitResult
+from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NegativeC,
+                     NonPositivePeriod, PeriodMismatch, Singular)
+from .estimate import FitResult, log_softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,3 +261,73 @@ def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageE
         ci_high=point * math.exp(math.hypot(above_a, above_b)),
         level=a.level,
     )
+
+
+def crude_gammas(
+    series: SurveillanceSeries, level: float = DEFAULT_LEVEL
+) -> tuple[tuple[int, ...], list[float], list[float], list[float]]:
+    """Model-free measures, one per pair of adjacent periods, as four columns:
+    the t of the pair's later period, the measure, and its interval's low and
+    high ends.
+
+    The measure for periods s < t is the ratio of their empirical odds
+    ratios, (X_t/(N_t-X_t)) / (X_s/(N_s-X_s)), reduced to a single period by
+    the (t-s)-th root when the pair spans a gap. Zero cells get the
+    Haldane-Anscombe +0.5 correction on all four cells of the affected pair.
+    The CI is a Wald interval on the log odds-ratio ratio with variance
+    1/a + 1/b + 1/c + 1/d, exponentiated.
+    """
+    t, _ = series.columns
+    n, x = series.binomial_counts()
+    # Row i: the variant and the other cases in period i + 1, then in period i.
+    cells = np.column_stack([x[1:], n[1:] - x[1:], x[:-1], n[:-1] - x[:-1]]).astype(float)
+    cells += 0.5 * reduce(np.logical_or, (cells == 0.0).T)[:, None]  # whole-column ors
+    a, b, c, d = cells.T
+    # math.log, not np.log, which can differ from it in the last bit.
+    log_odds = [list(map(math.log, odds.tolist())) for odds in (a / b, c / d)]
+    log_ratio = np.subtract(*log_odds)
+    variance = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
+    return (series.t_values[1:], *advantage_interval(log_ratio, variance, 1.0 / np.diff(t), level))
+
+
+def forecast(
+    fit: FitResult,
+    variance: VarianceEstimate,
+    horizons: Sequence[float],
+    c: float,
+) -> tuple[tuple, list[float], list[float], list[float]]:
+    """Point forecasts of the variant's share with delta-method bands.
+
+    The band at time t perturbs the fitted linear predictor by +-c standard
+    deviations of alpha_hat + beta_hat * t before applying the logistic map:
+
+        endpoint = expit(alpha + beta*t -+ c*sqrt(v)),   v = (1, t) Sigma (1, t)'
+
+    so the band reflects parameter uncertainty only.
+
+    The band at each horizon, an absolute t (the CLI converts '+h periods'
+    to these), as four columns, as `crude_gammas` returns its measures: the
+    horizons as given, the point share, and the band's lower and upper ends,
+    0 <= lower <= point <= upper <= 1. Worked out in the fit's model time,
+    where theta and the variance are; integer horizons map to model time
+    h - origin exactly, in Python ints, as the series' own model time is built.
+    `variance` must be the fit's own (see `VarianceEstimate.matrix_for`)."""
+    if c < 0:
+        raise NegativeC(f"c must be >= 0, got {c}")
+    beta = fit.params.beta  # InvalidValue unless the fit has two variants
+    horizons = tuple(horizons)
+    t = np.array([h - fit.series.origin for h in horizons], dtype=float)
+    cov = variance.matrix_for(fit)
+    eta = fit.theta[0] + beta * t
+    v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
+    with np.errstate(over="ignore"):  # a huge c gives an infinite half-width
+        half = c * np.sqrt(np.maximum(v, 0.0))
+    # The logits (0, x) of every band end and point, in one logistic map.
+    # Beyond +-800 a share is exactly 0 or 1, so clipping there changes no
+    # share and keeps an infinite band end out of the map. The sort undoes
+    # rounding that misorders shares of logits a few ulps apart.
+    ends = np.clip([eta - half, eta, eta + half], -800.0, 800.0)
+    logits = np.stack([np.zeros((3, len(t))), ends], axis=-1)
+    lower, point, upper = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
+    assert ((0.0 <= lower) & (lower <= point) & (point <= upper) & (upper <= 1.0)).all()
+    return horizons, point.tolist(), lower.tolist(), upper.tolist()

@@ -12,21 +12,21 @@ import time
 import numpy as np
 
 from variantfit.cli import crude_report
-from variantfit.crude import crude_gammas
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage, Proportion
 from variantfit.estimate import fit, model_derivatives, model_log_likelihood
-from variantfit.forecast import forecast
 from variantfit.inference import (
     compose_advantages,
+    crude_gammas,
     fisher_information,
+    forecast,
     hac_sandwich,
     interval_for_gamma,
 )
 from variantfit.multivariant import fit_multi
 from variantfit.repro import infer_variant_R, stability_region
-from variantfit.simulate import SimConfig, recovery_report
+from variantfit.simulation import SimConfig, recovery_report
 
 
 def _report(capsys, number, failures):

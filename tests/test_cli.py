@@ -19,7 +19,7 @@ import variantfit
 from variantfit.cli import Table, build_parser, json_text, main
 from variantfit.dynamics import GENERATION_DAYS
 from variantfit.repro import TEST_INTENSITY_EXPONENT
-from variantfit.simulate import SimConfig, simulate
+from variantfit.simulation import SimConfig, simulate
 
 
 def run(capsys, *argv):
@@ -1397,3 +1397,16 @@ def test_contour_out_file_holds_the_text_contour(tmp_path, monkeypatch, capsys, 
     report = run(capsys, *argv, "--json")
     assert run(capsys, *argv, "--json", "--out", "again.csv") == report
     assert (tmp_path / "again.csv").read_bytes() == contour.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("infer-r", "--gamma-gen", "2", "--gamma-ci", "1.8", "2.2", "--contour", "0:1:0.5"),
+    ("simulate", "--gamma", "1.6", "--lambda0", "0.02", "--n", "50", "--t", "3"),
+], ids=lambda argv: argv[0])
+def test_an_empty_out_path_is_opened_not_ignored(tmp_path, monkeypatch, capsys, argv):
+    # An empty --out is a path that cannot be opened, not a missing option:
+    # the call must not fall back to printing what it was to write.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "--out", "") == (
+        1, "", "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n")
+    assert list(tmp_path.iterdir()) == []

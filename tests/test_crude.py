@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from variantfit.cli import crude_report
-from variantfit.crude import crude_gammas
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import InvalidValue
-from variantfit.inference import normal_quantile
+from variantfit.inference import crude_gammas, normal_quantile
 
 
 def _periods(series):

@@ -12,7 +12,7 @@ from variantfit import data
 from variantfit.data import REQUIRED, SurveillanceSeries, csv_columns, load_csv, to_csv_string
 from variantfit.datasets import load_bundled
 from variantfit.multivariant import load_multi_csv, to_multi_csv_string
-from variantfit.simulate import SimConfig, simulate
+from variantfit.simulation import SimConfig, simulate
 from variantfit.errors import (
     CountViolation,
     DuplicatePeriod,

@@ -13,7 +13,7 @@ from variantfit.errors import InvalidValue, MaxIterations, Separation, Singular
 from variantfit.estimate import (FitResult, at_zero, fit, model_derivatives,
                                  model_log_likelihood)
 from variantfit.inference import hac_sandwich
-from variantfit.simulate import SimConfig, simulate
+from variantfit.simulation import SimConfig, simulate
 
 
 def series_from_counts(pairs, start=1, period_days=7.0):

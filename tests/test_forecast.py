@@ -8,8 +8,7 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import NegativeC
 from variantfit.estimate import at_zero, fit
-from variantfit.forecast import forecast
-from variantfit.inference import fisher_information, hac_sandwich
+from variantfit.inference import fisher_information, forecast, hac_sandwich
 
 
 def _truncate(series, through):

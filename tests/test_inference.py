@@ -16,20 +16,20 @@ from variantfit.errors import (
     Singular,
 )
 from variantfit.estimate import fit, model_derivatives
-from variantfit.forecast import forecast
 from variantfit.inference import (
     AdvantageEstimate,
     VarianceEstimate,
     advantage_interval,
     compose_advantages,
     fisher_information,
+    forecast,
     hac_sandwich,
     interval_for_gamma,
     kernel_weighted_outer,
     parzen_kernel,
     sandwich,
 )
-from variantfit.simulate import SimConfig, simulate
+from variantfit.simulation import SimConfig, simulate
 
 # Published gamma CIs per 4.7 days for each variance estimator
 SENSITIVITY_TABLE = {
@@ -200,7 +200,7 @@ def test_bandwidth_too_large():
 def test_k0_matches_fisher_under_correct_specification():
     # Monte Carlo: with a correctly specified model and large counts, the
     # score outer-product and information estimates converge to each other.
-    from variantfit.simulate import SimConfig, simulate
+    from variantfit.simulation import SimConfig, simulate
 
     config = SimConfig(
         gammas=(1.6,),

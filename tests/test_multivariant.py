@@ -15,7 +15,7 @@ from variantfit.multivariant import (
     load_multi_csv,
     to_multi_csv_string,
 )
-from variantfit.simulate import SimConfig, simulate
+from variantfit.simulation import SimConfig, simulate
 
 
 def _three_variant_series(n=10**6, t_max=12):

@@ -10,7 +10,7 @@ from variantfit.data import SurveillanceSeries, to_csv_string
 from variantfit.dynamics import Advantage, Proportion
 from variantfit.errors import InvalidConfig
 from variantfit.multivariant import to_multi_csv_string
-from variantfit.simulate import RecoveryReport, SimConfig, recovery_report, simulate
+from variantfit.simulation import RecoveryReport, SimConfig, recovery_report, simulate
 
 from oracles import step_lambda
 
@@ -279,7 +279,7 @@ def test_recovery_report_propagates_programming_errors(monkeypatch):
         raise TypeError("broken fit")
 
     # The package's `simulate` attribute is the function, so fetch the module.
-    monkeypatch.setattr(importlib.import_module("variantfit.simulate"), "fit", broken_fit)
+    monkeypatch.setattr(importlib.import_module("variantfit.simulation"), "fit", broken_fit)
     with pytest.raises(TypeError, match="broken fit"):
         recovery_report(_config(), n_replications=3)
 

@@ -7,6 +7,7 @@ other test has imported stays loaded in this one.
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -113,7 +114,7 @@ print("ok")
     [
         "from variantfit import SimConfig, simulate\n"
         "assert simulate.__name__ == 'simulate' and callable(simulate)",
-        "import variantfit.simulate\nimport variantfit.forecast\nimport variantfit",
+        "import variantfit.simulation\nimport variantfit.inference\nimport variantfit",
         "import variantfit.cli\nimport variantfit.cli as cli\ncli.fit",
     ],
     ids=["from-package", "submodules-first", "cli-first"],
@@ -122,6 +123,13 @@ def test_package_names_resolve_to_the_exports_in_any_import_order(first):
     done = python("-c", first + "\n" + RESOLVE_ALL)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_no_exported_name_is_a_submodule():
+    # Importing a submodule binds it on the package under its own name, so an
+    # export of the same name would become the module in some import orders.
+    submodules = {module.name for module in pkgutil.iter_modules(variantfit.__path__)}
+    assert submodules & set(variantfit.__all__) == set()
 
 
 def test_submodules_are_attributes_of_the_package():

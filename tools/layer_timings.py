@@ -70,10 +70,9 @@ import numpy as np  # noqa: E402
 from variantfit.data import load_csv, to_csv_string  # noqa: E402
 from variantfit.errors import VariantFitError  # noqa: E402
 from variantfit.estimate import fit  # noqa: E402
-from variantfit.forecast import forecast  # noqa: E402
-from variantfit.inference import sandwich  # noqa: E402
+from variantfit.inference import forecast, sandwich  # noqa: E402
 from variantfit.multivariant import load_multi_csv, to_multi_csv_string  # noqa: E402
-from variantfit.simulate import SimConfig, simulate  # noqa: E402
+from variantfit.simulation import SimConfig, simulate  # noqa: E402
 
 PERIODS = (18, 100, 1_000, 10_000)
 VARIANTS = (2, 3, 10)
