@@ -180,14 +180,18 @@ def _derivatives(
     scores[:, 0::2] = resid
     np.multiply(resid, xx[:, 1:2], out=scores[:, 1::2])
     # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
-    # With w = n p, every (j, k) block of sum_t w_tj p_tk x_t x_t' comes from
-    # one matmul. The diagonal blocks are then set to sum_t w_tj (p_tj - 1)
-    # x_t x_t': subtracting sum_t w_tj x_t x_t' instead would cancel when a
-    # share nears 1.
-    h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
-    h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
-    diagonal = np.arange(k)
-    h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    # With w = n p, one matmul gives the diagonal blocks sum_t w_tj (p_tj - 1)
+    # x_t x_t' (subtracting sum_t w_tj x_t x_t' would cancel when a share nears
+    # 1); at m = 2 that block is all of H. Otherwise one more gives every (j, k)
+    # block of sum_t w_tj p_tk x_t x_t', and the diagonal blocks are set over it.
+    blocks = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    if k == 1:
+        h = blocks[0]
+    else:
+        h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
+        h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
+        diagonal = np.arange(k)
+        h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = blocks
     return scores, 0.5 * (h + h.T)
 
 
@@ -202,12 +206,15 @@ def _check_identified(t: np.ndarray, counts: np.ndarray, n: np.ndarray) -> None:
     one point (first_j < last_k and first_k < last_j) must then share a line,
     so the MLE exists exactly when that overlap relation links all variants
     (Albert & Anderson 1984). For m = 2 it is the overlap of the two ranges.
-    O(T m + m^2).
+    Two periods t_a < t_b that see every variant give first_j <= t_a < t_b <=
+    last_k for every pair, so they link all variants at once. O(T m + m^2).
     """
     if np.count_nonzero(n) < 2:
         raise Singular("need at least 2 periods with positive counts")
     m = counts.shape[1]
     seen = counts > 0
+    if np.count_nonzero(seen.all(axis=1)) >= 2:
+        return
     unseen = np.flatnonzero(~seen.any(axis=0))
     if unseen.size:
         raise Separation(f"variant {unseen[0] + 1} of {m} is never observed; the MLE does not exist")

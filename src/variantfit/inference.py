@@ -15,7 +15,7 @@ each pair by its actual time separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -39,11 +39,13 @@ class VarianceEstimate:
 
     `matrix` is a read-only float copy of the matrix given, in the series'
     model time, as `FitResult.theta` is; `estimate.at_zero(matrix,
-    series.origin)` moves it to the user's t = 0.
+    series.origin)` moves it to the user's t = 0. `fit` is the fit that
+    `sandwich` estimated it from, None for an estimate built by hand.
     """
 
     kind: str  # "fisher" or "sandwich(K)"
     matrix: np.ndarray
+    fit: FitResult | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -57,10 +59,12 @@ class VarianceEstimate:
         object.__setattr__(self, "matrix", m)
 
     def matrix_for(self, fit: FitResult) -> np.ndarray:
-        """`matrix`, InvalidValue unless it has the shape of `fit`'s information.
-        Another fit's variance with as many variants passes: it keeps no fit."""
+        """`matrix`, InvalidValue unless it has the shape of `fit`'s information
+        and, where the estimate keeps its fit, unless that fit is `fit`."""
         if self.matrix.shape != fit.information.shape:
             raise InvalidValue("the variance is of a fit with another number of variants")
+        if self.fit is not None and self.fit is not fit:
+            raise InvalidValue("the variance is of another fit")
         return self.matrix
 
 
@@ -75,7 +79,10 @@ def parzen_kernel(x: float) -> float:
 
 
 def _invert(info: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.det(info)) < 1e-300 or np.linalg.cond(info) > 1e14:
+    # The information is exactly symmetric, so its |eigenvalues| give both
+    # |det| and the 2-norm condition number; a zero or nan one is refused.
+    magnitudes = np.abs(np.linalg.eigvalsh(info))
+    if np.prod(magnitudes) < 1e-300 or not magnitudes.max() <= 1e14 * magnitudes.min():
         raise Singular("information matrix is singular")
     return np.linalg.inv(info)
 
@@ -144,7 +151,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
         if (cov.diagonal() <= 1e-12 * info_inv.diagonal()).any():
             raise Singular("the scores vanish at the fit, so they cannot estimate "
                            "a sandwich variance")
-    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T))
+    return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), fit=fit)
 
 
 def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # kept for the wrappers below

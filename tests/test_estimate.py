@@ -360,6 +360,65 @@ def test_separated_series_raise_separation(pairs):
         fit(series_from_counts(pairs))
 
 
+def _identified_by_the_walk(t, counts, n):
+    # _check_identified without its early return: every pattern takes the
+    # walk over the overlap graph of the variants' observed ranges.
+    if np.count_nonzero(n) < 2:
+        raise Singular("need at least 2 periods with positive counts")
+    m = counts.shape[1]
+    seen = counts > 0
+    unseen = np.flatnonzero(~seen.any(axis=0))
+    if unseen.size:
+        raise Separation(f"variant {unseen[0] + 1} of {m} is never observed; the MLE does not exist")
+    first = t[seen.argmax(axis=0)]
+    last = t[len(t) - 1 - seen[::-1].argmax(axis=0)]
+    overlap = (first[:, None] < last[None, :]) & (first[None, :] < last[:, None])
+    linked, frontier = {0}, [0]
+    while frontier:
+        new = set(np.flatnonzero(overlap[frontier.pop()]).tolist()) - linked
+        linked |= new
+        frontier += new
+    if len(linked) < m:
+        group = ", ".join(str(j + 1) for j in sorted(linked))
+        raise Separation(
+            f"the observed periods of variants ({group}) and of the other variants "
+            "overlap in at most one period; the MLE does not exist"
+        )
+
+
+def _outcome(check, t, counts, n):
+    try:
+        check(t, counts, n)
+    except (Singular, Separation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_the_identification_accept_gives_the_walk_s_outcome():
+    # Seeded count patterns, T = 2..8 periods (with gaps) and m = 2..4
+    # variants, ~60 % zeros; in every third one exactly one period sees every
+    # variant, so the early return does not apply and the walk decides.
+    rng = np.random.default_rng(31)
+    outcomes = {"accepted early": 0, "accepted by the walk": 0, "refused": 0}
+    for case in range(6000):
+        T, m = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        counts = rng.integers(1, 40, (T, m)) * (rng.random((T, m)) >= 0.6)
+        if case % 3 == 0:
+            complete = rng.integers(T)
+            counts[complete] = rng.integers(1, 40, m)
+            for row in set(range(T)) - {complete}:
+                counts[row, rng.integers(m)] = 0
+        counts = counts.astype(float)
+        t = np.sort(rng.choice(np.arange(1.0, 13.0), T, replace=False))
+        n = counts.sum(axis=1)
+        expected = _outcome(_identified_by_the_walk, t, counts, n)
+        assert _outcome(estimate._check_identified, t, counts, n) == expected, (t, counts)
+        early = np.count_nonzero((counts > 0).all(axis=1)) >= 2
+        outcomes["refused" if expected else
+                 "accepted early" if early else "accepted by the walk"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
 def test_params_view_needs_two_variants():
     three = SurveillanceSeries(
         t_values=(1, 2, 3),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from variantfit import inference
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.dynamics import Advantage
@@ -469,6 +470,45 @@ def test_an_ill_conditioned_information_is_singular():
         sandwich(result, None)
 
 
+def test_the_eigenvalue_singular_rule_agrees_with_det_and_cond():
+    # Seeded symmetric matrices of size 2..10, condition number 1..1e18 and
+    # scale 1e-8..1e8, some indefinite. The rule from the |eigenvalues| must
+    # refuse exactly where |det| < 1e-300 or cond > 1e14 does, except near the
+    # bound, where the two ways of rounding the smallest one may part.
+    rng = np.random.default_rng(31)
+    refused = compared = 0
+    for _ in range(6000):
+        size = int(rng.integers(2, 11))
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        spread = np.concatenate([[0.0, 1.0], rng.random(size - 2)])
+        eigenvalues = 10.0 ** (rng.uniform(-8, 8) - rng.uniform(0, 18) * spread)
+        eigenvalues *= rng.choice([1.0, 1.0, 1.0, -1.0], size)
+        matrix = (q * eigenvalues) @ q.T
+        matrix = 0.5 * (matrix + matrix.T)
+        cond = np.linalg.cond(matrix)
+        if 1e13 <= cond <= 1e15:
+            continue
+        old = abs(np.linalg.det(matrix)) < 1e-300 or cond > 1e14
+        try:
+            inference._invert(matrix)
+            new = False
+        except Singular:
+            new = True
+        assert new == old, (cond, matrix)
+        refused += old
+        compared += 1
+    assert compared >= 5000 and 500 <= refused <= compared - 500, (compared, refused)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2) * 1e-160, np.zeros((3, 3)), np.full((2, 2), np.nan)],
+                         ids=["det-below-1e-300", "zero", "nan"])
+def test_a_vanishing_or_nan_information_is_singular(matrix):
+    # The first has cond 1 but |det| 1e-320; np.linalg.cond raised
+    # LinAlgError on the last, where the eigenvalues are nan.
+    with pytest.raises(Singular, match="^information matrix is singular$"):
+        inference._invert(matrix)
+
+
 def test_variance_estimate_refuses_a_matrix_that_is_not_square():
     with pytest.raises(InvalidValue, match="^covariance matrix must be square$"):
         VarianceEstimate(kind="fisher", matrix=np.zeros((2, 3)))
@@ -538,8 +578,20 @@ def test_a_variance_must_have_the_shape_of_the_fit(use):
         use(alpha, three)
 
 
-def test_a_variance_of_another_fit_with_as_many_variants_is_not_caught():
-    # An estimate does not keep its fit, so only its shape is checked.
+def test_a_variance_of_another_fit_with_as_many_variants_is_refused():
+    # A sandwich estimate keeps its fit, so it is refused for any other fit,
+    # even one of the same series.
+    alpha = fit(load_bundled("alpha"))
+    for other in fit(load_bundled("delta")), fit(load_bundled("alpha")):
+        with pytest.raises(InvalidValue, match="^the variance is of another fit$"):
+            interval_for_gamma(sandwich(other, 4), alpha, 7.0)
+        with pytest.raises(InvalidValue, match="^the variance is of another fit$"):
+            forecast(alpha, sandwich(other, None), [20], 2.0)
+
+
+def test_a_variance_built_by_hand_is_checked_by_its_shape_only():
     alpha, delta = fit(load_bundled("alpha")), fit(load_bundled("delta"))
-    borrowed = interval_for_gamma(sandwich(delta, 4), alpha, 7.0)
-    assert borrowed.gamma == interval_for_gamma(sandwich(alpha, 4), alpha, 7.0).gamma
+    borrowed = VarianceEstimate(kind="sandwich(4)", matrix=sandwich(delta, 4).matrix)
+    assert borrowed.fit is None and "fit" not in repr(borrowed)
+    assert interval_for_gamma(borrowed, alpha, 7.0).gamma == \
+        interval_for_gamma(sandwich(alpha, 4), alpha, 7.0).gamma
