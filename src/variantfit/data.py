@@ -24,14 +24,16 @@ REQUIRED = "t, sequenced and variant_count are required"
 MAX_T = 2**53
 
 
-def check_periods(t_values: Sequence[int], period_days: float) -> Optional[list[int]]:
+def check_periods(t_values: Sequence[int], period_days: float,
+                  ascending: bool = False) -> Optional[list[int]]:
     """Require at least 2 periods, a finite period_days > 0 and distinct t.
-    None when t increases, else the stable order of positions that sorts t."""
+    None when t increases (or `ascending` says it does), else the stable
+    order of positions that sorts t."""
     if len(t_values) < 2:
         raise EmptySeries(f"need at least 2 periods, got {len(t_values)}")
     if not 0 < period_days < math.inf:
         raise InvalidValue(f"period_days must be finite and positive, got {period_days}")
-    if all(map(operator.lt, t_values, t_values[1:])):
+    if ascending or all(map(operator.lt, t_values, t_values[1:])):
         return None
     order = sorted(range(len(t_values)), key=t_values.__getitem__)
     for i, j in zip(order, order[1:]):
@@ -120,7 +122,8 @@ class SurveillanceSeries:
     origin: int = field(init=False, repr=False)  # t_1 - 1: the user's t at model time 0
 
     def __post_init__(self):
-        T = len(self.t_values)
+        t_in = self.t_values
+        T = len(t_in)
         per_period = {"labels": self.labels, "total_cases": self.total_cases, "tested": self.tested}
         for name, values in per_period.items():
             if values is not None and len(values) != T:
@@ -128,8 +131,10 @@ class SurveillanceSeries:
         counts = np.array(self.counts, order="C")
         total_cases, tested = self.total_cases or (None,) * T, self.tested or (None,) * T
         if counts.ndim == 2 and len(counts) == T:  # else refused below, once T >= 2
-            _check_recorded(self.t_values, counts, total_cases, tested)
-        order = check_periods(self.t_values, self.period_days)
+            _check_recorded(t_in, counts, total_cases, tested)
+        # A 1-D int64 array of t, as the CSV readers and select give, is checked as one.
+        vector = isinstance(t_in, np.ndarray) and t_in.dtype == np.int64 and t_in.ndim == 1
+        order = check_periods(t_in, self.period_days, vector and (t_in[1:] > t_in[:-1]).all())
         if counts.ndim != 2 or counts.shape[0] != T:
             raise InvalidValue("counts must be (T, m) with one row per period")
         if counts.shape[1] != len(self.variant_names):
@@ -142,7 +147,8 @@ class SurveillanceSeries:
             raise InvalidValue(f"counts must be integers, got dtype {counts.dtype}")
         if np.any(counts < 0):
             raise InvalidValue("counts must be non-negative")
-        t_values = tuple(map(operator.index, self.t_values))  # TypeError unless integers
+        # operator.index raises TypeError unless every t is an integer.
+        t_values = tuple(t_in.tolist() if vector else map(operator.index, t_in))
         per_row = {"t_values": t_values, "labels": self.labels,
                    "total_cases": total_cases, "tested": tested}
         if order is not None:
@@ -153,7 +159,8 @@ class SurveillanceSeries:
             raise InvalidValue(f"t_index must lie within -2**53..2**53 and span less than 2**53 "
                                f"periods, where floats hold every integer; "
                                f"got {t_values[0]}..{t_values[-1]}")
-        t = np.array(t_values, dtype=float) - t_values[0] + 1  # exact within those bounds
+        t = t_in.astype(float) if vector and order is None else np.array(t_values, dtype=float)
+        t = t - t_values[0] + 1  # exact within those bounds
         counts.flags.writeable = t.flags.writeable = False
         set_field = partial(object.__setattr__, self)
         for name, values in per_row.items():
@@ -181,20 +188,21 @@ class SurveillanceSeries:
         total_cases and tested items may be None; the series checks them.
         CountViolation unless 0 <= X <= N; the columns are checked whole, and
         the first row at fault, for any of the series' count checks, is looked
-        for only when one is. Arrays, as `load_csv` reads them, are checked as
-        arrays. Other N and X are compared as Python objects, so a string or
-        None among them raises TypeError and an int beyond int64 is compared
-        exactly before the int64 copy refuses it with OverflowError.
+        for only when one is. int64 arrays, as `load_csv` reads them, are
+        checked as arrays. Other N and X are compared as Python objects, so a
+        string or None among them raises TypeError and an int beyond int64 is
+        compared exactly before the int64 copy refuses it with OverflowError.
         """
         # X >= 0 and N >= X also rule out a negative N.
-        if isinstance(n, np.ndarray) and isinstance(x, np.ndarray):
-            fault = (x < 0).any() or (x > n).any()
-        else:
-            fault = min(x, default=0) < 0 or any(map(operator.gt, x, n))
-        if fault:
+        if not all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in (n, x)):
+            if min(x, default=0) < 0 or any(map(operator.gt, x, n)):
+                _raise_count_violation(t, n, x, total_cases, tested)
+            n, x = np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64)
+        rest = n - x
+        # One reduction; N joins X and N - X, as N - X wraps round for N near -2**63.
+        if np.minimum(np.minimum(x, rest), n).min(initial=0) < 0:
             _raise_count_violation(t, n, x, total_cases, tested)
-        n, x = np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64)
-        return cls(t, labels, np.column_stack([n - x, x]), TWO_VARIANT_NAMES, period_days,
+        return cls(t, labels, np.column_stack([rest, x]), TWO_VARIANT_NAMES, period_days,
                    total_cases, tested)
 
     def __len__(self) -> int:
@@ -234,16 +242,18 @@ class SurveillanceSeries:
 
         Both are numpy indices: a slice, a boolean mask or positions.
         """
-        rows = np.arange(len(self))[periods].tolist()
-        columns = np.arange(self.n_variants)[variants].tolist()
+        index = np.arange(len(self))[periods]
+        columns = np.arange(self.n_variants)[variants]
+        pick = operator.itemgetter(periods) if isinstance(periods, slice) else partial(
+            _pick, index=index.tolist())
         return SurveillanceSeries(
-            t_values=_pick(self.t_values, rows),
-            labels=_pick(self.labels, rows),
-            counts=self.counts[np.ix_(rows, columns)],
-            variant_names=_pick(self.variant_names, columns),
+            t_values=self.columns[0].astype(np.int64)[index] + self.origin,
+            labels=pick(self.labels),
+            counts=self.counts[index][:, columns],
+            variant_names=_pick(self.variant_names, columns.tolist()),
             period_days=self.period_days,
-            total_cases=_pick(self.total_cases, rows),
-            tested=_pick(self.tested, rows),
+            total_cases=pick(self.total_cases),
+            tested=pick(self.tested),
         )
 
 
@@ -269,9 +279,14 @@ def _split_columns(text: str) -> Optional[tuple[list[str], range, list[list[str]
     non-empty header line, at least one data line, no line longer than the
     field limit, as many commas on every data line as on the header, and no
     blank first cell (which may be a blank row) once the empty lines that end
-    the text are dropped. Its cells are one split of the joined lines, a
-    column every `width` cells. The reader ends a line at CRLF as at LF, so
-    CRLF is made LF first.
+    the text are dropped. The reader ends a line at CRLF as at LF, so CRLF is
+    made LF first.
+
+    The data lines are cut with one split, each line break its own "\\n" cell.
+    That gives rows * (width + 1) - 1 cells with a "\\n" after every width
+    cells exactly when each of the rows lines has width - 1 commas: the first
+    line with another count moves every later "\\n" off that grid. Column k
+    is every (width + 1)-th cell from k.
     """
     if '"' in text or "\0" in text:
         return None
@@ -279,26 +294,22 @@ def _split_columns(text: str) -> Optional[tuple[list[str], range, list[list[str]
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    if "\n," in text:  # a data line with an empty first cell: declined below, at more cost
-        return None
-    lines = text.split("\n")
-    while len(lines) > 1 and not lines[-1]:
-        del lines[-1]  # the last line's newline, or an empty row the reader skips
-    if len(lines) < 2 or not lines[0]:
+    head, _, body = text.partition("\n")
+    body = body.rstrip("\n")  # the last line's newline, or empty rows the reader skips
+    if not head or not body:
         return None
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
+    if len(text) > limit and max(map(len, text.split("\n"))) > limit:
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    del lines[0]
-    width = len(header)
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+    header = [h.strip() for h in head.split(",")]
+    width, rows = len(header), body.count("\n") + 1
+    cells = body.replace("\n", ",\n,").split(",")
+    if len(cells) != rows * (width + 1) - 1 or cells[width::width + 1].count("\n") != rows - 1:
         return None
-    cells = ",".join(lines).split(",")
-    columns = [cells[k::width] for k in range(width)]
+    columns = [cells[k::width + 1] for k in range(width)]
     if not all(map(str.strip, columns[0])):
         return None
-    return header, range(2, len(lines) + 2), columns
+    return header, range(2, rows + 2), columns
 
 
 def csv_columns(source) -> tuple[list[str], Sequence[int], list[Sequence[str]]]:
@@ -393,17 +404,18 @@ def int_columns(
     columns: Sequence[Sequence[str]],
     numbers: Sequence[int],
     faults: Sequence[Callable[[str], str]],
-) -> tuple[list[int], Sequence[Sequence[int]]]:
+) -> tuple[Sequence[int], Sequence[Sequence[int]]]:
     """A file's required integer columns, as `int_column` reads them: t's
     cells, then one or more count columns, each with its `faults` entry.
-    Returns t as a list of ints and the counts as one sequence per column.
+    Returns t and the counts as one sequence per column.
 
     One `np.loadtxt` call reads every cell, joined by commas into one line,
     when the line holds only `_PLAIN_INTEGER_TEXT`: the call refuses an empty
     cell and a value beyond int64, and a cell with a comma gives more values
-    than cells. Then the counts are one (k, T) int64 array, unless one is
-    negative. Any other cells go through `int_column` a column at a time, in
-    order, so the first column at fault is named, and the counts are lists.
+    than cells. Then t is an int64 array and the counts one (k, T) int64
+    array, unless one is negative. Any other cells go through `int_column` a
+    column at a time, in order, so the first column at fault is named, and t
+    and the counts are lists.
     """
     size = len(columns) * len(numbers)
     text = ",".join(map(",".join, columns))
@@ -416,7 +428,7 @@ def int_columns(
         if values is not None and values.shape == (size,):
             values = values.reshape(len(columns), -1)
             if values[1:].min() >= 0:
-                return values[0].tolist(), values[1:]
+                return values[0], values[1:]
     return int_column(columns[0], numbers, faults[0]), [
         int_column(cells, numbers, fault, count=True)
         for cells, fault in zip(columns[1:], faults[1:])]

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import operator
 import random
 import re
 import warnings
@@ -350,6 +351,20 @@ def test_count_violation_of_int64_columns_names_the_first_period_at_fault(row, m
         SurveillanceSeries.from_binomial_columns(t, labels, n, x, cases, tested)
 
 
+@pytest.mark.parametrize("n, x, message", [
+    ([-(2**63), 10], [1, 2], f"negative count at t=1: sequenced={-(2**63)}, variant_count=1"),
+    ([10, 2**62], [1, -(2**63)],
+     f"negative count at t=2: sequenced={2**62}, variant_count={-(2**63)}"),
+    ([10, 2**63 - 1], [11, 2**63 - 1], "variant_count 11 > sequenced 10 at t=1"),
+], ids=["n-at-the-bottom", "x-at-the-bottom", "x-above-n"])
+def test_int64_counts_whose_difference_wraps_round_are_refused(n, x, message):
+    # N - X lies beyond int64 in the first two cases, and wraps round to 2**63 - 1 in the first.
+    n, x = np.array(n, dtype=np.int64), np.array(x, dtype=np.int64)
+    with pytest.raises(CountViolation, match="^" + re.escape(message) + "$"):
+        SurveillanceSeries.from_binomial_columns((1, 2), ("a", "b"), n, x, (None,) * 2,
+                                                 (None,) * 2)
+
+
 @pytest.mark.parametrize("n, x, kind, message", [
     (["10", "20"], [1, 2], TypeError, "'>' not supported between instances of 'int' and 'str'"),
     ([10, 20], ["1", "2"], TypeError, "'<' not supported between instances of 'str' and 'int'"),
@@ -437,6 +452,96 @@ def test_select_of_one_variant_is_refused():
     series = SurveillanceSeries((1, 2), ("a", "b"), np.ones((2, 2), dtype=int), ("xy", "zw"))
     with pytest.raises(InvalidValue, match="^need at least 2 variants$"):
         series.select(variants=[1])
+
+
+def built(t, period_days=7.0):
+    """The series of periods t, with t as given, or the error's type and message."""
+    k = np.arange(len(t))
+    try:
+        return SurveillanceSeries(t, tuple(f"w{v}" for v in k), np.column_stack([k + 5, k]),
+                                  ("x", "y"), period_days, tuple(map(int, 3 * k + 9)),
+                                  (None,) * len(t))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("t", [[1, 2, 3], [-4, 0, 7, 9], [3, 1, 2], [202046, 202045, 202050, 1],
+                               [2**53 - 2, 2**53 - 1, 2**53], [-(2**53), -1]],
+                         ids=["sorted", "negative", "shuffled", "week-codes", "top", "span"])
+def test_a_series_of_int64_periods_is_the_series_of_their_tuple(t):
+    array, listed = built(np.array(t, dtype=np.int64)), built(tuple(t))
+    assert array == listed
+    for name in ("t_values", "labels", "total_cases", "tested", "origin"):
+        assert getattr(array, name) == getattr(listed, name)
+        assert type(getattr(array, name)) is type(getattr(listed, name))
+    assert all(type(v) is int for v in array.t_values) and array.t_values == tuple(sorted(t))
+    for ours, theirs in zip(array.columns, listed.columns):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert not ours.flags.writeable
+
+
+@pytest.mark.parametrize("t, period_days", [
+    ([1, 2, 1], 7.0), ([4, 4], 1.0), ([5], 7.0), ([], 7.0), ([0, 2**53 + 1], 7.0),
+    ([-(2**53) - 1, 0], 7.0), ([-(2**53), 0, 2**53], 7.0), ([1, 2], math.inf),
+    ([1, 2], math.nan), ([2, 1], -1.0),
+], ids=["repeated", "repeated-pair", "one-period", "no-period", "beyond-top", "beyond-bottom",
+        "span", "infinite-period", "nan-period", "negative-period"])
+def test_int64_and_tuple_periods_are_refused_alike(t, period_days):
+    refused = built(tuple(t), period_days)
+    assert isinstance(refused, tuple) and issubclass(refused[0], Exception), refused
+    assert built(np.array(t, dtype=np.int64), period_days) == refused
+
+
+def select_by_positions(series, periods=slice(None), variants=slice(None)):
+    """select as it was written before it indexed arrays: the period tuples
+    picked position by position, the counts with np.ix_."""
+    def pick(values, index):
+        return operator.itemgetter(*index)(values) if len(index) > 1 else tuple(
+            values[i] for i in index)
+
+    rows = np.arange(len(series))[periods].tolist()
+    columns = np.arange(series.n_variants)[variants].tolist()
+    return SurveillanceSeries(pick(series.t_values, rows), pick(series.labels, rows),
+                              series.counts[np.ix_(rows, columns)],
+                              pick(series.variant_names, columns), series.period_days,
+                              pick(series.total_cases, rows), pick(series.tested, rows))
+
+
+def random_index(rng, size):
+    kind = rng.random()
+    if kind < 0.4:
+        step = rng.choice([1, 1, 1, 2, 3, -1, -2, None])
+        return slice(rng.choice([None, *range(-size, size + 1)]),
+                     rng.choice([None, *range(-size, size + 1)]), step)
+    if kind < 0.7:
+        return np.array([rng.random() < 0.7 for _ in range(size)])
+    return [rng.randrange(-size, size) for _ in range(rng.randint(0, size + 1))]
+
+
+def test_select_gives_what_picking_by_positions_gives():
+    rng = random.Random(32)
+    outcomes = set()
+    for _ in range(1_500):
+        T, m = rng.randint(2, 12), rng.randint(2, 4)
+        t = sorted(rng.sample(range(-50, 50), T))
+        origin = rng.choice([0, 202045, -(2**52), 2**53 - 100])
+        counts = np.array([[rng.randint(0, 9) for _ in range(m)] for _ in range(T)])
+        series = SurveillanceSeries(
+            [v + origin for v in t], tuple(f"p{v}" for v in t), counts,
+            tuple("abcd"[:m]), rng.choice([1.0, 7.0]),
+            tuple(rng.choice([None, 40]) for _ in t), tuple(rng.choice([None, 3]) for _ in t))
+        periods, variants = random_index(rng, T), random_index(rng, m)
+        got, want = [], []
+        for select, out in ((SurveillanceSeries.select, got), (select_by_positions, want)):
+            try:
+                part = select(series, periods=periods, variants=variants)
+                out += [part, part.columns[0].tobytes(), part.counts.tobytes(), part.origin,
+                        part.total_cases, part.tested]
+            except Exception as exc:
+                out += [type(exc), str(exc)]
+        assert got == want, (t, origin, periods, variants)
+        outcomes.add(got[0] if isinstance(got[0], type) else "series")
+    assert {"series", EmptySeries, DuplicatePeriod, InvalidValue} <= outcomes
 
 
 def test_the_constructor_sorts_its_periods_by_t():
@@ -561,6 +666,17 @@ NAMED = {
     "20 000 short rows": (HEADER + "".join(f"{t},w,10,1,,\n" for t in range(20_000)), True),
     "plain": (HEADER + "1,a,10,1,,\n2,b,20,5,30,\n", True),
     "no final newline": (MULTI_HEADER + "1,a,10,1\n2,b,20,5", True),
+    # As many commas in all as the header's on every line, but not on each.
+    "a comma more, then a comma fewer": (HEADER + "1,a,10,1,,,\n2,b,20,5,\n3,c,9,2,,\n", False),
+    "a comma fewer, then a comma more": (HEADER + "1,a,10,1,\n2,b,20,5,,,\n3,c,9,2,,\n", False),
+    "one line with all the commas": ("t,a,b\n1,2,3,4,5\n6\n", False),
+    "one column, a comma more and an empty line": ("t\n1,2\n\n3\n", False),
+    "a comma more and an empty line": ("t,a\n1,2,3\n\n4,5\n", False),
+    "empty line between data rows": (HEADER + "1,a,10,1,,\n\n2,b,20,5,,\n", False),
+    "whitespace-only row": (HEADER + "1,a,10,1,,\n \t \n2,b,20,5,,\n", False),
+    "several trailing blank lines": (HEADER + "1,a,10,1,,\n2,b,20,5,,\n\n\n\n\n\n", True),
+    "one column": ("t\n1\n2\n3\n", True),
+    "header only": (HEADER, False),
 }
 
 
@@ -743,7 +859,11 @@ def int_columns_values(columns, numbers, faults):
         t, counts = data.int_columns(columns, numbers, faults)
     except ParseError as exc:
         return str(exc), False
-    return [t] + [[int(v) for v in cells] for cells in counts], isinstance(counts, np.ndarray)
+    # np.loadtxt's read gives t as an int64 array and int_column's a list, as the counts.
+    by_numpy = isinstance(counts, np.ndarray)
+    assert isinstance(t, np.ndarray) == by_numpy and (not by_numpy or t.dtype == np.int64)
+    t = t.tolist() if by_numpy else t
+    return [t] + [[int(v) for v in cells] for cells in counts], by_numpy
 
 
 # Columns whose joined cells hold as many commas as a rectangle of other

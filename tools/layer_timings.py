@@ -4,26 +4,34 @@
     python tools/layer_timings.py --periods 18 --variants 2 3  # two points
 
 At each point a seeded simulated series with 3 000 sequenced cases per
-period is written as CSV to a temporary directory. Then each stage runs
---repeats times and its median wall time (time.perf_counter) is reported:
+period is written as CSV to a temporary directory. Then the stages run
+--repeats times, interleaved: each repeat runs every stage once, in the
+order below, each on what the stages before it gave in that repeat. So a
+drift in the machine's speed is spread over every stage rather than landing
+on one. Each stage's median wall time (time.perf_counter) is reported as
+`<stage>_ms` and its minimum beside it as `<stage>_min_ms`:
 
 - simulate_ms: `simulate` of the point's configuration, the share path and
   the draw of all counts, as the benchmark's inputs and replicates make them
 - load_ms: read the CSV, with load_csv for m = 2 and load_multi_csv
   otherwise, as the CLI does
+- select_ms: `series.select(periods=slice(0, T - 1))` of the loaded series,
+  a window of all but the last period, as `forecast --train-through` makes
 - fit_ms: `fit` of the loaded series, the damped Newton iteration; the
   fitted shares are worked out on first use, not here
 - fisher_ms, hac4_ms: the variance step from the fit's own scores and
   information, Fisher and HAC with bandwidth 4;
-  hac4_ms is null, with the error in hac4_error, where the sandwich is not
-  identified (T = 18 periods cannot identify 18 parameters at m = 10)
+  hac4_ms and hac4_min_ms are null, with the error in hac4_error, where the
+  sandwich is not identified (T = 18 periods cannot identify 18 parameters
+  at m = 10)
 - report_ms: the JSON run report of the fit, built by the `multi` command's
   report builder and formatted as `multi --json` does
-- crude_ms, crude_report_ms: at m = 2 only (null otherwise), crude_gammas of
-  the loaded series and its run report formatted as `crude --json` does
-- forecast_ms: at m = 2 only (null otherwise), `forecast` of the fit with
-  its Fisher variance over the 10 periods after the series at c = 2, the
-  `forecast` command's defaults
+- crude_ms, crude_report_ms: at m = 2 only (null otherwise, as are their
+  minima), crude_gammas of the loaded series and its run report formatted
+  as `crude --json` does
+- forecast_ms: at m = 2 only (null otherwise, as is its minimum),
+  `forecast` of the fit with its Fisher variance over the 10 periods after
+  the series at c = 2, the `forecast` command's defaults
 
 Start-up is timed apart from the grid, as `startup_ms`: the median wall time
 of --repeats whole `python -m variantfit.cli` processes for each of
@@ -100,16 +108,6 @@ def sim_config(T: int, m: int, seed: int) -> SimConfig:
     )
 
 
-def median_ms(stage, repeats: int):
-    """Median wall time of `repeats` calls in ms, and the last call's result."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = stage()
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times), result
-
-
 def json_report(report, lines) -> str:
     """The run report as --json prints it, without the final newline."""
     return cli.json_text(report())
@@ -137,30 +135,50 @@ def startup_ms(repeats: int) -> tuple[dict, dict]:
 
 def time_point(T: int, m: int, seed: int, repeats: int, directory: Path) -> dict:
     config = sim_config(T, m, seed)
-    simulate_ms, simulated = median_ms(lambda: simulate(config), repeats)
     path = directory / f"series-T{T}-m{m}.csv"
-    text = to_csv_string(simulated) if m == 2 else to_multi_csv_string(simulated)
-    path.write_text(text, encoding="utf-8")
+    simulated = simulate(config)
+    path.write_text(to_csv_string(simulated) if m == 2 else to_multi_csv_string(simulated),
+                    encoding="utf-8")
     load = load_csv if m == 2 else load_multi_csv
-    load_ms, series = median_ms(lambda: load(str(path)), repeats)
-    fit_ms, result = median_ms(lambda: fit(series), repeats)
-    fisher_ms, fisher = median_ms(lambda: sandwich(result, None), repeats)
-    point = {"T": T, "m": m, "iterations": result.iterations, "simulate_ms": simulate_ms,
-             "load_ms": load_ms, "fit_ms": fit_ms, "fisher_ms": fisher_ms}
-    try:
-        point["hac4_ms"], _ = median_ms(lambda: sandwich(result, 4), repeats)
-    except VariantFitError as exc:
-        # No more periods with counts than the 2(m - 1) parameters.
-        point["hac4_ms"], point["hac4_error"] = None, f"{type(exc).__name__}: {exc}"
-    point["report_ms"], _ = median_ms(lambda: json_report(*cli.multi_report(
-        DIGEST, result, fisher, cli.GENERATION_DAYS, 0.95)), repeats)
-    point["crude_ms"] = point["crude_report_ms"] = point["forecast_ms"] = None
+    got = {}  # each stage's result in the current repeat
+    stages = {
+        "simulate": lambda: simulate(config),
+        "load": lambda: load(str(path)),
+        "select": lambda: got["load"].select(periods=slice(0, T - 1)),
+        "fit": lambda: fit(got["load"]),
+        "fisher": lambda: sandwich(got["fit"], None),
+        "hac4": lambda: sandwich(got["fit"], 4),
+        "report": lambda: json_report(*cli.multi_report(
+            DIGEST, got["fit"], got["fisher"], cli.GENERATION_DAYS, 0.95)),
+    }
     if m == 2:
-        point["forecast_ms"], _ = median_ms(
-            lambda: forecast(result, fisher, range(T + 1, T + 11), 2.0), repeats)
-        point["crude_ms"], measures = median_ms(lambda: cli.crude_gammas(series), repeats)
-        point["crude_report_ms"], _ = median_ms(lambda: json_report(*cli.crude_report(
-            DIGEST, series, measures, 0.95)), repeats)
+        stages |= {
+            "crude": lambda: cli.crude_gammas(got["load"]),
+            "crude_report": lambda: json_report(*cli.crude_report(
+                DIGEST, got["load"], got["crude"], 0.95)),
+            "forecast": lambda: forecast(got["fit"], got["fisher"], range(T + 1, T + 11), 2.0),
+        }
+    point = {"T": T, "m": m}
+    times = {name: [] for name in stages}
+    for _ in range(repeats):
+        for name, stage in list(stages.items()):
+            start = time.perf_counter()
+            try:
+                got[name] = stage()
+            except VariantFitError as exc:
+                if name != "hac4":
+                    raise
+                # No more periods with counts than the 2(m - 1) parameters.
+                point["hac4_error"] = f"{type(exc).__name__}: {exc}"
+                del stages[name], times[name]
+                continue
+            times[name].append(time.perf_counter() - start)
+    point["iterations"] = got["fit"].iterations
+    for name in ("simulate", "load", "select", "fit", "fisher", "hac4", "report", "crude",
+                 "crude_report", "forecast"):
+        spent = times.get(name)
+        point[f"{name}_ms"] = 1e3 * statistics.median(spent) if spent else None
+        point[f"{name}_min_ms"] = 1e3 * min(spent) if spent else None
     return point
 
 
@@ -176,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
                   for m in args.variants for T in args.periods]
     wall, cpu = startup_ms(args.repeats)
     print(json.dumps({
-        "statistic": f"median of {args.repeats} calls, ms",
+        "statistic": f"median and minimum of {args.repeats} interleaved calls, ms",
         "seed": args.seed,
         "python": platform.python_version(),
         "numpy": np.__version__,
