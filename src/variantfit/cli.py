@@ -52,7 +52,8 @@ def _load_array_layers() -> None:
     """
     from .data import load_csv, to_csv_string
     from .estimate import at_zero, fit
-    from .inference import crude_gammas, fisher_information, hac_sandwich, interval_for_gamma
+    from .inference import (advantage_interval, crude_gammas, fisher_information, hac_sandwich,
+                            interval_for_gamma, period_scale)
     from .inference import forecast as forecast_band
     # fit_multi is not called here: it stays bound for the benchmark's tracer.
     from .multivariant import fit_multi, load_multi_csv, to_multi_csv_string
@@ -504,17 +505,19 @@ def cmd_simulate(args):
 
 
 def multi_report(digest: dict, result, variance, gen_days: float, level: float):
-    """The `multi` run report and its text lines, for a fit and its variance,
-    as the two functions that a command returns."""
+    """The `multi` run report and its text lines, as the two functions that a
+    command returns: every variant's interval_for_gamma, from one call."""
     _load_array_layers()
     series = result.series
-    gens = [interval_for_gamma(variance, result, gen_days, level, variant=j)
-            for j in range(1, series.n_variants)]
+    scale = period_scale(result, gen_days)
+    gens = advantage_interval(result.theta[1::2], variance.matrix_for(result).diagonal()[1::2],
+                              scale, level)
+    if not min(gens[0]) > 0:  # Advantage's test: a point that underflowed to 0
+        raise InvalidValue(f"advantage must be positive, got {min(gens[0])}")
     variants = Table(("variant", "gamma_per_period", "gamma_per_generation",
                       "ci_low_per_generation", "ci_high_per_generation"),
                      (series.variant_names[1:], list(map(math.exp, result.theta[1::2].tolist())),
-                      [gen.gamma.value for gen in gens], [gen.ci_low for gen in gens],
-                      [gen.ci_high for gen in gens]))
+                      *gens))
 
     def report():
         return _fit_report("multi", digest, series, variance, gen_days, level) | {

@@ -26,11 +26,12 @@ the test suite.
 The fit works in the series' model time t - t_1 + 1 (`columns[0]`) and
 reports alpha at the user's t = 0 through one linear map (at_zero).
 
-The kernel (log_softmax, the row totals, the scores) works on T-long
-columns, one numpy call per variant, never a numpy loop over the short
-variant axis. Below 8 variants its bits equal numpy's row-wise reductions,
-which sum a short row left to right as whole-column adds do; from 8 on
-numpy sums rows pairwise, so the results may differ in their last bits.
+The kernel works on T-long columns, never a numpy loop over the short
+variant axis: one max reduction, whole-column adds for the row totals and
+the sum of exponentials, exponentials of the k shares it uses and one einsum
+for the Hessian's (T, k, 4) operand. Below 8 variants its bits equal numpy's
+row-wise reductions, which sum a short row left to right as whole-column adds
+do; from 8 on numpy sums rows pairwise, so the last bits may differ.
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits (0, x), exp of column 1 is expit(x). A -inf logit gives a share of 0.
 
     Worked a variant at a time: `logits.T` holds one column per variant, so
-    the max and the sum of exponentials are m - 1 whole-column calls, not
-    numpy loops over the short last axis. Returned in C order.
+    the max is one reduction over the variant axis (exact in any order) and
+    the sum of exponentials m - 1 whole-column adds, left to right, not numpy
+    loops over the short last axis. Returned in C order.
     """
     columns = logits.T
-    shifted = columns - reduce(np.maximum, columns)
+    shifted = columns - columns.max(axis=0)
     log_total = np.log(reduce(np.add, np.exp(shifted)))
     log_shares = np.empty(logits.shape)
     np.subtract(shifted, log_total, out=log_shares.T)
@@ -125,7 +127,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
     # Rows of eta: variants (row 0 is the numeraire); columns: periods.
     eta = np.zeros((m, len(t)))
-    eta[1:] = theta[0::2, None] + theta[1::2, None] * t
+    np.multiply.outer(theta[1::2], t, out=eta[1:])
+    eta[1:] += theta[0::2, None]
     return log_softmax(eta.T)
 
 
@@ -134,7 +137,7 @@ def _log_likelihood(
 ) -> tuple[float, np.ndarray]:
     """The log-likelihood at theta and the (T, m) log-softmax it was summed from."""
     log_shares = _log_softmax(theta, t, counts.shape[1])
-    return float(np.sum(counts * log_shares)), log_shares
+    return float(np.add.reduce(counts * log_shares, axis=None)), log_shares
 
 
 def model_log_likelihood(theta: np.ndarray, t: np.ndarray, counts: np.ndarray) -> float:
@@ -172,7 +175,7 @@ def _derivatives(
     # model_derivatives from the log-softmax at theta and the series' _design.
     T, m = counts.shape
     k = m - 1
-    p = np.exp(log_shares)[:, 1:]
+    p = np.exp(log_shares[:, 1:])
     w = n[:, None] * p
     resid = counts[:, 1:] - w
     # Score columns (a_j, b_j) are resid_j x_t = (resid_j, resid_j t).
@@ -182,16 +185,16 @@ def _derivatives(
     # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
     # With w = n p, one matmul gives the diagonal blocks sum_t w_tj (p_tj - 1)
     # x_t x_t' (subtracting sum_t w_tj x_t x_t' would cancel when a share nears
-    # 1); at m = 2 that block is all of H. Otherwise one more gives every (j, k)
-    # block of sum_t w_tj p_tk x_t x_t', and the diagonal blocks are set over it.
+    # 1); at m = 2 that block is all of H, exactly symmetric as xx's columns 1
+    # and 2 are both t. Otherwise one more gives every (j, k) block of
+    # sum_t w_tj p_tk x_t x_t', and the diagonal blocks are set over it.
     blocks = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
     if k == 1:
-        h = blocks[0]
-    else:
-        h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
-        h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
-        diagonal = np.arange(k)
-        h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = blocks
+        return scores, blocks[0]
+    h = (np.einsum("tj,ta->tja", w, xx).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
+    h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
+    diagonal = np.arange(k)
+    h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = blocks
     return scores, 0.5 * (h + h.T)
 
 

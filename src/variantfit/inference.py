@@ -228,15 +228,19 @@ def interval_for_gamma(
     m = fit.series.n_variants
     if not 1 <= variant < m:
         raise InvalidIndex(f"variant must be a non-numeraire column in 1..{m - 1}, got {variant}")
-    period_days = fit.series.period_days
     if target_days is None:
-        target_days = period_days
+        target_days = fit.series.period_days
+    scale, b = period_scale(fit, target_days), 2 * variant - 1
+    point, low, high = advantage_interval(float(fit.theta[b]), variance.matrix_for(fit)[b, b],
+                                          scale, level)
+    return AdvantageEstimate(Advantage(point, target_days), low, high, level)
+
+
+def period_scale(fit: FitResult, target_days: float) -> float:
+    """target_days over the fit's period_days; NonPositivePeriod unless positive."""
     if not target_days > 0:  # Advantage's test, made before a nan scale can overflow
         raise NonPositivePeriod(f"period_days must be positive, got {target_days}")
-    b = 2 * variant - 1
-    point, low, high = advantage_interval(float(fit.theta[b]), variance.matrix_for(fit)[b, b],
-                                          target_days / period_days, level)
-    return AdvantageEstimate(Advantage(point, target_days), low, high, level)
+    return target_days / fit.series.period_days
 
 
 def compose_advantages(a: AdvantageEstimate, b: AdvantageEstimate) -> AdvantageEstimate:
@@ -329,12 +333,12 @@ def forecast(
     v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
     with np.errstate(over="ignore"):  # a huge c gives an infinite half-width
         half = c * np.sqrt(np.maximum(v, 0.0))
-    # The logits (0, x) of every band end and point, in one logistic map.
-    # Beyond +-800 a share is exactly 0 or 1, so clipping there changes no
-    # share and keeps an infinite band end out of the map. The sort undoes
-    # rounding that misorders shares of logits a few ulps apart.
+    # The logits (0, x) of every band end and point, variants outermost in
+    # memory, in one logistic map. Beyond +-800 a share is exactly 0 or 1, so
+    # clipping there changes no share and keeps an infinite band end out of the
+    # map. The sort undoes rounding that misorders shares of logits a few ulps apart.
     ends = np.clip([eta - half, eta, eta + half], -800.0, 800.0)
-    logits = np.stack([np.zeros((3, len(t))), ends], axis=-1)
+    logits = np.moveaxis([np.zeros((3, len(t))), ends], 0, -1)
     lower, point, upper = np.sort(np.exp(log_softmax(logits))[..., 1], axis=0)
     assert ((0.0 <= lower) & (lower <= point) & (point <= upper) & (upper <= 1.0)).all()
     return horizons, point.tolist(), lower.tolist(), upper.tolist()

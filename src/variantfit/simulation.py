@@ -70,7 +70,7 @@ class SimConfig:
         log_g = np.log((1.0, *self.gammas))
         log_lam0 = np.log(lam0, out=np.full_like(lam0, -np.inf), where=lam0 > 0)
         t = np.arange(1.0, len(self.sequenced) + 1.0)
-        path = np.exp(log_softmax(log_lam0 + t[:, None] * log_g))
+        path = np.exp(log_softmax((log_lam0[:, None] + log_g[:, None] * t).T))
         path.flags.writeable = False
         return path
 

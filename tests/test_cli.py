@@ -16,8 +16,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import variantfit
+import variantfit.cli as cli
 from variantfit.cli import Table, build_parser, json_text, main
 from variantfit.dynamics import GENERATION_DAYS
+from variantfit.errors import InvalidValue
 from variantfit.repro import TEST_INTENSITY_EXPONENT
 from variantfit.simulation import SimConfig, simulate
 
@@ -1292,9 +1294,14 @@ def test_forecast_with_a_band_wider_than_the_float_range(capsys):
 
 M3_CSV = ("simulate", "--gamma", "1.6", "--gamma", "0.8", "--lambda0", "0.05",
           "--lambda0", "0.3", "--n", "500", "--t", "12", "--seed", "3", "--out", "m3.csv")
+# Ten variants: nine advantages, some below 1, over 30 periods, enough for HAC(4).
+M10_CSV = ("simulate",
+           *(f"--gamma={g}" for g in (1.1, 1.2, 1.3, 1.4, 1.5, 0.9, 0.8, 1.6, 1.05)),
+           *(f"--lambda0={p}" for p in (0.05, 0.04, 0.03, 0.02, 0.01, 0.1, 0.1, 0.005, 0.08)),
+           "--n", "2000", "--t", "30", "--seed", "11", "--out", "m10.csv")
 
 # argv -> (exit code, sha256 of stdout), run in-process in a directory that
-# holds M3_CSV's output: any change to a fit's arithmetic, to the variance
+# holds M3_CSV's and M10_CSV's output: any change to a fit's arithmetic, to the variance
 # step or to the reports shows up here as a changed hash.
 ARRAY_CALLS = {
     ("estimate", "alpha"): (
@@ -1333,6 +1340,10 @@ ARRAY_CALLS = {
         0, "b446fa3fd37f84ca1548c6b827e9aba05180ad0e74c78e77c4c0f2bc5963657f"),
     ("multi", "--file", "m3.csv", "--fisher", "--json"): (
         0, "4b1db7897f3a6ff07676fecb417690bc904a8f34ab8e0819b342d2a25fd8b4ab"),
+    ("multi", "--file", "m10.csv", "--json"): (
+        0, "83d936f69b50c91142747fa519cf0dfbecede80698d1b7904e284e728844df3e"),
+    ("multi", "--file", "m10.csv", "--fisher", "--json"): (
+        0, "3ab2b9b7f6db30b7973bb899aeb1d4ce1bd2ac4957ad05b945ed2a3333fc108f"),
 }
 
 
@@ -1341,9 +1352,63 @@ def test_array_commands_print_their_pinned_bytes(tmp_path, monkeypatch, capsys, 
     # The multi report's input.path is part of its bytes, so the CSV is read
     # by its relative name.
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, *M3_CSV) == (0, "", "")
+    assert run(capsys, *M3_CSV) == run(capsys, *M10_CSV) == (0, "", "")
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (*ARRAY_CALLS[argv], "")
+
+
+@pytest.mark.parametrize("gen_days", [4.7, 1e-3])
+@pytest.mark.parametrize("level", [0.95, 0.9])
+@pytest.mark.parametrize("bandwidth", [None, 4])
+def test_multi_columns_are_each_variants_interval(tmp_path, monkeypatch, capsys, bandwidth, level,
+                                                  gen_days):
+    # multi takes all m - 1 intervals from one array call; each is the one
+    # interval_for_gamma gives its variant.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *M10_CSV) == (0, "", "")
+    result = variantfit.fit(variantfit.load_multi_csv("m10.csv"))
+    variance = variantfit.sandwich(result, bandwidth)
+    report, _ = cli.multi_report({}, result, variance, gen_days, level)
+    _, _, points, lows, highs = report()["variants"].columns
+    want = [variantfit.interval_for_gamma(variance, result, gen_days, level, variant=j)
+            for j in range(1, 10)]
+    assert [x.hex() for x in points] == [w.gamma.value.hex() for w in want]
+    assert [x.hex() for x in lows] == [w.ci_low.hex() for w in want]
+    assert [x.hex() for x in highs] == [w.ci_high.hex() for w in want]
+
+
+@pytest.mark.parametrize("gen_days, kind", [("0", "NonPositivePeriod"),
+                                            ("-1", "NonPositivePeriod"),
+                                            ("1e300", "OverflowError")])
+@pytest.mark.parametrize("fisher", [(), ("--fisher",)], ids=["hac", "fisher"])
+def test_multi_refuses_a_generation_it_cannot_scale_to(tmp_path, monkeypatch, capsys, fisher,
+                                                       gen_days, kind):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *M10_CSV) == (0, "", "")
+    assert_one_error_line(*run(capsys, "multi", "--file", "m10.csv", *fisher,
+                               "--gen-days", gen_days), kind=kind)
+
+
+def test_multi_refuses_an_advantage_that_rounds_to_zero(tmp_path, monkeypatch, capsys):
+    # Both variants lose to the numeraire: over 1e5 days each advantage is
+    # exp(-3000) or so, 0.0 as a float, which interval_for_gamma refuses too.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "simulate", "--gamma", "0.8", "--gamma", "0.9", "--lambda0", "0.3",
+               "--lambda0", "0.3", "--n", "1000", "--t", "12", "--seed", "2",
+               "--out", "m3.csv") == (0, "", "")
+    series = variantfit.load_multi_csv("m3.csv")
+    result = variantfit.fit(series)
+    with pytest.raises(InvalidValue, match=r"^advantage must be positive, got 0\.0$"):
+        variantfit.interval_for_gamma(variantfit.sandwich(result, 4), result, 1e5)
+    assert run(capsys, "multi", "--file", "m3.csv", "--gen-days", "1e5") == (
+        1, "", "error: InvalidValue: advantage must be positive, got 0.0\n")
+
+
+def test_multi_report_refuses_a_variance_of_another_fit():
+    series = simulate(SimConfig((1.3, 1.6), (0.93, 0.05, 0.02), (2000,) * 12, seed=4))
+    result, other = variantfit.fit(series), variantfit.fit(series)
+    with pytest.raises(InvalidValue, match="^the variance is of another fit$"):
+        cli.multi_report({}, result, variantfit.sandwich(other, 4), 4.7, 0.95)
 
 
 CONTOUR = ("infer-r", "--gamma-gen", "2", "--gamma-ci", "1.8", "2.2", "--contour", "0:1:0.05")

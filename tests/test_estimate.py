@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -586,6 +587,80 @@ def test_kernel_is_bitwise_the_rowwise_one(m, T):
         want_scores, want_h = rowwise_derivatives(theta, t, counts)
         assert np.array_equal(scores, want_scores)
         assert np.array_equal(h, want_h)
+
+
+def columnwise_log_softmax(logits):
+    """log_softmax with the max, as well as the sum of exponentials, taken as
+    m - 1 whole-column calls over the variant axis."""
+    columns = logits.T
+    shifted = columns - reduce(np.maximum, columns)
+    log_total = np.log(reduce(np.add, np.exp(shifted)))
+    log_shares = np.empty(logits.shape)
+    np.subtract(shifted, log_total, out=log_shares.T)
+    return log_shares
+
+
+def columnwise_kernel(theta, t, counts):
+    """The log-likelihood, scores and Hessian from a zero-filled eta, the
+    exponentials of all m columns and the (T, k, 4) operand by broadcasting,
+    with a symmetrised Hessian at every m."""
+    T, m = counts.shape
+    k = m - 1
+    eta = np.zeros((m, T))
+    eta[1:] = theta[0::2, None] + theta[1::2, None] * t
+    log_shares = columnwise_log_softmax(eta.T)
+    counts = counts.astype(float)
+    ll = float(np.sum(counts * log_shares))
+    n = reduce(np.add, counts.T)
+    xx = np.column_stack([np.ones(T), t, t, t * t])
+    p = np.exp(log_shares)[:, 1:]
+    w = n[:, None] * p
+    resid = counts[:, 1:] - w
+    scores = np.column_stack([resid, resid * t[:, None]]).reshape(T, 2, k)
+    scores = scores.transpose(0, 2, 1).reshape(T, 2 * k)
+    blocks = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    if k == 1:
+        h = blocks[0]
+    else:
+        h = ((w[:, :, None] * xx[:, None, :]).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
+        h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)
+        diagonal = np.arange(k)
+        h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = blocks
+    return ll, scores, 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("T", [1, 2, 17, 500])
+@pytest.mark.parametrize("m", [2, 3, 8, 10, 16])
+def test_kernel_is_bitwise_the_columnwise_one(m, T):
+    # At every m, rows with no counts and shares near 0 and 1 included.
+    rng = np.random.default_rng([m, T, 2])
+    t = np.arange(1.0, T + 1)
+    counts = rng.integers(0, 3000, size=(T, m))
+    counts[rng.random(T) < 0.2] = 0
+    for spread in (1.0, 30.0):
+        theta = np.column_stack([rng.uniform(-spread, spread, m - 1),
+                                 rng.uniform(-3, 3, m - 1) * spread / T]).ravel()
+        want_ll, want_scores, want_h = columnwise_kernel(theta, t, counts)
+        assert model_log_likelihood(theta, t, counts) == want_ll
+        scores, h = model_derivatives(theta, t, counts)
+        assert np.array_equal(scores, want_scores)
+        assert np.array_equal(h, want_h)
+        if m == 2:
+            assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 10, 16])
+def test_log_softmax_is_bitwise_the_columnwise_one(m):
+    rng = np.random.default_rng([m, 3])
+    for shape in [(m,), (1, m), (17, m), (500, m), (3, 7, m)]:
+        logits = rng.normal(0.0, 20.0, size=shape)
+        # -inf in any column but the first, so each row keeps a finite max.
+        logits[..., 1:][rng.random(shape[:-1] + (m - 1,)) < 0.2] = -np.inf
+        for order in "CF":
+            given = np.asarray(logits, order=order)
+            got = estimate.log_softmax(given)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, columnwise_log_softmax(given)), (shape, order)
 
 
 def test_fit_does_not_depend_on_the_scale_of_the_counts():

@@ -180,7 +180,9 @@ def test_cli_calls_the_names_bound_on_the_module(tmp_path):
         "load_bundled": 1,
         "fit": 2,
         "hac_sandwich": 2,
-        "interval_for_gamma": 3 + 2,  # per period, generation and week; one per variant
+        # estimate's per period, generation and week; multi takes its variants'
+        # intervals from one advantage_interval call.
+        "interval_for_gamma": 3,
         "load_multi_csv": 1,
     }
 
