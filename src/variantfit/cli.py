@@ -51,7 +51,7 @@ def _load_array_layers() -> None:
     call whatever this module holds.
     """
     from .data import load_csv, to_csv_string
-    from .estimate import at_zero, fit
+    from .estimate import _SLOPES, at_zero, fit
     from .inference import (advantage_interval, crude_gammas, fisher_information, hac_sandwich,
                             interval_for_gamma, period_scale)
     from .inference import forecast as forecast_band
@@ -510,14 +510,13 @@ def multi_report(digest: dict, result, variance, gen_days: float, level: float):
     _load_array_layers()
     series = result.series
     scale = period_scale(result, gen_days)
-    gens = advantage_interval(result.theta[1::2], variance.matrix_for(result).diagonal()[1::2],
-                              scale, level)
+    b = result.theta[_SLOPES]
+    gens = advantage_interval(b, variance.matrix_for(result).diagonal()[_SLOPES], scale, level)
     if not min(gens[0]) > 0:  # Advantage's test: a point that underflowed to 0
         raise InvalidValue(f"advantage must be positive, got {min(gens[0])}")
     variants = Table(("variant", "gamma_per_period", "gamma_per_generation",
                       "ci_low_per_generation", "ci_high_per_generation"),
-                     (series.variant_names[1:], list(map(math.exp, result.theta[1::2].tolist())),
-                      *gens))
+                     (series.variant_names[1:], list(map(math.exp, b.tolist())), *gens))
 
     def report():
         return _fit_report("multi", digest, series, variance, gen_days, level) | {

@@ -1,12 +1,12 @@
 """Maximum likelihood estimation of the variant-share logistic model.
 
 With m variants, counts c_tj of variant j in period t, n_t = sum_j c_tj,
-and linear predictors eta_tj = a_j + b_j * t (a_1 = b_1 = 0 for the
-numeraire), the log-likelihood (up to the multinomial-coefficient
-constant) is
+and linear predictors eta_tj = x_t' theta_j on the design row x_t = (1, t)
+(theta_1 = 0 for the numeraire), the log-likelihood (up to the
+multinomial-coefficient constant) is
 
     ll(theta) = sum_t sum_j c_tj * log softmax(eta_t)_j,
-    theta = (a_2, b_2, a_3, b_3, ...),
+    theta = (a_2, b_2, a_3, b_3, ...), variant-major blocks of p = 2,
 
 which is globally concave in theta. The MLE is a logistic regression, so
 `fit` is one damped Newton (IRLS) loop with the analytic gradient and
@@ -23,13 +23,14 @@ contributions of the log-likelihood, for m = 2 (X_t - N_t * lam_t) * (1, t);
 they and the Hessian are checked against central finite differences in
 the test suite.
 
-The fit works in the series' model time t - t_1 + 1 (`columns[0]`) and
-reports alpha at the user's t = 0 through one linear map (at_zero).
+The kernel reads p from the (T, p) design X = (1, t) in the series' model time
+t - t_1 + 1 (`columns[0]`), built by `_design` alone: no other design is exposed
+until ill-conditioned fits are refused. at_zero moves alpha to the user's t = 0.
 
 The kernel works on T-long columns, never a numpy loop over the short
 variant axis: one max reduction, whole-column adds for the row totals and
 the sum of exponentials, exponentials of the k shares it uses and one einsum
-for the Hessian's (T, k, 4) operand. Below 8 variants its bits equal numpy's
+for the Hessian's (T, k, p^2) operand. Below 8 variants its bits equal numpy's
 row-wise reductions, which sum a short row left to right as whole-column adds
 do; from 8 on numpy sums rows pairwise, so the last bits may differ.
 """
@@ -55,6 +56,8 @@ from .errors import InvalidValue, MaxIterations, Separation, Singular
 DECREMENT_TOLERANCE = 1e-20
 DECREMENT_PER_CASE = 2.0**-100  # 16 eps**2
 MAX_ITERATIONS = 100
+_P = 2  # columns of the design x_t = (1, t), which `_design` alone builds
+_SLOPES = slice(1, None, _P)  # each b_j in theta, on X's column 1, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +85,7 @@ class FitResult:
     @cached_property
     def shares(self) -> np.ndarray:
         """The (T, m) fitted shares, worked out on first use."""
-        t = self.series.columns[0]
-        shares = np.exp(_log_softmax(self.theta, t, self.series.n_variants))
+        shares = np.exp(_log_softmax(self.theta, _design(*self.series.columns)[0]))
         shares.flags.writeable = False
         return shares
 
@@ -116,85 +118,86 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     the sum of exponentials m - 1 whole-column adds, left to right, not numpy
     loops over the short last axis. Returned in C order.
     """
-    columns = logits.T
-    shifted = columns - columns.max(axis=0)
+    columns = logits.T  # the max over an outer axis is fast only on C-ordered columns
+    shifted = columns - (columns.max(axis=0) if columns.flags.c_contiguous
+                         else reduce(np.maximum, columns))
     log_total = np.log(reduce(np.add, np.exp(shifted)))
     log_shares = np.empty(logits.shape)
     np.subtract(shifted, log_total, out=log_shares.T)
     return log_shares
 
 
-def _log_softmax(theta: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
-    # Rows of eta: variants (row 0 is the numeraire); columns: periods.
-    eta = np.zeros((m, len(t)))
-    np.multiply.outer(theta[1::2], t, out=eta[1:])
-    eta[1:] += theta[0::2, None]
+def _log_softmax(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # Rows of eta: variants (row 0 is the numeraire); columns: periods. A matmul may round.
+    T, p = X.shape
+    eta = np.zeros((len(theta) // p + 1, T))
+    rows = eta[1:]
+    np.multiply.outer(theta[1::p], X[:, 1], out=rows)
+    for c in range(2, p):
+        rows += np.multiply.outer(theta[c::p], X[:, c])
+    rows += theta[0::p, None]
     return log_softmax(eta.T)
 
 
-def _log_likelihood(
-    theta: np.ndarray, t: np.ndarray, counts: np.ndarray
-) -> tuple[float, np.ndarray]:
+def _log_likelihood(theta: np.ndarray, X: np.ndarray,
+                    counts: np.ndarray) -> tuple[float, np.ndarray]:
     """The log-likelihood at theta and the (T, m) log-softmax it was summed from."""
-    log_shares = _log_softmax(theta, t, counts.shape[1])
+    log_shares = _log_softmax(theta, X)
     return float(np.add.reduce(counts * log_shares, axis=None)), log_shares
 
 
 def model_log_likelihood(theta: np.ndarray, t: np.ndarray, counts: np.ndarray) -> float:
     """Log-likelihood at theta of the (T,) periods and (T, m) counts."""
-    return _log_likelihood(theta, t, counts)[0]
+    return _log_likelihood(theta, _design(t, counts)[0], counts)[0]
 
 
 def model_derivatives(
     theta: np.ndarray, t: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period scores (T, 2(m-1)) and the Hessian at theta, from one softmax.
+    """Per-period scores (T, 2(m-1)) and the Hessian at theta, from one softmax;
+    score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...)."""
+    X, *data = _design(t, counts)
+    return _derivatives(_log_softmax(theta, X), X, *data)
 
-    Score columns and Hessian rows are ordered (a_2, b_2, a_3, b_3, ...).
-    """
-    return _derivatives(_log_softmax(theta, t, counts.shape[1]), *_design(t, counts))
 
-
-def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the fit needs of the data, whatever theta: the counts as floats,
-    the row totals n_t (whole-column adds, exact in any order for integer
-    counts below 2**53) and the products x_ta x_tb of x_t = (1, t), row t
-    of xx holding (a, b) = (0, 0), (0, 1), (1, 0), (1, 1); its first two
-    columns are x_t."""
+def _design(t: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fit's data, whatever theta: the (T, p) design X, rows x_t = (1, t),
+    column 0 the intercept the kernel adds as is; the float counts; their row
+    totals n_t, exact below 2**53; xx, the (T, p^2) row products x_ta x_tc."""
+    columns = np.empty((_P, len(t)))  # X's columns, each contiguous
+    columns[0], columns[1] = 1.0, t
     counts = counts.astype(float)
-    xx = np.empty((len(t), 4))
-    xx[:, 0] = 1.0
-    xx[:, 1] = xx[:, 2] = t
-    xx[:, 3] = t * t
-    return counts, reduce(np.add, counts.T), xx
+    xx = np.empty((len(t), _P * _P))
+    np.multiply(columns[:, None], columns, out=xx.T.reshape(_P, _P, -1))
+    return columns.T, counts, reduce(np.add, counts.T), xx
 
 
 def _derivatives(
-    log_shares: np.ndarray, counts: np.ndarray, n: np.ndarray, xx: np.ndarray
+    log_shares: np.ndarray, X: np.ndarray, counts: np.ndarray, n: np.ndarray, xx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     # model_derivatives from the log-softmax at theta and the series' _design.
-    T, m = counts.shape
-    k = m - 1
-    p = np.exp(log_shares[:, 1:])
-    w = n[:, None] * p
+    (T, p), k = X.shape, counts.shape[1] - 1
+    s = np.exp(log_shares[:, 1:])
+    w = n[:, None] * s
     resid = counts[:, 1:] - w
-    # Score columns (a_j, b_j) are resid_j x_t = (resid_j, resid_j t).
-    scores = np.empty((T, 2 * k))
-    scores[:, 0::2] = resid
-    np.multiply(resid, xx[:, 1:2], out=scores[:, 1::2])
-    # H = -sum_t kron(n_t (diag(p_t) - p_t p_t'), x_t x_t') in O(T m) memory.
-    # With w = n p, one matmul gives the diagonal blocks sum_t w_tj (p_tj - 1)
+    # Score column (j, c) is resid_j X[:, c]: resid_j itself on the intercept.
+    scores = np.empty((T, k * p))
+    scores[:, 0::p] = resid
+    for c in range(1, p):
+        np.multiply(resid, X[:, c, None], out=scores[:, c::p])
+    # H = -sum_t kron(n_t (diag(s_t) - s_t s_t'), x_t x_t') in O(T m) memory.
+    # With w = n s, one matmul gives the diagonal blocks sum_t w_tj (s_tj - 1)
     # x_t x_t' (subtracting sum_t w_tj x_t x_t' would cancel when a share nears
-    # 1); at m = 2 that block is all of H, exactly symmetric as xx's columns 1
-    # and 2 are both t. Otherwise one more gives every (j, k) block of
-    # sum_t w_tj p_tk x_t x_t', and the diagonal blocks are set over it.
-    blocks = ((w * (p - 1.0)).T @ xx).reshape(k, 2, 2)
+    # 1); at m = 2 that block is all of H, exactly symmetric as xx holds both
+    # x_ta x_tc and x_tc x_ta. Otherwise one more gives every (j, k) block of
+    # sum_t w_tj s_tk x_t x_t', and the diagonal blocks are set over it.
+    blocks = ((w * (s - 1.0)).T @ xx).reshape(k, p, p)
     if k == 1:
         return scores, blocks[0]
-    h = (np.einsum("tj,ta->tja", w, xx).reshape(T, -1).T @ p).reshape(k, 2, 2, k)
-    h = h.transpose(0, 1, 3, 2).reshape(2 * k, 2 * k)  # C-contiguous; rows (j, a)
+    h = (np.einsum("tj,ta->tja", w, xx).reshape(T, -1).T @ s).reshape(k, p, p, k)
+    h = h.transpose(0, 1, 3, 2).reshape(k * p, k * p)  # C-contiguous; rows (j, a)
     diagonal = np.arange(k)
-    h.reshape(k, 2, k, 2)[diagonal, :, diagonal, :] = blocks
+    h.reshape(k, p, k, p)[diagonal, :, diagonal, :] = blocks
     return scores, 0.5 * (h + h.T)
 
 
@@ -237,12 +240,11 @@ def _check_identified(t: np.ndarray, counts: np.ndarray, n: np.ndarray) -> None:
         )
 
 
-def _initial_theta(counts: np.ndarray, n: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    # Least squares on Haldane-Anscombe corrected log ratios against the
-    # numeraire, over the periods with counts; xx[:, :2] is x_t = (1, t).
+def _initial_theta(X: np.ndarray, counts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # Least squares of Haldane-Anscombe corrected log ratios to the numeraire on X.
     keep = n > 0
     c = counts[keep] + 0.5
-    coef, *_ = np.linalg.lstsq(xx[keep, :2], np.log(c[:, 1:] / c[:, :1]), rcond=None)
+    coef, *_ = np.linalg.lstsq(X[keep], np.log(c[:, 1:] / c[:, :1]), rcond=None)
     return coef.T.ravel()
 
 
@@ -252,17 +254,17 @@ def fit(series: SurveillanceSeries) -> FitResult:
     Steps are halved while the likelihood drops. Newton stops once its
     decrement is at most DECREMENT_TOLERANCE, or DECREMENT_PER_CASE per case
     counted where that is larger. The softmax is evaluated once per theta (an
-    accepted step's derivatives reuse the line search's), and the float
-    counts, row totals and (1, t) products once per fit.
+    accepted step's derivatives reuse the line search's), and the design, the
+    float counts, row totals and design products once per fit.
     """
     t, counts = series.columns
-    counts, n, xx = _design(t, counts)
+    X, counts, n, xx = _design(t, counts)
     _check_identified(t, counts, n)
-    theta = _initial_theta(counts, n, xx)
+    theta = _initial_theta(X, counts, n)
     tolerance = max(DECREMENT_TOLERANCE, DECREMENT_PER_CASE * float(n.sum()))
-    ll, log_shares = _log_likelihood(theta, t, counts)
+    ll, log_shares = _log_likelihood(theta, X, counts)
     for iterations in range(MAX_ITERATIONS):
-        scores, h = _derivatives(log_shares, counts, n, xx)
+        scores, h = _derivatives(log_shares, X, counts, n, xx)
         g = scores.sum(axis=0)
         try:
             step = np.linalg.solve(h, -g)
@@ -280,7 +282,7 @@ def fit(series: SurveillanceSeries) -> FitResult:
         scale = 1.0
         while True:
             candidate = theta + scale * step
-            ll_new, candidate_log_shares = _log_likelihood(candidate, t, counts)
+            ll_new, candidate_log_shares = _log_likelihood(candidate, X, counts)
             if ll_new >= ll - slack or scale <= 1e-12:
                 break
             scale *= 0.5

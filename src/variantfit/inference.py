@@ -29,7 +29,7 @@ from .dynamics import (DEFAULT_BANDWIDTH, DEFAULT_LEVEL, Advantage, AdvantageEst
                        check_level)
 from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NegativeC,
                      NonPositivePeriod, PeriodMismatch, Singular)
-from .estimate import FitResult, log_softmax
+from .estimate import _SLOPES, FitResult, log_softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +230,7 @@ def interval_for_gamma(
         raise InvalidIndex(f"variant must be a non-numeraire column in 1..{m - 1}, got {variant}")
     if target_days is None:
         target_days = fit.series.period_days
-    scale, b = period_scale(fit, target_days), 2 * variant - 1
+    scale, b = period_scale(fit, target_days), range(fit.theta.size)[_SLOPES][variant - 1]
     point, low, high = advantage_interval(float(fit.theta[b]), variance.matrix_for(fit)[b, b],
                                           scale, level)
     return AdvantageEstimate(Advantage(point, target_days), low, high, level)

@@ -626,6 +626,17 @@ def random_text(rng):
     return bom + end.join(lines) + end * rng.choice([0, 1, 1, 1, 2])
 
 
+def with_a_blank_line(rng, text):
+    """The text with an empty line, in its own line end, after one of its data
+    lines but the last; None for text with fewer than two data lines."""
+    end = "\r\n" if "\r\n" in text else "\n"
+    lines = text.rstrip(end).split(end)
+    if len(lines) < 3:
+        return None
+    i = rng.randint(2, len(lines) - 1)
+    return end.join(lines[:i] + [""] + lines[i:]) + end
+
+
 def read_columns(text):
     """csv_columns of the text, its columns as lists, or the ParseError's type and message."""
     try:
@@ -683,12 +694,16 @@ NAMED = {
 def test_the_split_gives_what_csv_reader_gives(monkeypatch):
     rng = random.Random(20260)
     texts = [random_text(rng) for _ in range(20_000)]
-    split = sum(map(takes_the_split, texts))
-    assert 5_000 < split < 15_000  # both paths are exercised
+    taken = list(map(takes_the_split, texts))
+    assert 5_000 < sum(taken) < 15_000  # both paths are exercised
+    # Texts the split takes, with a blank line between data rows: the reader's.
+    blank = [with_a_blank_line(rng, text) for text, split in zip(texts, taken) if split]
+    blank = [text for text in blank if text is not None]
+    assert len(blank) > 1_000 and not any(map(takes_the_split, blank))
     assert {name: takes_the_split(text) for name, (text, _) in NAMED.items()} == {
         name: taken for name, (_, taken) in NAMED.items()}
     assert len(NAMED["20 000 short rows"][0]) > LIMIT
-    texts += [text for text, _ in NAMED.values()]
+    texts += blank + [text for text, _ in NAMED.values()]
     either = list(map(read_columns, texts))
     monkeypatch.setattr(data, "_split_columns", lambda text: None)
     reader = list(map(read_columns, texts))

@@ -657,10 +657,58 @@ def test_log_softmax_is_bitwise_the_columnwise_one(m):
         # -inf in any column but the first, so each row keeps a finite max.
         logits[..., 1:][rng.random(shape[:-1] + (m - 1,)) < 0.2] = -np.inf
         for order in "CF":
+            # Compared as int64 views: np.array_equal would take -0.0 for 0.0.
             given = np.asarray(logits, order=order)
             got = estimate.log_softmax(given)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, columnwise_log_softmax(given)), (shape, order)
+            want = columnwise_log_softmax(given)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, order)
+
+
+@pytest.mark.parametrize("name", ["alpha", "delta", "omicron", 3, 10])
+def test_the_centred_design_gives_the_same_fit(monkeypatch, name):
+    # The design (1, t - mean t) spans what (1, t) does, so the maximum and
+    # every slope b_j agree; only the intercepts move.
+    series = load_bundled(name) if isinstance(name, str) else _simulated(name)
+    plain = fit(series)
+    design = estimate._design
+    monkeypatch.setattr(estimate, "_design", lambda t, counts: design(t - t.mean(), counts))
+    centred = fit(series)
+    assert centred.log_likelihood == pytest.approx(plain.log_likelihood, rel=1e-12, abs=0.0)
+    slopes = estimate._SLOPES
+    assert centred.theta[slopes] == pytest.approx(plain.theta[slopes], rel=1e-12, abs=0.0)
+    assert not np.allclose(centred.theta, plain.theta)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_quadratic_design_s_derivatives_match_finite_differences(m):
+    # The kernel on the design (1, t, t^2), p = 3: its summed scores and its
+    # Hessian against central differences of its own log-likelihood, in
+    # coordinates scaled by each design column's largest value.
+    T = 12
+    rng = np.random.default_rng([m, 4])
+    t = np.arange(1.0, T + 1)
+    X = np.column_stack([np.ones(T), t, t * t])
+    counts = rng.integers(0, 3000, size=(T, m)).astype(float)
+    n = counts.sum(axis=1)
+    xx = (X[:, :, None] * X[:, None, :]).reshape(T, -1)
+    scale = np.tile(X.max(axis=0), m - 1)
+    theta = np.column_stack([rng.uniform(-1, 1, m - 1), rng.uniform(-3, 3, m - 1) / T,
+                             rng.uniform(-3, 3, m - 1) / T**2]).ravel()
+
+    def ll(step):
+        return estimate._log_likelihood(theta + step / scale, X, counts)[0]
+
+    scores, h = estimate._derivatives(estimate._log_softmax(theta, X), X, counts, n, xx)
+    assert scores.shape == (T, 3 * (m - 1)) and h.shape == (3 * (m - 1),) * 2
+    eye = 1e-4 * np.eye(len(theta))
+    fd_score = np.array([(ll(e) - ll(-e)) / 2e-4 for e in eye])
+    fd_h = np.array([[(ll(e + f) - ll(e - f) - ll(f - e) + ll(-e - f)) / 4e-8 for f in eye]
+                     for e in eye])
+    score = scores.sum(axis=0) / scale
+    assert np.max(np.abs(score - fd_score)) <= 1e-6 * np.max(np.abs(score))
+    h = h / np.outer(scale, scale)
+    assert np.max(np.abs(h - fd_h)) <= 1e-5 * np.max(np.abs(h))
 
 
 def test_fit_does_not_depend_on_the_scale_of_the_counts():
