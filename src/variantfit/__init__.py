@@ -14,13 +14,13 @@ _EXPORTS = {
     "data": ("SurveillanceSeries", "load_csv", "to_csv_string"),
     "datasets": ("BUNDLED_NAMES", "load_bundled"),
     "dynamics": ("GENERATION_DAYS", "Advantage", "AdvantageEstimate", "ModelParams",
-                 "Proportion"),
+                 "Proportion", "ReproInference", "adjusted_R", "infer_variant_R",
+                 "stability_region"),
     "estimate": ("FitResult", "fit", "log_softmax"),
     "inference": ("VarianceEstimate", "compose_advantages", "crude_gammas",
-                  "fisher_information", "forecast", "hac_sandwich", "interval_for_gamma",
-                  "parzen_kernel", "sandwich"),
-    "multivariant": ("fit_multi", "load_multi_csv"),
-    "repro": ("ReproInference", "adjusted_R", "infer_variant_R", "stability_region"),
+                  "fisher_information", "fit_multi", "forecast", "hac_sandwich",
+                  "interval_for_gamma", "parzen_kernel", "sandwich"),
+    "multivariant": ("load_multi_csv",),
     "simulation": ("RecoveryReport", "SimConfig", "recovery_report", "simulate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,13 +28,16 @@ from .dynamics import (
     DEFAULT_BANDWIDTH,
     DEFAULT_LEVEL,
     GENERATION_DAYS,
+    TEST_INTENSITY_EXPONENT,
     Advantage,
     AdvantageEstimate,
     Proportion,
+    adjusted_R,
     check_level,
+    infer_variant_R,
+    stability_region,
 )
 from .errors import InvalidValue, UsageError, VariantFitError, WindowOutOfRange
-from .repro import TEST_INTENSITY_EXPONENT, adjusted_R, infer_variant_R, stability_region
 
 # Largest --contour grid and --horizons or --t count; 0:1:1e-4 is the finest grid.
 MAX_GRID_POINTS = 10_001
@@ -52,11 +55,11 @@ def _load_array_layers() -> None:
     """
     from .data import load_csv, to_csv_string
     from .estimate import _SLOPES, at_zero, fit
-    from .inference import (advantage_interval, crude_gammas, fisher_information, hac_sandwich,
-                            interval_for_gamma, period_scale)
-    from .inference import forecast as forecast_band
     # fit_multi is not called here: it stays bound for the benchmark's tracer.
-    from .multivariant import fit_multi, load_multi_csv, to_multi_csv_string
+    from .inference import (advantage_interval, crude_gammas, fisher_information, fit_multi,
+                            hac_sandwich, interval_for_gamma, period_scale)
+    from .inference import forecast as forecast_band
+    from .multivariant import load_multi_csv, to_multi_csv_string
     from .simulation import SimConfig, simulate
 
     for name, value in locals().items():

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that raises it."""
+
+import operator
 
 
 class VariantFitError(Exception):
@@ -82,3 +85,12 @@ class NegativeC(VariantFitError):
 
 class WindowOutOfRange(VariantFitError):
     """Training window does not lie within the data."""
+
+
+def checked_index(value, name: str, error: type[VariantFitError]) -> int:
+    """`operator.index(value)`, so a bool or a numpy integer passes as its int;
+    `error` for a value that is not an integer, such as 2.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -28,8 +28,8 @@ from .data import SurveillanceSeries
 from .dynamics import (DEFAULT_BANDWIDTH, DEFAULT_LEVEL, Advantage, AdvantageEstimate,
                        check_level)
 from .errors import (BandwidthTooLarge, InvalidIndex, InvalidValue, NegativeC,
-                     NonPositivePeriod, PeriodMismatch, Singular)
-from .estimate import _SLOPES, FitResult, log_softmax
+                     NonPositivePeriod, PeriodMismatch, Singular, checked_index)
+from .estimate import _SLOPES, FitResult, fit, log_softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +130,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     info, scores = fit.information, fit.scores
     t_values = fit.series.columns[0]
     if bandwidth is not None:
+        bandwidth = checked_index(bandwidth, "bandwidth", InvalidValue)
         if bandwidth < 0:
             raise InvalidValue(f"bandwidth must be >= 0, got {bandwidth}")
         if bandwidth >= len(t_values):
@@ -154,7 +155,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), fit=fit)
 
 
-def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # kept for the wrappers below
+def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # for the two wrappers below
     if series is not fit.series and series != fit.series:
         raise InvalidValue("the variance needs the series the fit was made from, got another")
 
@@ -171,6 +172,15 @@ def hac_sandwich(
     """HAC variance, `sandwich(fit, bandwidth)`; kept because the CLI and benchmark call it."""
     _own_series(series, fit)
     return sandwich(fit, bandwidth)
+
+
+def fit_multi(
+    series: SurveillanceSeries, bandwidth: int | None = None
+) -> tuple[FitResult, VarianceEstimate]:
+    """`sandwich(fit(series), bandwidth)`; kept because the benchmark's tracer
+    binds it, though neither the CLI nor the benchmark calls it."""
+    result = fit(series)
+    return result, sandwich(result, bandwidth)
 
 
 def normal_quantile(level: float) -> float:
@@ -226,6 +236,7 @@ def interval_for_gamma(
     be the fit's own (see `VarianceEstimate.matrix_for`).
     """
     m = fit.series.n_variants
+    variant = checked_index(variant, "variant", InvalidIndex)
     if not 1 <= variant < m:
         raise InvalidIndex(f"variant must be a non-numeraire column in 1..{m - 1}, got {variant}")
     if target_days is None:
@@ -322,15 +333,23 @@ def forecast(
     0 <= lower <= point <= upper <= 1. Worked out in the fit's model time,
     where theta and the variance are; integer horizons map to model time
     h - origin exactly, in Python ints, as the series' own model time is built.
-    `variance` must be the fit's own (see `VarianceEstimate.matrix_for`)."""
-    if c < 0:
+    `variance` must be the fit's own (see `VarianceEstimate.matrix_for`).
+    NegativeC unless c >= 0; InvalidValue for a horizon that is not finite;
+    OverflowError where a horizon's log-odds, or their variance, overflow."""
+    if not c >= 0:  # nan fails too
         raise NegativeC(f"c must be >= 0, got {c}")
     beta = fit.params.beta  # InvalidValue unless the fit has two variants
     horizons = tuple(horizons)
     t = np.array([h - fit.series.origin for h in horizons], dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise InvalidValue(f"horizons must be finite, got {horizons[finite.argmin()]}")
     cov = variance.matrix_for(fit)
-    eta = fit.theta[0] + beta * t
-    v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        eta = fit.theta[0] + beta * t
+        v = cov[0, 0] + 2.0 * t * cov[0, 1] + t * t * cov[1, 1]
+    if not (np.isfinite(eta).all() and np.isfinite(v).all()):
+        raise OverflowError("the log-odds at a horizon, or their variance, is beyond a float")
     with np.errstate(over="ignore"):  # a huge c gives an infinite half-width
         half = c * np.sqrt(np.maximum(v, 0.0))
     # The logits (0, x) of every band end and point, variants outermost in

@@ -1,13 +1,6 @@
-"""Competition among m variants: the fit with its variance, CSV input/output.
-
-Variant 1 is the numeraire (advantage fixed at 1). Proportions follow
-
-    lam[j, t+1] = g[j] * lam[j, t] / sum_k g[k] * lam[k, t]
-
-whose closed form is a multinomial-logistic curve with linear predictors
-a_j + b_j * t (a_1 = b_1 = 0, b_j = log g_j). The m = 2 case collapses
-to the binomial model exactly.
-"""
+"""The m-variant CSV schema: `t,label,count_<name1>,count_<name2>,...`,
+read into and written from a `SurveillanceSeries` (the model is in
+`dynamics`' docstring)."""
 
 from __future__ import annotations
 
@@ -15,16 +8,6 @@ import numpy as np
 
 from .data import SurveillanceSeries, csv_columns, csv_text, int_columns
 from .errors import ParseError
-from .estimate import FitResult, fit
-from .inference import VarianceEstimate, sandwich
-
-
-def fit_multi(
-    series: SurveillanceSeries, bandwidth: int | None = None
-) -> tuple[FitResult, VarianceEstimate]:
-    """`sandwich(fit(series), bandwidth)`; kept because the benchmark calls and traces it."""
-    result = fit(series)
-    return result, sandwich(result, bandwidth)
 
 
 def load_multi_csv(source, period_days: float = 7.0) -> SurveillanceSeries:

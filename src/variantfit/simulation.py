@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .data import TWO_VARIANT_NAMES, SurveillanceSeries
-from .errors import InvalidConfig, VariantFitError
+from .errors import InvalidConfig, InvalidValue, VariantFitError, checked_index
 from .estimate import fit, log_softmax
 from .inference import DEFAULT_LEVEL, interval_for_gamma, sandwich
 
@@ -77,6 +77,7 @@ class SimConfig:
 
 def simulate(config: SimConfig, replication: int = 0) -> SurveillanceSeries:
     """Draw one synthetic series; the RNG stream is keyed by (seed, replication)."""
+    replication = checked_index(replication, "replication", InvalidConfig)
     if replication < 0:
         raise InvalidConfig(f"replication must be non-negative, got {replication}")
     rng = np.random.default_rng([config.seed, replication])
@@ -124,8 +125,11 @@ def recovery_report(
     """
     if config.n_variants != 2:
         raise InvalidConfig("recovery_report handles two-variant configs only")
+    n_replications = checked_index(n_replications, "n_replications", InvalidConfig)
     if n_replications < 1:
         raise InvalidConfig("need at least one replication")
+    if bandwidth is not None:  # refused here, not counted as each replicate's failure
+        checked_index(bandwidth, "bandwidth", InvalidValue)
     true_gamma = config.gammas[0]
     gammas, covered, widths, failed = [], 0, [], 0
     for rep in range(n_replications):

@@ -14,18 +14,17 @@ import numpy as np
 from variantfit.cli import crude_report
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
-from variantfit.dynamics import Advantage, Proportion
+from variantfit.dynamics import Advantage, Proportion, infer_variant_R, stability_region
 from variantfit.estimate import fit, model_derivatives, model_log_likelihood
 from variantfit.inference import (
     compose_advantages,
     crude_gammas,
     fisher_information,
+    fit_multi,
     forecast,
     hac_sandwich,
     interval_for_gamma,
 )
-from variantfit.multivariant import fit_multi
-from variantfit.repro import infer_variant_R, stability_region
 from variantfit.simulation import SimConfig, recovery_report
 
 

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 import variantfit
 import variantfit.cli as cli
 from variantfit.cli import Table, build_parser, json_text, main
-from variantfit.dynamics import GENERATION_DAYS
+from variantfit.dynamics import GENERATION_DAYS, TEST_INTENSITY_EXPONENT
 from variantfit.errors import InvalidValue
-from variantfit.repro import TEST_INTENSITY_EXPONENT
 from variantfit.simulation import SimConfig, simulate
 
 

@@ -6,7 +6,7 @@ from scipy.special import expit
 
 from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
-from variantfit.errors import NegativeC
+from variantfit.errors import InvalidValue, NegativeC
 from variantfit.estimate import at_zero, fit
 from variantfit.inference import fisher_information, forecast, hac_sandwich
 
@@ -64,8 +64,26 @@ def test_negative_c_rejected():
     series = load_bundled("alpha")
     result = fit(series)
     variance = fisher_information(series, result)
-    with pytest.raises(NegativeC):
-        forecast(result, variance, horizons=[1, 2], c=-0.5)
+    for c in (-0.5, math.nan):
+        with pytest.raises(NegativeC):
+            forecast(result, variance, horizons=[1, 2], c=c)
+
+
+@pytest.mark.parametrize("horizon, error", [
+    (math.nan, InvalidValue),
+    (math.inf, InvalidValue),
+    (-math.inf, InvalidValue),
+    # beta_hat * t overflows, and the variance's terms give inf - inf.
+    (1.7e308, OverflowError),
+    # beta_hat * t is a float, but t * t * var(beta_hat) overflows.
+    (1e200, OverflowError),
+])
+def test_horizons_beyond_a_float_are_refused(horizon, error):
+    series = load_bundled("delta")
+    result = fit(series)
+    variance = fisher_information(series, result)
+    with pytest.raises(error):
+        forecast(result, variance, horizons=[20, horizon], c=2.0)
 
 
 def test_train_early_covers_later_observations():

@@ -23,6 +23,7 @@ from variantfit.inference import (
     advantage_interval,
     compose_advantages,
     fisher_information,
+    fit_multi,
     forecast,
     hac_sandwich,
     interval_for_gamma,
@@ -30,7 +31,7 @@ from variantfit.inference import (
     parzen_kernel,
     sandwich,
 )
-from variantfit.simulation import SimConfig, simulate
+from variantfit.simulation import SimConfig, recovery_report, simulate
 
 # Published gamma CIs per 4.7 days for each variance estimator
 SENSITIVITY_TABLE = {
@@ -196,6 +197,25 @@ def test_bandwidth_too_large():
     result = fit(series)
     with pytest.raises(BandwidthTooLarge):
         hac_sandwich(series, result, len(series))
+
+
+@pytest.mark.parametrize("call", [
+    lambda series, result: sandwich(result, 2.5),
+    lambda series, result: hac_sandwich(series, result, 2.5),
+    lambda series, result: fit_multi(series, 2.5),
+    lambda series, result: recovery_report(
+        SimConfig((1.6,), (0.98, 0.02), (3000,) * 12), 2, bandwidth=2.5),
+], ids=["sandwich", "hac_sandwich", "fit_multi", "recovery_report"])
+def test_a_bandwidth_that_is_not_an_integer_is_refused(call):
+    series = load_bundled("delta")
+    with pytest.raises(InvalidValue, match="^bandwidth must be an integer, got 2.5$"):
+        call(series, fit(series))
+
+
+@pytest.mark.parametrize("bandwidth, kind", [(True, "sandwich(1)"), (np.int64(3), "sandwich(3)")])
+def test_an_integer_bandwidth_is_named_by_its_int(bandwidth, kind):
+    series = load_bundled("delta")
+    assert sandwich(fit(series), bandwidth).kind == kind
 
 
 def test_k0_matches_fisher_under_correct_specification():
@@ -430,7 +450,7 @@ def test_interval_for_each_variant():
         scale = 4.7 / series.period_days
         assert est.gamma.value == pytest.approx(math.exp(scale * b), rel=1e-14)
         assert est.ci_low == pytest.approx(math.exp(scale * (b - 1.96 * math.sqrt(v))), rel=1e-14)
-    for j in (0, 3):
+    for j in (0, 3, 1.0):
         with pytest.raises(InvalidIndex):
             interval_for_gamma(variance, result, 4.7, variant=j)
 

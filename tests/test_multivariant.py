@@ -9,12 +9,8 @@ from variantfit.data import SurveillanceSeries
 from variantfit.datasets import load_bundled
 from variantfit.errors import EmptySeries, ParseError, Separation
 from variantfit.estimate import fit, model_derivatives, model_log_likelihood
-from variantfit.inference import fisher_information, hac_sandwich
-from variantfit.multivariant import (
-    fit_multi,
-    load_multi_csv,
-    to_multi_csv_string,
-)
+from variantfit.inference import fisher_information, fit_multi, hac_sandwich
+from variantfit.multivariant import load_multi_csv, to_multi_csv_string
 from variantfit.simulation import SimConfig, simulate
 
 

@@ -5,10 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from variantfit.cli import main
-from variantfit.dynamics import Advantage, Proportion
+from variantfit.dynamics import Advantage, Proportion, adjusted_R, infer_variant_R, stability_region
 from variantfit.errors import NonPositiveCount, NonPositivePeriod, NonPositiveR
 from variantfit.inference import AdvantageEstimate
-from variantfit.repro import adjusted_R, infer_variant_R, stability_region
 
 
 @given(

@@ -252,8 +252,9 @@ def test_recovery_report_rejects_multivariant_config():
     )
     with pytest.raises(InvalidConfig):
         recovery_report(config, n_replications=5)
-    with pytest.raises(InvalidConfig):
-        recovery_report(_config(), n_replications=0)
+    for n_replications in (0, 2.5):
+        with pytest.raises(InvalidConfig):
+            recovery_report(_config(), n_replications=n_replications)
 
 
 def test_recovery_report_counts_failed_fits():
@@ -287,5 +288,6 @@ def test_recovery_report_propagates_programming_errors(monkeypatch):
 def test_negative_seed_or_replication_rejected():
     with pytest.raises(InvalidConfig):
         _config(seed=-1)
-    with pytest.raises(InvalidConfig):
-        simulate(_config(), replication=-1)
+    for replication in (-1, 1.5):
+        with pytest.raises(InvalidConfig):
+            simulate(_config(), replication=replication)

@@ -139,6 +139,14 @@ def test_submodules_are_attributes_of_the_package():
     assert done.stdout == "ParseError fit\n"
 
 
+def test_the_csv_schema_loads_only_data_and_errors():
+    # The m-variant schema reads and writes series; the fit is not its concern.
+    done = python("-c", "import sys, variantfit.multivariant; "
+                        "print(sorted(m for m in sys.modules if m.startswith('variantfit.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['variantfit.data', 'variantfit.errors', 'variantfit.multivariant']\n"
+
+
 def test_import_variantfit_loads_no_numpy():
     done = python("-c", "import sys, variantfit, variantfit.cli; "
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
