@@ -155,7 +155,7 @@ def sandwich(fit: FitResult, bandwidth: int | None) -> VarianceEstimate:
     return VarianceEstimate(kind=kind, matrix=0.5 * (cov + cov.T), fit=fit)
 
 
-def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # for the two wrappers below
+def _own_series(series: SurveillanceSeries, fit: FitResult) -> None:  # kept for the wrappers below
     if series is not fit.series and series != fit.series:
         raise InvalidValue("the variance needs the series the fit was made from, got another")
 
